@@ -179,6 +179,8 @@ def _read_json(path: str) -> dict:
         raise FileFormatError(
             f"{path}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except RecursionError as e:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from e
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object")
     return doc

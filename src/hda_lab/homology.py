@@ -11,8 +11,13 @@ plain matrix multiplication and the test suite does so.  Over a prime field
 elimination is used instead, with a bitset representation for GF(2) that
 keeps the larger models fast.
 
-Matrices are plain lists of rows of ints.  An empty matrix loses its column
-count, so functions that can meet one take the count explicitly.
+Matrices passed in and out (boundaries, SNF inputs, the dense views) are
+plain lists of rows of ints.  An empty matrix loses its column count, so
+functions that can meet one take the count explicitly.  Inside the Smith
+normal form every matrix is sparse: a list of rows or of columns, each a
+dict from index to nonzero entry (``Line``), and the integer homology reads
+its kernels and generators from those lines directly.  The dense views of
+the certificates exist for verification only.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ Matrix = list[list[int]]
 Chain = dict[Cube, int]
 
 
-# -- small dense integer matrix helpers ------------------------------------
+# -- small dense integer matrix helpers, for boundaries and verification ----
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -72,6 +77,49 @@ def mat_cols(a: Matrix, cols: int | None = None) -> list[list[int]]:
 
 # -- Smith normal form ------------------------------------------------------
 
+Line = dict[int, int]  # one sparse row or column: index -> nonzero entry
+
+
+def _axpy(dst: Line, src: Line, c: int) -> None:
+    """dst += c * src in place, dropping entries that cancel."""
+    if not c:
+        return
+    for k, x in src.items():
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _mix(p: Line, q: Line, x: int, y: int, z: int, w: int) -> tuple[Line, Line]:
+    """The pair (x p + y q, z p + w q), zeros dropped."""
+    new_p: Line = {}
+    new_q: Line = {}
+    for k in p.keys() | q.keys():
+        a, b = p.get(k, 0), q.get(k, 0)
+        if e := x * a + y * b:
+            new_p[k] = e
+        if e := z * a + w * b:
+            new_q[k] = e
+    return new_p, new_q
+
+
+def _transpose(lines: Sequence[Line], width: int) -> list[Line]:
+    out: list[Line] = [{} for _ in range(width)]
+    for i, line in enumerate(lines):
+        for k, x in line.items():
+            out[k][i] = x
+    return out
+
+
+def _dense(lines: Sequence[Line], width: int) -> Matrix:
+    return [[line.get(k, 0) for k in range(width)] for line in lines]
+
+
+def _units(n: int) -> list[Line]:
+    return [{i: 1} for i in range(n)]
+
 
 @dataclass
 class SmithNormalForm:
@@ -81,20 +129,46 @@ class SmithNormalForm:
     positive; the rest of D is zero.  ``u_inv`` and ``v_inv`` are the exact
     inverses, tracked during the reduction rather than computed after it, so
     ``verify`` is a genuine independent check by multiplication.
+
+    Every factor is stored sparse, in the orientation the reduction updates:
+    M, U and V^-1 as rows (``m_rows``, ``u_rows``, ``v_inv_rows``), U^-1 and
+    V as columns (``u_inv_cols``, ``v_cols``), each a dict from index to
+    nonzero entry.  The dense properties ``matrix``, ``u``, ``u_inv``, ``v``
+    and ``v_inv`` exist for verification and tests only.
     """
 
-    matrix: Matrix
     rows: int
     cols: int
     diagonal: list[int]
-    u: Matrix
-    u_inv: Matrix
-    v: Matrix
-    v_inv: Matrix
+    m_rows: list[Line]
+    u_rows: list[Line]
+    u_inv_cols: list[Line]
+    v_cols: list[Line]
+    v_inv_rows: list[Line]
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    @property
+    def matrix(self) -> Matrix:
+        return _dense(self.m_rows, self.cols)
+
+    @property
+    def u(self) -> Matrix:
+        return _dense(self.u_rows, self.rows)
+
+    @property
+    def u_inv(self) -> Matrix:
+        return _dense(_transpose(self.u_inv_cols, self.rows), self.rows)
+
+    @property
+    def v(self) -> Matrix:
+        return _dense(_transpose(self.v_cols, self.cols), self.cols)
+
+    @property
+    def v_inv(self) -> Matrix:
+        return _dense(self.v_inv_rows, self.cols)
 
     def d_matrix(self) -> Matrix:
         d = zero_matrix(self.rows, self.cols)
@@ -102,8 +176,16 @@ class SmithNormalForm:
             d[i][i] = x
         return d
 
+    def apply_u(self, vec: Sequence[int]) -> list[int]:
+        """U * vec."""
+        return [sum(x * vec[k] for k, x in row.items()) for row in self.u_rows]
+
     def verify(self) -> bool:
-        """Recheck U*M*V == D, U*U^-1 == I and V*V^-1 == I by multiplication."""
+        """Recheck U*M*V == D, U*U^-1 == I and V*V^-1 == I by multiplication.
+
+        The products are dense, so the check shares no code with the sparse
+        reduction it rechecks.
+        """
         umv = mat_mul(mat_mul(self.u, self.matrix, self.rows), self.v, self.cols)
         if umv != self.d_matrix():
             return False
@@ -119,119 +201,137 @@ class SmithNormalForm:
         return True
 
 
+# One side of the reduction: the lines of a in the orientation it operates
+# on, the same matrix in the crossing orientation, the transform acting on
+# those lines (U for rows, V for columns) and its inverse, whose lines are
+# the crossing ones (columns of U^-1, rows of V^-1).
+_Side = tuple[list[Line], list[Line], list[Line], list[Line]]
+
+
+def _store(side: _Side, i: int, new: Line) -> None:
+    """Replace line i of a, keeping the crossing orientation in step."""
+    lines, cross = side[0], side[1]
+    for k in lines[i]:
+        del cross[k][i]
+    for k, x in new.items():
+        cross[k][i] = x
+    lines[i] = new
+
+
+def _swap(side: _Side, i: int, j: int) -> None:
+    a, _, t, t_inv = side
+    li, lj = a[i], a[j]
+    _store(side, i, {})
+    _store(side, j, li)
+    _store(side, i, lj)
+    t[i], t[j] = t[j], t[i]
+    t_inv[i], t_inv[j] = t_inv[j], t_inv[i]
+
+
+def _negate(side: _Side, i: int) -> None:
+    a, _, t, t_inv = side
+    _store(side, i, {k: -x for k, x in a[i].items()})
+    t[i] = {k: -x for k, x in t[i].items()}
+    t_inv[i] = {k: -x for k, x in t_inv[i].items()}
+
+
+def _add(side: _Side, i: int, j: int, c: int) -> None:
+    """line i += c * line j; the inverse gets line j -= c * line i."""
+    if not c:
+        return
+    a, cross, t, t_inv = side
+    li = a[i]
+    for k, x in a[j].items():
+        y = li.get(k, 0) + c * x
+        if y:
+            li[k] = cross[k][i] = y
+        else:
+            del li[k], cross[k][i]
+    _axpy(t[i], t[j], c)
+    _axpy(t_inv[j], t_inv[i], -c)
+
+
+def _combine(side: _Side, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+    """lines (i, j) <- (x li + y lj, z li + w lj), with xw - yz = s in {1, -1}.
+
+    The inverse gets the inverse transform, (s (w li - z lj), s (x lj - y li)).
+    """
+    a, _, t, t_inv = side
+    s = x * w - y * z
+    new_i, new_j = _mix(a[i], a[j], x, y, z, w)
+    _store(side, i, new_i)
+    _store(side, j, new_j)
+    t[i], t[j] = _mix(t[i], t[j], x, y, z, w)
+    t_inv[i], t_inv[j] = _mix(t_inv[i], t_inv[j], s * w, -s * z, -s * y, s * x)
+
+
 def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithNormalForm:
     """Smith normal form over Z with tracked unimodular certificates.
 
-    Pivots are chosen by minimal absolute value in the remaining submatrix;
-    non-divisible entries are folded into the pivot with extended-gcd row and
-    column transforms; a final pass repairs the divisibility chain.
+    Pivots are chosen by minimal absolute value in the remaining submatrix,
+    the first in row-major order on ties; non-divisible entries are folded
+    into the pivot with extended-gcd row and column transforms; a final pass
+    repairs the divisibility chain.  The work is sparse: each step touches
+    only the nonzeros of the lines it combines.
     """
     rows = len(mat)
     if rows:
         cols = len(mat[0])
     elif cols is None:
         cols = 0
-    a = [list(r) for r in mat]
-    u = identity_matrix(rows)
-    u_inv = identity_matrix(rows)
-    v = identity_matrix(cols)
-    v_inv = identity_matrix(cols)
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
-
-    def row_combine(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # rows (i, j) <- (x ri + y rj, z ri + w rj), det = xw - yz in {1, -1};
-        # u_inv gets the inverse transform on columns (i, j).
-        s = x * w - y * z
-        for m in (a, u):
-            ri, rj = m[i], m[j]
-            m[i] = [x * p + y * q for p, q in zip(ri, rj)]
-            m[j] = [z * p + w * q for p, q in zip(ri, rj)]
-        for r in u_inv:
-            ci, cj = r[i], r[j]
-            r[i] = s * (w * ci - z * cj)
-            r[j] = s * (x * cj - y * ci)
-
-    def row_add(i: int, j: int, c: int) -> None:
-        row_combine(i, j, 1, c, 0, 1)
-
-    def col_swap(i: int, j: int) -> None:
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def col_combine(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # cols (i, j) <- (x ci + y cj, z ci + w cj); v_inv gets the inverse
-        # transform on rows (i, j).
-        s = x * w - y * z
-        for m in (a, v):
-            for r in m:
-                ci, cj = r[i], r[j]
-                r[i] = x * ci + y * cj
-                r[j] = z * ci + w * cj
-        ri, rj = v_inv[i], v_inv[j]
-        v_inv[i] = [s * (w * p - z * q) for p, q in zip(ri, rj)]
-        v_inv[j] = [s * (x * q - y * p) for p, q in zip(ri, rj)]
-
-    def col_add(i: int, j: int, c: int) -> None:
-        col_combine(i, j, 1, c, 0, 1)
+    a_rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+    m_rows = [dict(r) for r in a_rows]
+    a_cols = _transpose(a_rows, cols)
+    by_rows: _Side = (a_rows, a_cols, _units(rows), _units(rows))
+    by_cols: _Side = (a_cols, a_rows, _units(cols), _units(cols))
 
     limit = min(rows, cols)
     t = 0
     while t < limit:
         # Smallest nonzero entry of the remaining block becomes the pivot.
-        best = None
+        # Rows from t on hold no entry left of column t, and nothing beats 1.
+        best, bi, bj = 0, -1, -1
         for i in range(t, rows):
-            for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+            for j, x in a_rows[i].items():
+                x = abs(x)
+                if not best or x < best or (x == best and i == bi and j < bj):
+                    best, bi, bj = x, i, j
+            if best == 1:
+                break
+        if not best:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
+        if bi != t:
+            _swap(by_rows, t, bi)
+        if bj != t:
+            _swap(by_cols, t, bj)
         while True:
-            for i in range(rows):
-                if i == t or not a[i][t]:
+            for i in sorted(a_cols[t]):
+                if i == t:
                     continue
-                q, r = divmod(a[i][t], a[t][t])
+                p, x = a_rows[t][t], a_rows[i][t]
+                q, r = divmod(x, p)
                 if r == 0:
-                    row_add(i, t, -q)
+                    _add(by_rows, i, t, -q)
                 else:
-                    x, y, g = xgcd(a[t][t], a[i][t])
-                    row_combine(t, i, x, y, -(a[i][t] // g), a[t][t] // g)
-            if any(a[i][t] for i in range(rows) if i != t):
+                    g_x, g_y, g = xgcd(p, x)
+                    _combine(by_rows, t, i, g_x, g_y, -(x // g), p // g)
+            if len(a_cols[t]) > 1:
                 continue
-            for j in range(cols):
-                if j == t or not a[t][j]:
+            for j in sorted(a_rows[t]):
+                if j == t:
                     continue
-                q, r = divmod(a[t][j], a[t][t])
+                p, x = a_rows[t][t], a_rows[t][j]
+                q, r = divmod(x, p)
                 if r == 0:
-                    col_add(j, t, -q)
+                    _add(by_cols, j, t, -q)
                 else:
-                    x, y, g = xgcd(a[t][t], a[t][j])
-                    col_combine(t, j, x, y, -(a[t][j] // g), a[t][t] // g)
-            if any(a[t][j] for j in range(cols) if j != t):
-                continue
-            if any(a[i][t] for i in range(rows) if i != t):
+                    g_x, g_y, g = xgcd(p, x)
+                    _combine(by_cols, t, j, g_x, g_y, -(x // g), p // g)
+            if len(a_rows[t]) > 1 or len(a_cols[t]) > 1:
                 continue
             break
-        if a[t][t] < 0:
-            row_negate(t)
+        if a_rows[t][t] < 0:
+            _negate(by_rows, t)
         t += 1
 
     rank = t
@@ -240,25 +340,25 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithNormalForm:
     while changed:
         changed = False
         for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
+            di, dj = a_rows[i][i], a_rows[i + 1][i + 1]
             if dj % di == 0:
                 continue
             changed = True
-            col_add(i, i + 1, 1)  # puts dj below the pivot
+            _add(by_cols, i, i + 1, 1)  # puts dj below the pivot
             x, y, g = xgcd(di, dj)
-            row_combine(i, i + 1, x, y, -(dj // g), di // g)
+            _combine(by_rows, i, i + 1, x, y, -(dj // g), di // g)
             # Entry (i, i+1) is now y*dj, divisible by the new pivot g.
-            col_add(i + 1, i, -(a[i][i + 1] // g))
+            _add(by_cols, i + 1, i, -(a_rows[i].get(i + 1, 0) // g))
 
     return SmithNormalForm(
-        matrix=[list(r) for r in mat],
         rows=rows,
         cols=cols,
-        diagonal=[a[i][i] for i in range(rank)],
-        u=u,
-        u_inv=u_inv,
-        v=v,
-        v_inv=v_inv,
+        diagonal=[a_rows[i][i] for i in range(rank)],
+        m_rows=m_rows,
+        u_rows=by_rows[2],
+        u_inv_cols=by_rows[3],
+        v_cols=by_cols[2],
+        v_inv_rows=by_cols[3],
     )
 
 
@@ -364,60 +464,52 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _normalize_chain_sign(P: PrecubicalSet, n: int, chain: Chain) -> Chain:
-    """Flip the chain so its first nonzero coefficient in cell order is > 0."""
-    for key in P.cells(n):
-        c = chain.get((n, key), 0)
-        if c > 0:
-            return chain
-        if c < 0:
-            return {cube: -x for cube, x in chain.items()}
-    return chain
-
-
 def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
     cn = P.size(n)
     if cn == 0:
         return HomologyGroup(n, ZZ, 0)
+    # Kernel of d_n as sparse columns over the n-cells, and for each n-cell
+    # the sparse column of its kernel coordinates: the tail of V^-1, past
+    # the rank, read by columns.
     if n == 0:
-        kdim = cn
-        kernel_cols = mat_cols(identity_matrix(cn))
-
-        def kernel_coords(w: Sequence[int]) -> list[int]:
-            return list(w)
-
+        kernel_cols = coords = _units(cn)
     else:
         snf_a = smith_normal_form(boundary_matrix(P, n), cols=cn)
         r = snf_a.rank
-        kdim = cn - r
-        if kdim == 0:
+        if r == cn:
             return HomologyGroup(n, ZZ, 0)
-        kernel_cols = [[snf_a.v[row][r + j] for row in range(cn)] for j in range(kdim)]
+        kernel_cols = snf_a.v_cols[r:]
+        coords = _transpose(snf_a.v_inv_rows[r:], cn)
+    kdim = len(kernel_cols)
 
-        def kernel_coords(w: Sequence[int]) -> list[int]:
-            full = mat_vec(snf_a.v_inv, w)
-            return full[r:]
-
+    # The boundaries of the (n+1)-cells in kernel coordinates.
     cn1 = P.size(n + 1)
-    b = boundary_matrix(P, n + 1)
-    q_cols = [kernel_coords(col) for col in mat_cols(b, cols=cn1)]
-    q = [[q_cols[j][i] for j in range(cn1)] for i in range(kdim)]
+    b_rows = [{j: x for j, x in enumerate(row) if x} for row in boundary_matrix(P, n + 1)]
+    q = zero_matrix(kdim, cn1)
+    for j, col in enumerate(_transpose(b_rows, cn1)):
+        acc: Line = {}
+        for i, c in col.items():
+            _axpy(acc, coords[i], c)
+        for k, x in acc.items():
+            q[k][j] = x
     snf_q = smith_normal_form(q, cols=cn1)
 
     free_gens: list[Chain] = []
     tors_gens: list[Chain] = []
     torsion: list[int] = []
     diag = snf_q.diagonal
+    cells = P.cells(n)
     for i in range(kdim):
         d = diag[i] if i < len(diag) else 0
         if d == 1:
             continue
-        coeffs = [snf_q.u_inv[row][i] for row in range(kdim)]
-        col = [
-            sum(kernel_cols[j][row] * coeffs[j] for j in range(kdim))
-            for row in range(cn)
-        ]
-        chain = _normalize_chain_sign(P, n, column_to_chain(P, n, col))
+        gen: Line = {}
+        for j, c in snf_q.u_inv_cols[i].items():
+            _axpy(gen, kernel_cols[j], c)
+        # Sign-normalized: the first nonzero coefficient in cell order is > 0.
+        order = sorted(gen)
+        sign = 1 if gen[order[0]] > 0 else -1
+        chain = {(n, cells[k]): sign * gen[k] for k in order}
         if d == 0:
             free_gens.append(chain)
         else:
@@ -629,7 +721,7 @@ def lattice_membership(
     else:
         mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
         snf = smith_normal_form(mat, cols=k)
-        y = mat_vec(snf.u, target)
+        y = snf.apply_u(target)
         z = [0] * k
         for i in range(m):
             d = snf.diagonal[i] if i < snf.rank else 0
@@ -641,7 +733,10 @@ def lattice_membership(
                     return None
                 if i < k:
                     z[i] = y[i] // d
-        x = mat_vec(snf.v, z)
+        x = [0] * k
+        for j, zj in enumerate(z):
+            for t, c in snf.v_cols[j].items():
+                x[t] += c * zj
     # Confirm the witness before handing it out.
     for i in range(m):
         acc = sum(x[j] * vectors[j][i] for j in range(k))
@@ -715,13 +810,11 @@ def nonmembership_certificate(
     k = len(vectors)
     mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
     snf = smith_normal_form(mat, cols=k)
-    y = mat_vec(snf.u, target)
+    y = snf.apply_u(target)
     for i in range(m):
         d = snf.diagonal[i] if i < snf.rank else 0
-        if d == 0 and y[i]:
-            return list(snf.u[i]), 0
-        if d and y[i] % d:
-            return list(snf.u[i]), d
+        if (d == 0 and y[i]) or (d and y[i] % d):
+            return [snf.u_rows[i].get(c, 0) for c in range(m)], d
     return None
 
 

@@ -156,11 +156,11 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
         if ring.characteristic == 0:
             mat = [[cols[j][i] for j in range(r)] for i in range(len(monomials))]
             snf = smith_normal_form(mat, cols=r)
-            for i in range(snf.rank):
-                col = [snf.diagonal[i] * snf.u_inv[row][i] for row in range(len(monomials))]
+            for d, u_col in zip(snf.diagonal, snf.u_inv_cols):
+                col = [d * u_col.get(row, 0) for row in range(len(monomials))]
                 image_basis.append(column_to_label(h.alphabet, ring, col, monomials))
-            for j in range(snf.rank, r):
-                coeffs = [snf.v[t][j] for t in range(r)]
+            for v_col in snf.v_cols[snf.rank :]:
+                coeffs = [v_col.get(t, 0) for t in range(r)]
                 zero_classes.append(_combine_chains(free_chains, coeffs, ring))
         else:
             p = ring.characteristic

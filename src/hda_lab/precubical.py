@@ -354,10 +354,6 @@ def standard_cube(n: int) -> PrecubicalSet:
     return interval_grid((1,) * n)
 
 
-def grid_vertex(coords: Sequence[int]) -> GridCoord:
-    return tuple(coords)
-
-
 # -- tensor product -------------------------------------------------------
 
 
@@ -467,10 +463,6 @@ class Path:
                 f"paths do not compose: {self.target} != {other.source}"
             )
         return Path(self.complex, self.edges + other.edges, self.start)
-
-
-def concat_paths(first: Path, second: Path) -> Path:
-    return first.concat(second)
 
 
 # -- morphisms ------------------------------------------------------------

@@ -60,12 +60,20 @@ def eval_guard(guard: Guard, env: dict[str, int]) -> bool:
     raise ValueError(f"unknown guard tag {tag!r}")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def guard_variables(guard: Guard) -> set[str]:
+    """The variables a guard reads; ValueError if the guard is malformed."""
     tag = guard[0]
     if tag == "true":
         return set()
     if tag == "cmp":
-        return {guard[2]}
+        _, op, var, value = guard
+        if op not in _CMP or not _is_integer(value):
+            raise ValueError(f"bad comparison {guard!r}")
+        return {var}
     if tag in ("and", "or"):
         out: set[str] = set()
         for g in guard[1]:
@@ -116,6 +124,9 @@ def validate_program(prog: SharedVariableProgram) -> list[str]:
     if len(set(var_names)) != len(var_names):
         out.append("duplicate variable names")
     for v in prog.variables:
+        if not all(_is_integer(x) for x in v.domain + v.initial):
+            out.append(f"variable {v.name}: domain and initial values must be integers")
+            continue
         if not v.domain:
             out.append(f"variable {v.name}: empty domain")
         if len(set(v.domain)) != len(v.domain):
@@ -131,6 +142,9 @@ def validate_program(prog: SharedVariableProgram) -> list[str]:
     known = set(var_names)
     actions = []
     for p in prog.processes:
+        if not all(isinstance(s, str) for s in p.states):
+            out.append(f"process {p.name}: state names must be strings")
+            continue
         if len(set(p.states)) != len(p.states):
             out.append(f"process {p.name}: repeated state names")
         if p.start not in p.states:
@@ -149,7 +163,12 @@ def validate_program(prog: SharedVariableProgram) -> list[str]:
                 out.append(f"{where}: guard reads unknown variables {sorted(missing)}")
             touched = set()
             for eff in t.effects:
-                if len(eff) != 3 or eff[0] not in ("set", "add"):
+                if (
+                    len(eff) != 3
+                    or eff[0] not in ("set", "add")
+                    or not isinstance(eff[1], str)
+                    or not _is_integer(eff[2])
+                ):
                     out.append(f"{where}: malformed effect {eff!r}")
                     continue
                 _, var, _ = eff

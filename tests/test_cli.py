@@ -11,6 +11,7 @@ from hda_lab.fileformats import (
     canonical_json,
     hda_to_json,
     load_hda,
+    program_to_json,
     render_id,
     save_dimap,
     save_hda,
@@ -263,6 +264,44 @@ def test_exit_codes_for_broken_input(tmp_path, workdir):
     assert run(["model", "philosophers"]) == 1
     assert run(["model", "circle", "--labels", "a,,b"]) == 1
     assert run(["model", "circle", "--labels", "a..b"]) == 1
+
+
+def _broken_program(case: str) -> str:
+    doc = program_to_json(peterson())
+    transition = doc["processes"][0]["transitions"][0]
+    if case == "unknown comparison":
+        transition["guard"] = ["cmp", "=~", doc["variables"][0]["name"], 0]
+    elif case == "text comparison value":
+        transition["guard"] = ["cmp", "<", doc["variables"][0]["name"], "zero"]
+    elif case == "text effect amount":
+        transition["effects"] = [["add", doc["variables"][0]["name"], "one"]]
+    elif case == "list in a domain":
+        doc["variables"][0]["domain"].append([1])
+    else:
+        guard = json.dumps(transition["guard"])
+        transition["guard"] = "GUARD"
+        deep = '["not", ' * 1500 + guard + "]" * 1500
+        return canonical_json(doc).replace('"GUARD"', deep)
+    return canonical_json(doc)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "unknown comparison",
+        "text comparison value",
+        "text effect amount",
+        "list in a domain",
+        "guard nested 1500 deep",
+    ],
+)
+def test_malformed_program_file_exits_with_a_message(case, tmp_path, capsys):
+    path = tmp_path / "broken.prog.json"
+    path.write_text(_broken_program(case))
+    assert run(["model", "program", "--file", str(path)]) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("hda-lab: ")
+    assert "Traceback" not in err
 
 
 def test_invalid_hda_exits_two_with_diagnosis(workdir, tmp_path, capsys):

@@ -124,6 +124,67 @@ def test_snf_certificates_are_recomputed_products():
         assert mat_mul(snf.v, snf.v_inv, 4) == identity_matrix(4)
 
 
+def test_snf_operation_order_is_pinned():
+    # Takes the extended-gcd branch in both the row and the column sweep,
+    # then the divisibility repair; the certificates are pinned entry for
+    # entry, so a change to the pivot rule or the elimination order shows.
+    # The matrix also has tied pivot candidates, and the final certificates
+    # differ if either sweep runs backwards or ties go to a later entry.
+    snf = smith_normal_form([[3, 2, 2], [-3, 4, 3], [0, 6, 0], [-2, 0, 9]])
+    assert snf.verify()
+    assert snf.diagonal == [1, 1, 2]
+    assert snf.u == [
+        [1, 0, 0, 0],
+        [-25, -37, 33, 18],
+        [-52, -74, 67, 32],
+        [63, 93, -83, -45],
+    ]
+    assert snf.u_inv == [
+        [1, 0, 0, 0],
+        [-7, 359, 9, 150],
+        [-6, 354, 9, 148],
+        [-2, 89, 2, 37],
+    ]
+    assert snf.v == [[1, -40, -2], [-1, 59, 3], [0, 1, 0]]
+    assert snf.v_inv == [[3, 2, 2], [0, 0, 1], [1, 1, -19]]
+
+
+def test_snf_tall_sparse_membership():
+    # Two sparse generators in 300 coordinates, the shape of a label
+    # membership query: the lattice they span has a non-unit invariant factor.
+    from hda_lab.homology import nonmembership_certificate, verify_nonmembership
+
+    m = 300
+    g0, g1 = [0] * m, [0] * m
+    for i, x in {3: 2, 70: 4, 151: -6, 299: 2}.items():
+        g0[i] = x
+    for i, x in {3: 3, 70: 6, 151: 1, 200: 9}.items():
+        g1[i] = x
+    vectors = [g0, g1]
+    mat = [[g0[i], g1[i]] for i in range(m)]
+    snf = smith_normal_form(mat)
+    assert snf.verify()
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    expected = [int(x) for x in invariant_factors(sympy.Matrix(mat)) if x != 0]
+    assert snf.diagonal == expected
+    assert snf.diagonal[-1] > 1
+
+    member = [5 * a - 7 * b for a, b in zip(g0, g1)]
+    assert lattice_membership(vectors, member) == [5, -7]
+    assert nonmembership_certificate(vectors, member) is None
+
+    half = [a // 2 for a in g0]  # in the rational span, not in the lattice
+    outside = [0] * m
+    outside[0] = 1  # not even in the rational span
+    for target, modular in ((half, True), (outside, False)):
+        assert lattice_membership(vectors, target) is None
+        cert = nonmembership_certificate(vectors, target)
+        assert (cert[1] > 1) if modular else (cert[1] == 0)
+        assert verify_nonmembership(vectors, target, cert)
+
+
 # -- boundaries ---------------------------------------------------------------
 
 
