@@ -93,11 +93,9 @@ def validate_hda(h: Hda) -> list[Violation]:
     if not any(v.kind in ("missing-faces", "dangling-face", "face-arity") for v in out):
         for key in P.cells(2):
             sq = (2, key)
-            for i in (1, 2):
-                lo = P.face(sq, 0, i)
-                hi = P.face(sq, 1, i)
-                wl = h.labels.get(lo[1])
-                wh = h.labels.get(hi[1])
+            for i, (lo, hi) in enumerate(zip(*P.face_keys(sq)), start=1):
+                wl = h.labels.get(lo)
+                wh = h.labels.get(hi)
                 if wl is not None and wh is not None and wl != wh:
                     out.append(
                         Violation(

@@ -65,10 +65,6 @@ def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def mat_cols(a: Matrix, cols: int | None = None) -> list[list[int]]:
     if not a:
         return [[] for _ in range(cols or 0)]
@@ -523,13 +519,15 @@ def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
 
 def gf2_boundary_columns(P: PrecubicalSet, n: int) -> list[int]:
     """Boundary columns over GF(2) as bitsets (bit r = row cell r)."""
+    if n == 0:
+        return [0] * P.size(0)
+    row = P.positions(n - 1)
     cols = []
     for key in P.cells(n):
-        cube = (n, key)
         bits = 0
-        for i in range(1, n + 1):
-            for k in (0, 1):
-                bits ^= 1 << P.cell_index(P.face(cube, k, i))
+        for side in P.face_keys((n, key)):
+            for face in side:
+                bits ^= 1 << row[face]
         cols.append(bits)
     return cols
 

@@ -105,6 +105,10 @@ class PrecubicalSet:
     def cell_index(self, cube: Cube) -> int:
         return self._index[cube[0]][cube[1]]
 
+    def positions(self, n: int) -> Mapping[Key, int]:
+        """Key -> basis position of every cell in dimension n; do not mutate."""
+        return self._index.get(n, {})
+
     def cubes(self, n: int) -> Iterator[Cube]:
         for key in self.cells(n):
             yield (n, key)
@@ -135,6 +139,9 @@ class PrecubicalSet:
         return f"<PrecubicalSet: {counts or 'empty'}>"
 
 
+_NO_FACES: tuple[tuple[Key, ...], tuple[Key, ...]] = ((), ())
+
+
 def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     """All structural defects of P, empty when P is a genuine precubical set.
 
@@ -142,20 +149,31 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     tuples have length n, every referenced face exists one dimension down,
     and for n >= 2 the cubical identities
     d[k,i] d[l,j] x == d[l,j-1] d[k,i] x for 1 <= i < j <= n.  Identity
-    violations carry (k, i, l, j) in their data field.
+    violations carry (k, i, l, j) in their data field.  An identity is
+    skipped when one of its inner faces has no face entry or a face tuple
+    too short to hold the index it needs; that face's own missing-faces or
+    face-arity violation is reported when it is visited.
     """
     out: list[Violation] = []
-    known_faces = set()
+    faces = P._faces
     for n in P.dims():
         if n == 0:
             continue
+        below = P.positions(n - 1)
+        # The identities (k, i, l, j) to check, in report order.
+        checks = [
+            (k, i, l, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            for k in (0, 1)
+            for l in (0, 1)
+        ]
         for cube in P.cubes(n):
-            try:
-                d0, d1 = P.face_keys(cube)
-            except KeyError:
+            entry = faces.get(cube)
+            if entry is None:
                 out.append(Violation("missing-faces", cube, "no face entry"))
                 continue
-            known_faces.add(cube)
+            d0, d1 = entry
             if len(d0) != n or len(d1) != n:
                 out.append(
                     Violation(
@@ -168,7 +186,7 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
             dangling = False
             for k, keys in ((0, d0), (1, d1)):
                 for i, key in enumerate(keys, start=1):
-                    if (n - 1, key) not in P:
+                    if key not in below:
                         out.append(
                             Violation(
                                 "dangling-face",
@@ -178,32 +196,34 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                             )
                         )
                         dangling = True
-            if dangling:
+            if dangling or not checks:
                 continue
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    for k in (0, 1):
-                        for l in (0, 1):
-                            try:
-                                left = P.face(P.face(cube, l, j), k, i)
-                                right = P.face(P.face(cube, k, i), l, j - 1)
-                            except KeyError:
-                                # Inner faces are dangling; reported when the
-                                # face cell itself is visited.
-                                continue
-                            if left != right:
-                                out.append(
-                                    Violation(
-                                        "cubical-identity",
-                                        cube,
-                                        f"d[{k},{i}]d[{l},{j}] = {left} but "
-                                        f"d[{l},{j-1}]d[{k},{i}] = {right}",
-                                        (k, i, l, j),
-                                    )
-                                )
+            # The face tuples of d[k,i] x, read once per face: inner[k][i-1].
+            # A missing entry reads as two empty tuples, so it fails like a
+            # too-short tuple does: with IndexError.
+            inner = (
+                [faces.get((n - 1, key), _NO_FACES) for key in d0],
+                [faces.get((n - 1, key), _NO_FACES) for key in d1],
+            )
+            for k, i, l, j in checks:
+                try:
+                    left = inner[l][j - 1][k][i - 1]
+                    right = inner[k][i - 1][l][j - 2]
+                except IndexError:
+                    continue
+                if left != right:
+                    out.append(
+                        Violation(
+                            "cubical-identity",
+                            cube,
+                            f"d[{k},{i}]d[{l},{j}] = {(n - 2, left)} but "
+                            f"d[{l},{j-1}]d[{k},{i}] = {(n - 2, right)}",
+                            (k, i, l, j),
+                        )
+                    )
     # Face entries for cells that are not in the set at all.
-    for cube in getattr(P, "_faces"):
-        if cube not in P and cube not in known_faces:
+    for cube in faces:
+        if cube not in P:
             out.append(Violation("orphan-face-entry", cube, "face entry for unknown cell"))
     return out
 

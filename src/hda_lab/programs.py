@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .exterior import Alphabet
 from .hda import Hda
@@ -222,10 +221,6 @@ def state_key(state: State) -> str:
     return ",".join(locs) + "|" + ",".join(str(x) for x in vals)
 
 
-def _cube_key(state: State, moves: tuple[tuple[int, Transition], ...]) -> str:
-    return state_key(state) + "".join("!" + t.action for _, t in moves)
-
-
 def reachable_states(prog: SharedVariableProgram) -> dict[str, State]:
     """All states reachable from the initial ones, keyed, in discovery order."""
     seen: dict[str, State] = {}
@@ -249,81 +244,77 @@ def reachable_states(prog: SharedVariableProgram) -> dict[str, State]:
     return seen
 
 
-def _enabled_moves(
-    prog: SharedVariableProgram, state: State
-) -> Iterator[tuple[int, Transition, State]]:
-    for pid, proc in enumerate(prog.processes):
-        for t in proc.transitions:
-            s2 = fire(prog, state, pid, t)
-            if s2 is not None:
-                yield pid, t, s2
-
-
 def program_to_hda(prog: SharedVariableProgram) -> Hda:
     """Compile to a labeled automaton; see the module docstring for the rules."""
     assert_valid_program(prog)
     states = reachable_states(prog)
-    enabled: dict[str, list[tuple[int, Transition, State]]] = {
-        k: list(_enabled_moves(prog, s)) for k, s in states.items()
-    }
+
+    # A move is tagged "!action"; action names are unique per program, so
+    # the tag names the move.  One successor table per state: the enabled
+    # moves as (pid, tag) in process and declaration order, and each
+    # successor's key by tag.
+    enabled: dict[str, list[tuple[int, str]]] = {}
+    succ: dict[str, dict[str, str]] = {}
+    for k, s in states.items():
+        moves_k = enabled[k] = []
+        succ_k = succ[k] = {}
+        for pid, proc in enumerate(prog.processes):
+            for t in proc.transitions:
+                s2 = fire(prog, s, pid, t)
+                if s2 is not None:
+                    tag = "!" + t.action
+                    moves_k.append((pid, tag))
+                    succ_k[tag] = state_key(s2)
 
     cells: dict[int, list[Key]] = {0: list(states)}
     faces: dict[tuple[int, Key], tuple[tuple[Key, ...], tuple[Key, ...]]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
 
-    # Cubes in dimension n are keyed by (state, moves) with moves sorted by
-    # process id; this table remembers the pair behind each key.
-    current: dict[str, tuple[State, tuple[tuple[int, Transition], ...]]] = {
-        k: (s, ()) for k, s in states.items()
+    # An (n-1)-cube is a base state plus moves sorted by process id, all
+    # enabled at the base, so the successor table holds each corner one step
+    # away.  Its key is the base key followed by the move tags; this table
+    # maps the key to (base key, last process id, tags).
+    current: dict[str, tuple[str, int, tuple[str, ...]]] = {
+        k: (k, -1, ()) for k in states
     }
 
     n = 1
     while current:
-        following: dict[str, tuple[State, tuple[tuple[int, Transition], ...]]] = {}
+        following: dict[str, tuple[str, int, tuple[str, ...]]] = {}
         keys_n: list[Key] = []
-        for key, (state, moves) in current.items():
-            top_pid = moves[-1][0] if moves else -1
-            for pid, t, _ in enabled[state_key(state)]:
+        for key, (base, top_pid, tags) in current.items():
+            succ_base = succ[base]
+            for pid, tag in enabled[base]:
                 if pid <= top_pid:
                     continue
-                cand = moves + ((pid, t),)
+                cand = tags + (tag,)
                 face_d0 = []
                 face_d1 = []
-                ok = True
                 ends = set()
                 for i in range(n):
                     rest = cand[:i] + cand[i + 1 :]
-                    k0 = _cube_key(state, rest)
-                    if n == 1 or k0 in current:
-                        face_d0.append(k0)
-                    else:
-                        ok = False
+                    tail = "".join(rest)
+                    mid = succ_base[cand[i]]
+                    k0 = base + tail
+                    k1 = mid + tail
+                    if n > 1 and (k0 not in current or k1 not in current):
                         break
-                    mid = fire(prog, state, cand[i][0], cand[i][1])
-                    if mid is None:
-                        ok = False
-                        break
-                    k1 = _cube_key(mid, rest)
-                    if n == 1 or k1 in current:
-                        face_d1.append(k1)
-                    else:
-                        ok = False
-                        break
+                    face_d0.append(k0)
+                    face_d1.append(k1)
                     if n == 2:
-                        other = rest[0]
-                        far = fire(prog, mid, other[0], other[1])
+                        far = succ[mid].get(rest[0])
                         if far is None:
-                            ok = False
                             break
-                        ends.add(state_key(far))
-                if not ok or (n == 2 and len(ends) != 1):
-                    continue
-                ck = _cube_key(state, cand)
-                following[ck] = (state, cand)
-                keys_n.append(ck)
-                faces[(n, ck)] = (tuple(face_d0), tuple(face_d1))
-                if n == 1:
-                    labels[ck] = (t.action,)
+                        ends.add(far)
+                else:
+                    if n == 2 and len(ends) != 1:
+                        continue
+                    ck = key + tag
+                    following[ck] = (base, pid, cand)
+                    keys_n.append(ck)
+                    faces[(n, ck)] = (tuple(face_d0), tuple(face_d1))
+                    if n == 1:
+                        labels[ck] = (tag[1:],)
         if keys_n:
             cells[n] = keys_n
         current = following

@@ -316,6 +316,21 @@ def test_invalid_hda_exits_two_with_diagnosis(workdir, tmp_path, capsys):
     assert "unlabeled-edge" in capsys.readouterr().out
 
 
+def test_short_inner_face_tuple_exits_two_without_traceback(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "peterson.json").read_text())
+    square = next(e for e in doc["cubes"] if e["dim"] == 2)
+    edge = next(e for e in doc["cubes"] if e["dim"] == 1 and e["id"] == square["d0"][0])
+    edge["d0"] = []
+    path = tmp_path / "short_face.json"
+    path.write_text(canonical_json(doc))
+    for command in ("validate", "homology"):
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"[face-arity] at (1, '{edge['id']}')" in captured.out
+        assert "cubical-identity" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
 def test_model_program_file_matches_named_model(tmp_path, workdir):
     prog_path = tmp_path / "peterson_prog.json"
     save_program(peterson(), str(prog_path))

@@ -16,7 +16,6 @@ from hda_lab.homology import (
     identity_matrix,
     lattice_membership,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     _fp_homology,
 )
@@ -468,10 +467,6 @@ def test_membership_over_fields():
 def test_membership_rejects_bad_shapes():
     with pytest.raises(ValueError):
         lattice_membership([[1, 2], [1]], [0, 0], ZZ)
-
-
-def test_mat_vec():
-    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
 
 
 def test_nonmembership_certificates_basic():

@@ -317,3 +317,221 @@ def test_morphism_valid_and_path_image():
     g = PcMorphism(A, A, {c: c for c in A.all_cubes()})
     assert g.is_valid()
     assert g.apply_path(p).edges == p.edges
+
+
+# -- golden validation reports ------------------------------------------------------
+
+
+def _named_cube3():
+    """The standard 3-cube with short string keys, one letter per axis.
+
+    An axis reads 0 or 1 at an end and e along the edge, so "e01" is the
+    direction-1 edge at x2 = 0, x3 = 1.  Returns (cells, faces) as mutable
+    dicts of lists so that a test can damage them.
+    """
+    def name(key):
+        return "".join("e" if isinstance(c, tuple) else str(c) for c in key)
+
+    grid = interval_grid((1, 1, 1))
+    cells = {n: [name(key) for key in grid.cells(n)] for n in grid.dims()}
+    faces = {}
+    for n in grid.dims():
+        for key in grid.cells(n) if n else ():
+            d0, d1 = grid.face_keys((n, key))
+            faces[(n, name(key))] = ([name(k) for k in d0], [name(k) for k in d1])
+    return cells, faces
+
+
+def _damaged_cube3(case):
+    cells, faces = _named_cube3()
+    if case == "missing-entry":
+        del faces[(1, "e00")]
+        del faces[(2, "ee1")]
+    elif case == "face-arity":
+        # Too long only, so that no identity reads past the end of a tuple.
+        faces[(2, "0ee")] = (["00e", "0e0"], ["01e", "0e1", "0ee"])
+        faces[(1, "1e1")] = (["101", "111"], ["111"])
+    elif case == "dangling-face":
+        faces[(2, "e1e")][1][0] = "zz"
+        faces[(3, "eee")][0][2] = "ghost"
+    elif case == "broken-identity":
+        # The top cube's upper faces in directions 1 and 2 trade places, and
+        # one square's lower edge starts at the wrong vertex.
+        d1 = faces[(3, "eee")][1]
+        d1[0], d1[1] = d1[1], d1[0]
+        faces[(1, "0e0")] = (["100"], ["010"])
+    elif case == "orphan-entry":
+        faces[(2, "ghost")] = (["e00", "0e0"], ["e10", "1e0"])
+        faces[(1, "ee0")] = (["00"], ["10"])
+    elif case == "short-inner-face":
+        # An edge with no lower vertex under two squares, and a square with
+        # a one-edge lower side under the top cube.  The damage of
+        # broken-identity is added: identities that do not read the short
+        # tuples still report it, including the top cube's after a skip.
+        faces[(1, "e00")] = ([], ["100"])
+        faces[(2, "ee1")] = (["0e1"], ["1e1", "e11"])
+        d1 = faces[(3, "eee")][1]
+        d1[0], d1[1] = d1[1], d1[0]
+        faces[(1, "0e0")] = (["100"], ["010"])
+    else:
+        raise ValueError(case)
+    return PrecubicalSet(cells, faces)
+
+
+def _report(P):
+    return [(v.kind, v.cube, v.message, v.data) for v in validate_precubical(P)]
+
+
+# Full reports, in order.  Each one but short-inner-face was recorded from
+# the validator that read faces through PrecubicalSet.face; on short inner
+# face tuples that validator raised IndexError instead of reporting.
+GOLDEN_REPORTS = {
+    "missing-entry": [
+        ("missing-faces", (1, "e00"), "no face entry", ()),
+        ("missing-faces", (2, "ee1"), "no face entry", ()),
+    ],
+    "face-arity": [
+        ("face-arity", (1, "1e1"), "expected 1 lower and upper faces, got 2/1", ()),
+        ("face-arity", (2, "0ee"), "expected 2 lower and upper faces, got 2/3", ()),
+    ],
+    "dangling-face": [
+        ("dangling-face", (2, "e1e"), "d[1,1] refers to missing cell 'zz' in dim 1", (1, 1)),
+        ("dangling-face", (3, "eee"), "d[0,3] refers to missing cell 'ghost' in dim 2", (0, 3)),
+    ],
+    "broken-identity": [
+        (
+            "cubical-identity",
+            (2, "0ee"),
+            "d[0,1]d[0,2] = (0, '100') but d[0,1]d[0,1] = (0, '000')",
+            (0, 1, 0, 2),
+        ),
+        (
+            "cubical-identity",
+            (2, "ee0"),
+            "d[0,1]d[0,2] = (0, '000') but d[0,1]d[0,1] = (0, '100')",
+            (0, 1, 0, 2),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[0,1]d[1,2] = (1, '10e') but d[1,1]d[0,1] = (1, '01e')",
+            (0, 1, 1, 2),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[0,2] = (1, '10e') but d[0,1]d[1,1] = (1, '01e')",
+            (1, 1, 0, 2),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[0,3] = (1, '1e0') but d[0,2]d[1,1] = (1, 'e10')",
+            (1, 1, 0, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[1,3] = (1, '1e1') but d[1,2]d[1,1] = (1, 'e11')",
+            (1, 1, 1, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,2]d[0,3] = (1, 'e10') but d[0,2]d[1,2] = (1, '1e0')",
+            (1, 2, 0, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,2]d[1,3] = (1, 'e11') but d[1,2]d[1,2] = (1, '1e1')",
+            (1, 2, 1, 3),
+        ),
+    ],
+    "orphan-entry": [
+        ("orphan-face-entry", (2, "ghost"), "face entry for unknown cell", ()),
+        ("orphan-face-entry", (1, "ee0"), "face entry for unknown cell", ()),
+    ],
+    "short-inner-face": [
+        ("face-arity", (1, "e00"), "expected 1 lower and upper faces, got 0/1", ()),
+        (
+            "cubical-identity",
+            (2, "0ee"),
+            "d[0,1]d[0,2] = (0, '100') but d[0,1]d[0,1] = (0, '000')",
+            (0, 1, 0, 2),
+        ),
+        ("face-arity", (2, "ee1"), "expected 2 lower and upper faces, got 1/2", ()),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[0,1]d[1,2] = (1, '10e') but d[1,1]d[0,1] = (1, '01e')",
+            (0, 1, 1, 2),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[0,2] = (1, '10e') but d[0,1]d[1,1] = (1, '01e')",
+            (1, 1, 0, 2),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[0,3] = (1, '1e0') but d[0,2]d[1,1] = (1, 'e10')",
+            (1, 1, 0, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,1]d[1,3] = (1, '1e1') but d[1,2]d[1,1] = (1, 'e11')",
+            (1, 1, 1, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,2]d[0,3] = (1, 'e10') but d[0,2]d[1,2] = (1, '1e0')",
+            (1, 2, 0, 3),
+        ),
+        (
+            "cubical-identity",
+            (3, "eee"),
+            "d[1,2]d[1,3] = (1, 'e11') but d[1,2]d[1,2] = (1, '1e1')",
+            (1, 2, 1, 3),
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
+def test_validation_reports_are_pinned(case):
+    assert _report(_damaged_cube3(case)) == GOLDEN_REPORTS[case]
+
+
+def test_named_cube3_is_clean():
+    cells, faces = _named_cube3()
+    assert validate_precubical(PrecubicalSet(cells, faces)) == []
+
+
+def test_validation_reports_instead_of_raising_on_random_damage():
+    """Shortened, lengthened, rewritten and deleted face lists never raise."""
+    from conftest import suite_rng
+
+    rng = suite_rng("damaged-cube3")
+    pristine = _named_cube3()[1]
+    for _ in range(300):
+        cells, faces = _named_cube3()
+        names = [key for n in cells for key in cells[n]] + ["zz"]
+        for _ in range(rng.randint(1, 4)):
+            cube = rng.choice(list(faces))
+            side = rng.choice(faces[cube])
+            op = rng.randrange(4)
+            if op == 0 and side:
+                side.pop(rng.randrange(len(side)))
+            elif op == 1:
+                side.append(rng.choice(names))
+            elif op == 2 and side:
+                side[rng.randrange(len(side))] = rng.choice(names)
+            elif op == 3:
+                del faces[cube]
+        report = validate_precubical(PrecubicalSet(cells, faces))
+        # A rewrite can put back the key it replaced.
+        assert bool(report) == (faces != pristine)

@@ -326,3 +326,82 @@ def test_self_loop_process_stays_finite():
     assert [h.complex.size(n) for n in range(2)] == [1, 1]
     e = h.complex.cells(1)[0]
     assert h.complex.face((1, e), 0, 1) == h.complex.face((1, e), 1, 1)
+
+
+# -- golden compiles ---------------------------------------------------------------
+
+
+def shuffled_butler(n: int, seed: str) -> SharedVariableProgram:
+    """Philosophers plus a ``seats`` counter admitting n-1 diners, reordered.
+
+    A diner takes a seat with its left stick and gives it back with its
+    right one.  Processes, variables and each process's transitions are
+    declared in a seeded order, so discovery order and key tails differ
+    from the plain table's.
+    """
+    from hda_lab.models import dining_philosophers
+
+    rng = random.Random(seed)
+    seat = {"pick_l": 1, "put_r": -1}
+    processes = []
+    for p in dining_philosophers(n).processes:
+        transitions = []
+        for t in p.transitions:
+            delta = seat.get(t.action.rsplit("_", 1)[0])
+            effects = t.effects + ((("add", "seats", delta),) if delta else ())
+            transitions.append(Transition(t.source, t.target, t.action, t.guard, effects))
+        rng.shuffle(transitions)
+        processes.append(Process(p.name, p.states, p.start, tuple(transitions)))
+    rng.shuffle(processes)
+    variables = list(dining_philosophers(n).variables)
+    variables.append(SharedVariable("seats", tuple(range(n)), (0,)))
+    rng.shuffle(variables)
+    return SharedVariableProgram(f"butler{n}", tuple(variables), tuple(processes))
+
+
+def _golden_programs():
+    from hda_lab.models import dining_philosophers, lock_counter, peterson
+
+    return {
+        "peterson": peterson(),
+        "lock_counter": lock_counter(),
+        "philosophers4": dining_philosophers(4),
+        "butler4": shuffled_butler(4, "butler4"),
+    }
+
+
+# SHA-256 of the canonical JSON of each compiled model, and of its cells in
+# memory order (the JSON sorts cubes by id; the chain bases use this order).
+# Any change to the compiler's cell order, keys, faces or labels shows here.
+GOLDEN_COMPILES = {
+    "peterson": (
+        "54682504c0b0ad0659361c3717b6691337a0f37a7b11a95cc400bcb946c60e72",
+        "cb6cc446b81cd8d9973d898923d4e8fc69ac065f20d1f4498480377de9252e17",
+    ),
+    "lock_counter": (
+        "fbede37560cf8ded5b913dc6157c007443f24892f06a3f414511c066d95ed185",
+        "b767ed6d9caaaa78a713cb4401f21179990189dd6bc3764ddbf3f06d1ab992bf",
+    ),
+    "philosophers4": (
+        "5be9b87ed41de8cd8b7098392eac4b11a2e050fed7a0ee54310c227f8f548082",
+        "c35ab4d13ae36e334940ad34e603a18faca0e31ec94a3bf1830fd37f6fa8c6c0",
+    ),
+    "butler4": (
+        "a2f9f3f23493a893dfff2710638c9145fd3bb6d0328d283378f516848717ec27",
+        "de9d49bf65b6b2b09b528648a960c52943a95dd0ddcef4660b3c4def80ab0b3d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPILES))
+def test_compiled_model_bytes_are_pinned(name):
+    from hashlib import sha256
+
+    from hda_lab.fileformats import canonical_json, hda_to_json
+
+    h = program_to_hda(_golden_programs()[name])
+    P = h.complex
+    text = canonical_json(hda_to_json(h))
+    order = repr([P.cells(n) for n in P.dims()])
+    assert sha256(text.encode()).hexdigest() == GOLDEN_COMPILES[name][0]
+    assert sha256(order.encode()).hexdigest() == GOLDEN_COMPILES[name][1]
