@@ -234,3 +234,107 @@ def test_label_membership_over_z_lattice():
     # a1 alone is not a label of any class: only a1 - a2 and b generate.
     outside = build(a1=1)
     assert label_membership(basis, outside, ZZ, 1, h.alphabet) is None
+
+
+# -- prime-field bytes -------------------------------------------------------
+
+
+def _prime_field_models():
+    from hda_lab.models import dining_philosophers, peterson
+    from hda_lab.programs import program_to_hda
+
+    return {
+        "peterson": lambda: program_to_hda(peterson()),
+        "klein": klein_hda,
+        "torus": torus_hda,
+        "phil3": lambda: program_to_hda(dining_philosophers(3)),
+    }
+
+
+def _chain_json(chain):
+    from hda_lab.fileformats import render_id
+
+    return [[render_id(cube[1]), c] for cube, c in chain.items()]
+
+
+def _prime_field_doc(h, ring):
+    """Homology and labeled homology with every generator, in output order."""
+    from hda_lab.homology import all_homology
+
+    return {
+        "homology": [
+            {
+                "degree": n,
+                "rank": g.free_rank,
+                "torsion": g.torsion,
+                "generators": [_chain_json(c) for c in g.generators],
+            }
+            for n, g in sorted(all_homology(h.complex, ring).items())
+        ],
+        "labels": [
+            {
+                "degree": n,
+                "classes": [[_chain_json(c.chain), str(c.label), c.order] for c in rep.classes],
+                "label_image": [str(x) for x in rep.label_image_basis],
+                "zero_label_classes": [_chain_json(c) for c in rep.zero_label_classes],
+            }
+            for n, rep in sorted(labeled_homology(h, ring).items())
+        ],
+    }
+
+
+def _obstruction_reports(ring):
+    """An implements and an independence report whose certificates meet a
+    nonempty span, so the functional is more than a unit vector."""
+    from hda_lab.models import directed_circle
+    from hda_lab.products import tensor_hda
+    from hda_lab.reports import implements_report, independence_report
+
+    spec = tensor_hda(
+        directed_circle([("a", "a", "b"), ("c",)]), directed_circle([("d",), ("e", "e")])
+    )
+    impl = tensor_hda(
+        directed_circle([("a", "b", "c", "d", "e")]), directed_circle([("b", "d"), ("c", "e")])
+    )
+    main = tensor_hda(spec, directed_circle([("f",)]))
+    parts = [directed_circle([(x,)]) for x in "adf"]
+    return {
+        "implements": implements_report(impl, spec, ring).to_dict(),
+        "independence": independence_report(main, parts, ring).to_dict(),
+    }
+
+
+# SHA-256 of the canonical JSON above over GF(3) and GF(5): homology
+# generators, class labels, label images, zero-label classes and
+# nonmembership functionals.  Any change to the prime-field elimination's
+# pivot order or normalization shows here.
+GOLDEN_PRIME_FIELD = {
+    "klein/3": "25749a0c054739f191af2d593adc5a8d1f20117d18be99ce43c6ae89636e22c3",
+    "klein/5": "25749a0c054739f191af2d593adc5a8d1f20117d18be99ce43c6ae89636e22c3",
+    "obstructions/3": "de4a44ff4a455eb08e3eb0a5ca4111246bb810039da4861c1262a74a2ee688bb",
+    "obstructions/5": "70abcdb2d8b8c5727f837e13b68d545846882ba680898aebc4447059bbd7dd1c",
+    "peterson/3": "666e0adfeec0d093344f7db8e78340de848f14ee5be0c9e76d0ee59a0ea82ead",
+    "peterson/5": "3387dd7b5058bb51496fdb8a902fad484999ec18e6f167ca35f05e080492f973",
+    "phil3/3": "ae47fa081c9f0c1f81f822623afa384ffae3775b356d7ddd60bd02f003987812",
+    "phil3/5": "ae47fa081c9f0c1f81f822623afa384ffae3775b356d7ddd60bd02f003987812",
+    "torus/3": "168cfd5fad1077a24a2da9c230112b73f6041904b1cd548c149a0e909a1e3a23",
+    "torus/5": "2d442f8f7c8b780d36295f84f29bef5248d08cd58320c630cb078912ee139929",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_PRIME_FIELD))
+def test_prime_field_bytes_are_pinned(key):
+    from hashlib import sha256
+
+    from hda_lab.fileformats import canonical_json
+
+    name, p = key.split("/")
+    ring = CoefficientRing(int(p))
+    if name == "obstructions":
+        doc = _obstruction_reports(ring)
+        for rep in doc.values():
+            assert rep["verdict"] == "obstruction-found"
+    else:
+        doc = _prime_field_doc(_prime_field_models()[name](), ring)
+    text = canonical_json(doc)
+    assert sha256(text.encode()).hexdigest() == GOLDEN_PRIME_FIELD[key]
