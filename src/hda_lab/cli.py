@@ -105,10 +105,6 @@ def _violation_dicts(violations) -> list[dict]:
     ]
 
 
-def _violation_lines(violations) -> list[str]:
-    return [str(v) for v in violations]
-
-
 def _checked_hda(path: str, analysis: str) -> Hda:
     """Load an HDA file and refuse to analyze an invalid one."""
     h = load_hda(path)
@@ -120,7 +116,7 @@ def _checked_hda(path: str, analysis: str) -> Hda:
             "valid": False,
             "violations": _violation_dicts(violations),
         }
-        lines = [f"{path}: invalid"] + _violation_lines(violations)
+        lines = [f"{path}: invalid"] + [str(v) for v in violations]
         raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
     return h
 
@@ -155,7 +151,7 @@ def _cmd_validate(args) -> tuple[int, dict, str]:
         "violations": _violation_dicts(violations),
     }
     if violations:
-        lines = _violation_lines(violations)
+        lines = [str(v) for v in violations]
         plural = "" if len(violations) == 1 else "s"
         lines.append(f"invalid: {len(violations)} violation{plural}")
         return EXIT_INVALID, doc, "\n".join(lines) + "\n"
@@ -287,7 +283,7 @@ def _checked_dimap(path: str, analysis: str):
                 "violations": _violation_dicts(violations),
             }
             lines = [f"{path}: {which} automaton invalid"]
-            lines += _violation_lines(violations)
+            lines += [str(v) for v in violations]
             raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
     return f
 
@@ -314,7 +310,7 @@ def _cmd_dimap_check(args) -> tuple[int, dict, str]:
     ):
         if bunch:
             lines.append(f"{title}: {len(bunch)} violations")
-            lines += _violation_lines(bunch)
+            lines += [str(v) for v in bunch]
         else:
             lines.append(f"{title}: ok")
     if structure:
@@ -359,7 +355,7 @@ def _cmd_pushforward(args) -> tuple[int, dict, str]:
             "valid": False,
             "violations": _violation_dicts(violations),
         }
-        lines = [f"{args.file}: invalid dimap"] + _violation_lines(violations)
+        lines = [f"{args.file}: invalid dimap"] + [str(v) for v in violations]
         raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
     degree, chain = chain_from_json(_chain_doc(args.chain), f.source)
     image = pushforward_chain(f, chain, args.ring)

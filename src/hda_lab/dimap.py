@@ -88,9 +88,6 @@ class ElementaryDimap:
     vertex_map: dict[Cube, Cube]
     cube_maps: dict[Cube, CubeMap]
 
-    def image_of_vertex(self, v: Cube) -> Cube:
-        return self.vertex_map[v]
-
 
 def face_restriction(cm: CubeMap, k: int, i: int) -> CubeMap:
     """The grid data a face d[k,i] inherits from its cofaces.

@@ -115,11 +115,10 @@ def _want(doc: dict, field: str, kind, where: str):
 
 def hda_from_json(doc: dict) -> Hda:
     letters = _want(doc, "alphabet", list, "hda")
+    if not all(isinstance(x, str) for x in letters):
+        raise FileFormatError("hda.alphabet: letters must be strings")
     if len(set(letters)) != len(letters):
         raise FileFormatError("hda.alphabet: repeated letters")
-    for x in letters:
-        if not isinstance(x, str):
-            raise FileFormatError("hda.alphabet: letters must be strings")
     cells: dict[int, list[Key]] = {}
     seen: dict[int, set[str]] = {}
     faces: dict[Cube, tuple] = {}

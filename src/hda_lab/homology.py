@@ -8,22 +8,26 @@ so an edge maps to target minus source.  Homology over the integers is
 computed from Smith normal forms that carry full change-of-basis certificates
 (U, U^-1, V, V^-1 with U*M*V = D); the certificates are cheap to re-verify by
 plain matrix multiplication and the test suite does so.  Over a prime field
-elimination is used instead, with a bitset representation for GF(2) that
-keeps the larger models fast.
+column elimination is used instead: bitsets for GF(2) homology, which keep
+the larger models fast, and one sparse echelon (``FpEchelon``) for the
+homology over the other primes and for label images and membership over
+every prime.
 
-Matrices passed in and out (boundaries, SNF inputs, the dense views) are
-plain lists of rows of ints.  An empty matrix loses its column count, so
+Sparse vectors are dicts from index to nonzero entry (``Line``).  Boundaries
+are assembled from the face tuples as sparse signed columns
+(``boundary_columns``); ``boundary_matrix`` is their dense view.  Matrices
+passed in and out (that view, SNF inputs, the certificate views) are plain
+lists of rows of ints.  An empty matrix loses its column count, so
 functions that can meet one take the count explicitly.  Inside the Smith
-normal form every matrix is sparse: a list of rows or of columns, each a
-dict from index to nonzero entry (``Line``), and the integer homology reads
-its kernels and generators from those lines directly.  The dense views of
-the certificates exist for verification only.
+normal form every matrix is a list of sparse rows or columns, and the
+integer homology reads its kernels and generators from those directly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .precubical import Cube, PrecubicalSet
 from .rings import CoefficientRing, ZZ, xgcd
@@ -361,24 +365,33 @@ def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithNormalForm:
 # -- boundaries -------------------------------------------------------------
 
 
-def boundary_matrix(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> Matrix:
-    """The degree-n boundary as a size(n-1) x size(n) matrix over the ring."""
+def boundary_columns(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> list[Line]:
+    """The degree-n boundary over the ring as sparse columns, one per n-cell.
+
+    Column j maps the row index of each (n-1)-cell to its nonzero
+    coefficient in the boundary of the j-th n-cell; d_0 has empty columns.
+    """
     if n < 1:
-        return []
-    rows = P.size(n - 1)
-    out = [[0] * P.size(n) for _ in range(rows)]
-    for col, key in enumerate(P.cells(n)):
-        cube = (n, key)
-        for i in range(1, n + 1):
+        return [{} for _ in P.cells(n)]
+    row = P.positions(n - 1)
+    cols = []
+    for key in P.cells(n):
+        acc: Line = {}
+        lower, upper = P.face_keys((n, key))
+        for i, (lo, hi) in enumerate(zip(lower, upper), 1):
             sign = -1 if i % 2 else 1
-            lo = P.cell_index(P.face(cube, 0, i))
-            hi = P.cell_index(P.face(cube, 1, i))
-            out[lo][col] += sign
-            out[hi][col] -= sign
-    if ring.characteristic:
-        for r in out:
-            for j, x in enumerate(r):
-                r[j] = ring.normalize(x)
+            for r, s in ((row[lo], sign), (row[hi], -sign)):
+                acc[r] = acc.get(r, 0) + s
+        cols.append({r: x for r, x in ((r, ring.normalize(x)) for r, x in acc.items()) if x})
+    return cols
+
+
+def boundary_matrix(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> Matrix:
+    """The degree-n boundary as a dense size(n-1) x size(n) matrix."""
+    out = zero_matrix(P.size(n - 1), P.size(n))
+    for j, col in enumerate(boundary_columns(P, n, ring)):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 
@@ -605,65 +618,88 @@ def _gf2_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
 # -- general prime field elimination ------------------------------------------
 
 
-def _fp_reduce(
-    vec: list[int],
-    coeffs: list[int],
-    echelon: dict[int, tuple[list[int], list[int]]],
-    p: int,
-) -> tuple[list[int], list[int]]:
-    for pivot in sorted(echelon, reverse=True):
-        if vec[pivot]:
-            c = vec[pivot]  # echelon vectors are normalized to leading 1
-            evec, ecoe = echelon[pivot]
-            vec = [(x - c * y) % p for x, y in zip(vec, evec)]
-            coeffs = [(x - c * y) % p for x, y in zip(coeffs, ecoe)]
-    return vec, coeffs
+class FpEchelon:
+    """Incremental GF(p) column echelon with optional combination tracking.
+
+    Vectors are sparse lines with entries in 0..p-1; the pivot of a stored
+    vector is its highest index, normalized to 1.  ``reduce`` clears every
+    pivot index of a vector, highest first, so a residue is zero at all
+    pivots; ``add`` reduces a vector and either stores it (returning None)
+    or reports the dependency combination, like ``Gf2Echelon.add``.
+    """
+
+    def __init__(self, p: int, track: bool = False) -> None:
+        self.p = p
+        self.pivots: dict[int, Line] = {}
+        self.combos: dict[int, Line] = {}
+        self.track = track
+
+    def reduce(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line]:
+        vec, combo, pivots = dict(vec), dict(combo or {}), self.pivots
+        # Subtracting pivot q's vector changes only indices below q, so a
+        # max-heap of the nonzero pivot indices visits them in the order of
+        # a descending scan over all pivots.
+        todo = [-k for k in vec.keys() & pivots.keys()]
+        heapq.heapify(todo)
+        while todo:
+            q = -heapq.heappop(todo)
+            c = vec.get(q)
+            if not c:
+                continue
+            for k in (pivots[q].keys() & pivots.keys()) - vec.keys():
+                heapq.heappush(todo, -k)
+            _sub_mod(vec, pivots[q], c, self.p)
+            if self.track:
+                _sub_mod(combo, self.combos[q], c, self.p)
+        return vec, combo
+
+    def add(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line] | None:
+        """Insert; returns the (residue, combo) pair only if vec was dependent."""
+        vec, combo = self.reduce(vec, combo)
+        if not vec:
+            return vec, combo
+        p, q = self.p, max(vec)
+        inv = pow(vec[q], p - 2, p)
+        self.pivots[q] = {k: x * inv % p for k, x in vec.items()}
+        if self.track:
+            self.combos[q] = {k: x * inv % p for k, x in combo.items()}
+        return None
 
 
-def _fp_insert(
-    vec: list[int],
-    coeffs: list[int],
-    echelon: dict[int, tuple[list[int], list[int]]],
-    p: int,
-) -> tuple[list[int], list[int]] | None:
-    vec, coeffs = _fp_reduce(vec, coeffs, echelon, p)
-    pivot = next((i for i in range(len(vec) - 1, -1, -1) if vec[i]), None)
-    if pivot is None:
-        return vec, coeffs
-    inv = pow(vec[pivot], p - 2, p)
-    echelon[pivot] = ([x * inv % p for x in vec], [x * inv % p for x in coeffs])
-    return None
+def _sub_mod(dst: Line, src: Line, c: int, p: int) -> None:
+    """dst -= c * src over GF(p) in place, dropping entries that vanish."""
+    for k, y in src.items():
+        x = (dst.get(k, 0) - c * y) % p
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def mod_line(vec: Iterable[int], p: int) -> Line:
+    """A dense integer vector reduced mod p, as a sparse line."""
+    return {i: x % p for i, x in enumerate(vec) if x % p}
 
 
 def _fp_homology(P: PrecubicalSet, n: int, ring: CoefficientRing) -> HomologyGroup:
     p = ring.characteristic
-    cn = P.size(n)
-    if cn == 0:
-        return HomologyGroup(n, ring, 0)
-    cols = mat_cols(boundary_matrix(P, n, ring), cols=cn) if n else []
-    kernel: list[list[int]] = []
-    if n == 0:
-        kernel = mat_cols(identity_matrix(cn))
-    else:
-        echelon: dict[int, tuple[list[int], list[int]]] = {}
-        for j in range(cn):
-            unit = [0] * cn
-            unit[j] = 1
-            dep = _fp_insert(cols[j], unit, echelon, p)
-            if dep is not None:
-                kernel.append(dep[1])
-    image: dict[int, tuple[list[int], list[int]]] = {}
-    cn1 = P.size(n + 1)
-    if cn1:
-        for col in mat_cols(boundary_matrix(P, n + 1, ring), cols=cn1):
-            _fp_insert(col, [], image, p)
-    gens: dict[int, tuple[list[int], list[int]]] = {}
+    # Kernel of d_n as combinations over the n-cells; d_0 has empty columns.
+    kernel: list[Line] = []
+    ech = FpEchelon(p, track=True)
+    for j, col in enumerate(boundary_columns(P, n, ring)):
+        dep = ech.add(col, {j: 1})
+        if dep is not None:
+            kernel.append(dep[1])
+    image = FpEchelon(p)
+    for col in boundary_columns(P, n + 1, ring):
+        image.add(col)
+    gens = FpEchelon(p)
     chains: list[Chain] = []
+    cells = P.cells(n)
     for kvec in kernel:
-        vec, _ = _fp_reduce(kvec, [], image, p)
-        residue = _fp_insert(vec, [], gens, p)
-        if residue is None:
-            chains.append(column_to_chain(P, n, vec))
+        vec, _ = image.reduce(kvec)
+        if gens.add(vec) is None:
+            chains.append({(n, cells[i]): vec[i] for i in sorted(vec)})
     return HomologyGroup(n, ring, len(chains), [], chains, [])
 
 
@@ -707,34 +743,25 @@ def lattice_membership(
             raise ValueError("vector length mismatch")
     if ring.characteristic:
         p = ring.characteristic
-        echelon: dict[int, tuple[list[int], list[int]]] = {}
+        ech = FpEchelon(p, track=True)
         for j, vec in enumerate(vectors):
-            unit = [0] * k
-            unit[j] = 1
-            _fp_insert([x % p for x in vec], unit, echelon, p)
-        residue, coeffs = _fp_reduce([x % p for x in target], [0] * k, echelon, p)
-        if any(residue):
+            ech.add(mod_line(vec, p), {j: 1})
+        residue, coeffs = ech.reduce(mod_line(target, p))
+        if residue:
             return None
-        x = [(-c) % p for c in coeffs]
+        x = [-coeffs.get(j, 0) % p for j in range(k)]
     else:
         mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
         snf = smith_normal_form(mat, cols=k)
         y = snf.apply_u(target)
-        z = [0] * k
         for i in range(m):
             d = snf.diagonal[i] if i < snf.rank else 0
-            if d == 0:
-                if y[i]:
-                    return None
-            else:
-                if y[i] % d:
-                    return None
-                if i < k:
-                    z[i] = y[i] // d
+            if (y[i] % d) if d else y[i]:
+                return None
         x = [0] * k
-        for j, zj in enumerate(z):
+        for j, d in enumerate(snf.diagonal):
             for t, c in snf.v_cols[j].items():
-                x[t] += c * zj
+                x[t] += c * (y[j] // d)
     # Confirm the witness before handing it out.
     for i in range(m):
         acc = sum(x[j] * vectors[j][i] for j in range(k))
@@ -757,61 +784,37 @@ def nonmembership_certificate(
     evidence.  Over Z the functional is a row of the unimodular U from the
     Smith decomposition of the generator matrix and the modulus is the
     matching invariant factor (or 0 past the rank); over a prime field it is
-    read off a reduced echelon of the generators.
+    solved from an ``FpEchelon`` of the generators.
     """
     m = len(target)
     for v in vectors:
         if len(v) != m:
             raise ValueError("vector length mismatch")
-    if not vectors:
-        normalized = [ring.normalize(x) for x in target]
-        j = next((i for i, a in enumerate(normalized) if a), None)
-        if j is None:
-            return None
-        phi = [0] * m
-        phi[j] = 1
-        return phi, ring.characteristic
     if ring.characteristic:
+        # Reversed, the echelon has the pivots of the reduced row echelon
+        # form, so the residue is the target reduced against that form.  phi
+        # is 1 at the residue's first nonzero and 0 off the pivots; killing
+        # each echelon vector, lowest pivot first, fixes phi at its pivot.
         p = ring.characteristic
-        # fully reduced echelon, pivot column -> row with that leading 1
-        pivots: dict[int, list[int]] = {}
+        ech = FpEchelon(p)
         for vec in vectors:
-            row = [x % p for x in vec]
-            for col, prow in pivots.items():
-                if row[col]:
-                    c = row[col]
-                    row = [(a - c * b) % p for a, b in zip(row, prow)]
-            lead = next((i for i, a in enumerate(row) if a), None)
-            if lead is None:
-                continue
-            inv = pow(row[lead], p - 2, p)
-            row = [a * inv % p for a in row]
-            for col, prow in pivots.items():
-                if prow[lead]:
-                    c = prow[lead]
-                    pivots[col] = [(a - c * b) % p for a, b in zip(prow, row)]
-            pivots[lead] = row
-        res = [x % p for x in target]
-        for col, prow in pivots.items():
-            if res[col]:
-                c = res[col]
-                res = [(a - c * b) % p for a, b in zip(res, prow)]
-        j = next((i for i, a in enumerate(res) if a), None)
-        if j is None:
+            ech.add(mod_line(reversed(vec), p))
+        residue, _ = ech.reduce(mod_line(reversed(target), p))
+        if not residue:
             return None
-        # phi kills each echelon row (hence each generator) and hits res[j]
-        phi = [0] * m
-        phi[j] = 1
-        for col, prow in pivots.items():
-            phi[col] = (-prow[j]) % p
-        return phi, p
+        phi = {max(residue): 1}
+        for q in sorted(ech.pivots):
+            s = sum(phi.get(k, 0) * x for k, x in ech.pivots[q].items())
+            if s % p:
+                phi[q] = -s % p
+        return [phi.get(i, 0) for i in range(m - 1, -1, -1)], p
     k = len(vectors)
     mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
     snf = smith_normal_form(mat, cols=k)
     y = snf.apply_u(target)
     for i in range(m):
         d = snf.diagonal[i] if i < snf.rank else 0
-        if (d == 0 and y[i]) or (d and y[i] % d):
+        if (y[i] % d) if d else y[i]:
             return [snf.u_rows[i].get(c, 0) for c in range(m)], d
     return None
 

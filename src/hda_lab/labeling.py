@@ -26,10 +26,12 @@ from .exterior import Alphabet, ExteriorElement, word_to_vector
 from .hda import Hda
 from .homology import (
     Chain,
+    FpEchelon,
     HomologyGroup,
+    Line,
     homology,
+    mod_line,
     smith_normal_form,
-    _fp_insert,
 )
 from .precubical import Cube, edge_in_direction
 from .rings import CoefficientRing, ZZ
@@ -120,12 +122,11 @@ class DegreeLabelReport:
         return len(self.zero_label_classes)
 
 
-def _combine_chains(chains: Sequence[Chain], coeffs: Sequence[int], ring: CoefficientRing) -> Chain:
+def _combine_chains(chains: Sequence[Chain], coeffs: Line, ring: CoefficientRing) -> Chain:
     out: Chain = {}
-    for c, chain in zip(coeffs, chains):
-        if not c:
-            continue
-        for cube, x in chain.items():
+    for t in sorted(coeffs):
+        c = coeffs[t]
+        for cube, x in chains[t].items():
             out[cube] = out.get(cube, 0) + c * x
     return {cube: v for cube, v in ((k, ring.normalize(x)) for k, x in out.items()) if v}
 
@@ -160,21 +161,16 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
                 col = [d * u_col.get(row, 0) for row in range(len(monomials))]
                 image_basis.append(column_to_label(h.alphabet, ring, col, monomials))
             for v_col in snf.v_cols[snf.rank :]:
-                coeffs = [v_col.get(t, 0) for t in range(r)]
-                zero_classes.append(_combine_chains(free_chains, coeffs, ring))
+                zero_classes.append(_combine_chains(free_chains, v_col, ring))
         else:
-            p = ring.characteristic
-            echelon: dict[int, tuple[list[int], list[int]]] = {}
+            ech = FpEchelon(ring.characteristic, track=True)
             for j, col in enumerate(cols):
-                unit = [0] * r
-                unit[j] = 1
-                dep = _fp_insert([x % p for x in col], unit, echelon, p)
+                dep = ech.add(mod_line(col, ring.characteristic), {j: 1})
                 if dep is not None:
                     zero_classes.append(_combine_chains(free_chains, dep[1], ring))
-            for pivot in sorted(echelon):
-                image_basis.append(
-                    column_to_label(h.alphabet, ring, echelon[pivot][0], monomials)
-                )
+            for _, vec in sorted(ech.pivots.items()):
+                col = [vec.get(i, 0) for i in range(len(monomials))]
+                image_basis.append(column_to_label(h.alphabet, ring, col, monomials))
     return DegreeLabelReport(n, ring, group, classes, image_basis, zero_classes)
 
 

@@ -144,6 +144,8 @@ def validate_program(prog: SharedVariableProgram) -> list[str]:
         if not all(isinstance(s, str) for s in p.states):
             out.append(f"process {p.name}: state names must be strings")
             continue
+        if any("," in s or "|" in s for s in p.states):
+            out.append(f"process {p.name}: state names must not contain ',' or '|'")
         if len(set(p.states)) != len(p.states):
             out.append(f"process {p.name}: repeated state names")
         if p.start not in p.states:
@@ -151,6 +153,8 @@ def validate_program(prog: SharedVariableProgram) -> list[str]:
         for t in p.transitions:
             actions.append(t.action)
             where = f"process {p.name}, action {t.action}"
+            if not isinstance(t.action, str) or "!" in t.action:
+                out.append(f"{where}: action names must be strings without '!'")
             if t.source not in p.states or t.target not in p.states:
                 out.append(f"{where}: endpoint state undeclared")
             try:
@@ -217,6 +221,7 @@ def fire(prog: SharedVariableProgram, state: State, pid: int, t: Transition) -> 
 
 
 def state_key(state: State) -> str:
+    # Distinct: validate_program keeps the separators out of state names.
     locs, vals = state
     return ",".join(locs) + "|" + ",".join(str(x) for x in vals)
 

@@ -304,6 +304,77 @@ def test_malformed_program_file_exits_with_a_message(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "alphabet, message",
+    [
+        ([[]], "hda.alphabet: letters must be strings"),
+        ([{}], "hda.alphabet: letters must be strings"),
+        ([3], "hda.alphabet: letters must be strings"),
+        (["a", "a"], "hda.alphabet: repeated letters"),
+    ],
+)
+def test_malformed_hda_alphabet_exits_one_with_a_message(
+    alphabet, message, workdir, tmp_path, capsys
+):
+    doc = json.loads((workdir / "peterson.json").read_text())
+    doc["alphabet"] = alphabet
+    path = tmp_path / "bad_alphabet.json"
+    path.write_text(canonical_json(doc))
+    for command in ("homology", "labels"):
+        assert run([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"hda-lab: {path}: {message}\n"
+
+
+def _separator_program(state_a: str, state_b: str, action: str) -> dict:
+    """Two one-step processes; the separators in the names can merge states."""
+
+    def process(name, source, target, act):
+        return {
+            "name": name,
+            "start": source,
+            "states": [source, target],
+            "transitions": [
+                {"action": act, "effects": [], "from": source, "guard": ["true"], "to": target}
+            ],
+        }
+
+    return {
+        "name": "separators",
+        "processes": [process("p", "a", state_a, action), process("q", state_b, "c", "y")],
+        "variables": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        # ("a", "b,c") and ("a,b", "c") would both key to "a,b,c|".
+        (("a,b", "b,c", "x"), "state names must not contain ',' or '|'"),
+        (("a|b", "b", "x"), "state names must not contain ',' or '|'"),
+        (("b", "b", "x!y"), "action names must be strings without '!'"),
+    ],
+)
+def test_separator_characters_in_program_names_exit_two(names, message, tmp_path, capsys):
+    path = tmp_path / "separators.prog.json"
+    path.write_text(canonical_json(_separator_program(*names)))
+    out = tmp_path / "separators.json"
+    assert run(["model", "program", "--file", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hda-lab: invalid program:")
+    assert message in err
+    assert not out.exists()
+
+
+def test_separator_free_program_compiles_all_states(tmp_path):
+    path = tmp_path / "separators.prog.json"
+    path.write_text(canonical_json(_separator_program("a_b", "b_c", "x")))
+    out = tmp_path / "separators.json"
+    assert run(["model", "program", "--file", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [sum(e["dim"] == n for e in doc["cubes"]) for n in range(3)] == [4, 4, 1]
+
+
 def test_invalid_hda_exits_two_with_diagnosis(workdir, tmp_path, capsys):
     doc = json.loads((workdir / "peterson.json").read_text())
     edge = next(e for e in doc["cubes"] if e["dim"] == 1)

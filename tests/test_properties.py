@@ -300,3 +300,33 @@ def test_class_labels_ignore_representative_choice(pool):
                     assert chain_label(h, moved, ZZ) == base
                     checked += 1
     assert checked > 100
+
+
+def test_universal_coefficients_agree_across_backends():
+    """dim H_n(X; F_p) = rank H_n + #{p | torsion of H_n} + #{p | torsion of H_(n-1)}.
+
+    The integer SNF, the GF(2) bitsets and the prime-field echelon are
+    three separate eliminations; the Klein models carry Z/2 torsion, so
+    GF(2) must see extra classes in two degrees where GF(3) and GF(5) do not.
+    """
+    rng = suite_rng("uct")
+    klein = klein_hda()
+    models = [klein, tensor_hda(klein, klein_hda("c", "d"))]
+    models += [tensor_hda(klein, random_circle(rng, "k")) for _ in range(4)]
+    models += [random_model(rng) for _ in range(12)]
+    torsion_seen = 0
+    for h in models:
+        P = h.complex
+        integral = all_homology(P, ZZ)
+        euler = sum((-1) ** n * P.size(n) for n in integral)
+        for p in (2, 3, 5):
+            dims = {}
+            for n, group in all_homology(P, CoefficientRing(p)).items():
+                expected = integral[n].free_rank + sum(d % p == 0 for d in integral[n].torsion)
+                if n:
+                    expected += sum(d % p == 0 for d in integral[n - 1].torsion)
+                assert group.free_rank == expected, (h.alphabet.letters, p, n)
+                dims[n] = group.free_rank
+                torsion_seen += expected != integral[n].free_rank
+            assert sum((-1) ** n * d for n, d in dims.items()) == euler
+    assert torsion_seen >= 12
