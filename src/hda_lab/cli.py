@@ -10,17 +10,21 @@ Exit codes, chosen so scripts can branch on the interesting outcomes:
     1  unreadable input: I/O trouble, JSON syntax, schema errors, bad usage
     2  input read fine but fails validation or a precondition
     3  an obstruction was proved (independence / implements)
+
+A command loads the layers it runs when it runs: this module imports only
+file formats, automata and rings, so ``model klein`` never compiles the
+homology code.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path as FsPath
 from typing import Sequence
 
-from .dimap import check_chain_map, check_naturality, validate_dimap
 from .fileformats import (
     FileFormatError,
     canonical_json,
@@ -32,35 +36,39 @@ from .fileformats import (
     render_id,
 )
 from .hda import Hda, validate_hda
-from .homology import all_homology
-from .labeling import chain_label, labeled_homology
-from .dimap import pushforward_chain
-from .models import (
-    boundary_square,
-    dining_philosophers,
-    directed_circle,
-    filled_square,
-    klein_hda,
-    lock_counter,
-    lock_spec,
-    peterson,
-    torus_hda,
-)
-from .products import tensor_hda
-from .programs import program_to_hda
-from .reports import (
-    OBSTRUCTION,
-    implements_report,
-    independence_report,
-    render_implements,
-    render_independence,
-)
 from .rings import CoefficientRing, parse_ring
 
 EXIT_OK = 0
 EXIT_BROKEN_INPUT = 1
 EXIT_INVALID = 2
 EXIT_OBSTRUCTION = 3
+
+# Layer functions the commands call, by defining module; each loads on first use.
+_LAYERS = {
+    "program_to_hda": "programs",
+    "tensor_hda": "products",
+    "all_homology": "homology",
+    "labeled_homology": "labeling",
+    "implements_report": "reports",
+    "independence_report": "reports",
+}
+
+
+def __getattr__(name: str):
+    """Import a layer function's module on first access (PEP 562) and keep
+    the function itself in this module's namespace."""
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fn = getattr(importlib.import_module(f".{_LAYERS[name]}", __package__), name)
+    globals()[name] = fn
+    return fn
+
+
+# This module as callers see it.  Commands look layer functions up through
+# it, so a function set on it is the one run.  They do so before reading
+# their input: a layer compiled while the input is live would add the
+# compiler's scratch memory to the process's peak.
+_cli = sys.modules[__name__]
 
 
 class _Failure(Exception):
@@ -160,6 +168,7 @@ def _cmd_validate(args) -> tuple[int, dict, str]:
 
 
 def _cmd_homology(args) -> tuple[int, dict, str]:
+    all_homology = _cli.all_homology
     h = _checked_hda(args.file, "homology")
     P = h.complex
     groups = all_homology(P, args.ring)
@@ -186,6 +195,7 @@ def _cmd_homology(args) -> tuple[int, dict, str]:
 
 
 def _cmd_labels(args) -> tuple[int, dict, str]:
+    labeled_homology = _cli.labeled_homology
     h = _checked_hda(args.file, "labels")
     reports = labeled_homology(h, args.ring)
     degrees = []
@@ -226,14 +236,15 @@ def _cmd_labels(args) -> tuple[int, dict, str]:
 # -- model and tensor emit HDA files ------------------------------------------
 
 
+# Built-in models, each built from the ``models`` module.
 _FIXTURES = {
-    "peterson": lambda: program_to_hda(peterson()),
-    "lock-counter": lambda: program_to_hda(lock_counter()),
-    "lock-spec": lock_spec,
-    "torus": torus_hda,
-    "klein": klein_hda,
-    "boundary-square": boundary_square,
-    "filled-square": filled_square,
+    "peterson": lambda models: _cli.program_to_hda(models.peterson()),
+    "lock-counter": lambda models: _cli.program_to_hda(models.lock_counter()),
+    "lock-spec": lambda models: models.lock_spec(),
+    "torus": lambda models: models.torus_hda(),
+    "klein": lambda models: models.klein_hda(),
+    "boundary-square": lambda models: models.boundary_square(),
+    "filled-square": lambda models: models.filled_square(),
 }
 
 
@@ -242,25 +253,32 @@ def _cmd_model(args) -> tuple[int, dict, str]:
     if name == "program":
         if not args.file:
             raise FileFormatError("model program needs --file with a program file")
-        h = program_to_hda(load_program(args.file))
+        h = _cli.program_to_hda(load_program(args.file))
     elif name == "philosophers":
         if args.n is None:
             raise FileFormatError("model philosophers needs --n")
-        h = program_to_hda(dining_philosophers(args.n))
+        from .models import dining_philosophers
+
+        h = _cli.program_to_hda(dining_philosophers(args.n))
     elif name == "circle":
         if not args.labels:
             raise FileFormatError("model circle needs --labels, e.g. --labels a.b,c")
         words = [tuple(part.split(".")) for part in args.labels.split(",")]
         if any(not a for word in words for a in word):
             raise FileFormatError(f"bad --labels {args.labels!r}: empty letter")
+        from .models import directed_circle
+
         h = directed_circle(words)
     else:
-        h = _FIXTURES[name]()
+        from . import models
+
+        h = _FIXTURES[name](models)
     doc = hda_to_json(h)
     return EXIT_OK, doc, canonical_json(doc)
 
 
 def _cmd_tensor(args) -> tuple[int, dict, str]:
+    tensor_hda = _cli.tensor_hda
     a = _checked_hda(args.a, "tensor")
     b = _checked_hda(args.b, "tensor")
     doc = hda_to_json(tensor_hda(a, b))
@@ -289,6 +307,8 @@ def _checked_dimap(path: str, analysis: str):
 
 
 def _cmd_dimap_check(args) -> tuple[int, dict, str]:
+    from .dimap import check_chain_map, check_naturality, validate_dimap
+
     f = _checked_dimap(args.file, "dimap-check")
     structure = validate_dimap(f)
     chain_map = check_chain_map(f, args.ring) if not structure else []
@@ -346,6 +366,9 @@ def _render_chain(chain) -> dict:
 
 
 def _cmd_pushforward(args) -> tuple[int, dict, str]:
+    from .dimap import pushforward_chain, validate_dimap
+    from .labeling import chain_label
+
     f = _checked_dimap(args.file, "pushforward")
     violations = validate_dimap(f)
     if violations:
@@ -400,6 +423,9 @@ def _parse_selector(text: str) -> tuple[int, int]:
 
 
 def _cmd_independence(args) -> tuple[int, dict, str]:
+    from .reports import OBSTRUCTION, render_independence
+
+    independence_report = _cli.independence_report
     main = _checked_hda(args.main, "independence")
     parts = [_checked_hda(p, "independence") for p in args.parts]
     selections = None
@@ -418,6 +444,9 @@ def _cmd_independence(args) -> tuple[int, dict, str]:
 
 
 def _cmd_implements(args) -> tuple[int, dict, str]:
+    from .reports import OBSTRUCTION, render_implements
+
+    implements_report = _cli.implements_report
     impl = _checked_hda(args.impl, "implements")
     spec = _checked_hda(args.spec, "implements")
     try:
@@ -552,7 +581,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not payload.endswith("\n"):
         payload += "\n"
     if args.out:
-        FsPath(args.out).write_text(payload)
+        try:
+            FsPath(args.out).write_text(payload)
+        except OSError as e:
+            print(f"hda-lab: {args.out}: {e.strerror or e}", file=sys.stderr)
+            return EXIT_BROKEN_INPUT
     else:
         sys.stdout.write(payload)
     return code

@@ -21,19 +21,16 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
-from .dimap import CubeMap, ElementaryDimap
 from .hda import Hda
-from .homology import Chain
 from .precubical import Cube, GridCoord, Key, PrecubicalSet
-from .programs import (
-    Guard,
-    Process,
-    SharedVariable,
-    SharedVariableProgram,
-    Transition,
-)
 from .exterior import Alphabet
+
+if TYPE_CHECKING:
+    from .dimap import ElementaryDimap
+    from .homology import Chain
+    from .programs import Guard, SharedVariableProgram
 
 
 class FileFormatError(ValueError):
@@ -258,6 +255,8 @@ def dimap_to_json(f: ElementaryDimap, source_ref: str, target_ref: str) -> dict:
 
 
 def dimap_from_json(doc: dict, source: Hda, target: Hda) -> ElementaryDimap:
+    from .dimap import CubeMap, ElementaryDimap
+
     src_ids = _id_maps(source.complex)
     tgt_ids = _id_maps(target.complex)
 
@@ -369,6 +368,8 @@ def program_to_json(prog: SharedVariableProgram) -> dict:
 
 
 def program_from_json(doc: dict) -> SharedVariableProgram:
+    from .programs import Process, SharedVariable, SharedVariableProgram, Transition
+
     name = _want(doc, "name", str, "program")
     variables = []
     for pos, v in enumerate(_want(doc, "variables", list, "program")):

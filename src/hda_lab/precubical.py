@@ -160,14 +160,9 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
         if n == 0:
             continue
         below = P.positions(n - 1)
-        # The identities (k, i, l, j) to check, in report order.
-        checks = [
-            (k, i, l, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            for k in (0, 1)
-            for l in (0, 1)
-        ]
+        # The identities (k, i, l, j) to check, in report order; 4·C(n,2) of
+        # them, so built only once a cube of this dimension has sound faces.
+        checks = None
         for cube in P.cubes(n):
             entry = faces.get(cube)
             if entry is None:
@@ -196,8 +191,16 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                             )
                         )
                         dangling = True
-            if dangling or not checks:
+            if dangling or n == 1:
                 continue
+            if checks is None:
+                checks = [
+                    (k, i, l, j)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)
+                    for k in (0, 1)
+                    for l in (0, 1)
+                ]
             # The face tuples of d[k,i] x, read once per face: inner[k][i-1].
             # A missing entry reads as two empty tuples, so it fails like a
             # too-short tuple does: with IndexError.

@@ -16,14 +16,14 @@ identity descends to homology classes.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING
 
-from .exterior import Alphabet, ExteriorElement
 from .hda import Hda
-from .homology import Chain, all_homology
-from .labeling import label_cochain
-from .precubical import Cube, PrecubicalSet, Violation, tensor
+from .precubical import PrecubicalSet, Violation, tensor
 from .rings import CoefficientRing, ZZ
+
+if TYPE_CHECKING:
+    from .homology import Chain
 
 
 def tensor_hda(A: Hda, B: Hda) -> Hda:
@@ -70,6 +70,8 @@ def check_tensor_label_identity(
     (x, y) differs from label(x) ^ label(y); empty on every valid pair of
     automata.  ``T`` can be passed in when the caller already built it.
     """
+    from .labeling import label_cochain
+
     if T is None:
         T = tensor_hda(A, B)
     out: list[Violation] = []
@@ -106,6 +108,8 @@ def kunneth_profile(
     convolution sum of the factor dimensions.  Over Z the formula would need
     torsion correction terms, so this helper requires a field ring.
     """
+    from .homology import all_homology
+
     if not ring.is_field:
         raise ValueError("the rank convolution formula needs field coefficients")
     T = tensor(A, B)

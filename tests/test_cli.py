@@ -1,9 +1,15 @@
+import importlib
+import importlib.util
 import json
+import os
 import subprocess
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
+import hda_lab.cli
 from hda_lab.cli import main
 from hda_lab.dimap import pushforward_cube
 from hda_lab.exterior import ExteriorElement
@@ -416,5 +422,186 @@ def test_console_script_entry_point(workdir):
         capture_output=True,
         text=True,
     )
+    assert proc.returncode == 0
+    assert "H_1 = Z^5" in proc.stdout
+
+
+def test_vertex_moved_to_a_high_dimension_exits_two(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "lock_spec.json").read_text())
+    vertex = next(e for e in doc["cubes"] if e["dim"] == 0)
+    vertex["dim"] = 300
+    path = tmp_path / "high_vertex.json"
+    path.write_text(canonical_json(doc))
+    assert run(["labels", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (
+        f"[face-arity] at (300, '{vertex['id']}'): "
+        "expected 300 lower and upper faces, got 0/0" in captured.out
+    )
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["model", "homology"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_one_with_a_message(command, target, workdir, tmp_path, capsys):
+    out = tmp_path / "absent" / "out.json" if target == "missing-dir" else tmp_path
+    argv = ["model", "klein"] if command == "model" else ["homology", str(workdir / "torus.json")]
+    assert run(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    reason = "No such file or directory" if target == "missing-dir" else "Is a directory"
+    assert captured.err == f"hda-lab: {out}: {reason}\n"
+    assert captured.out == ""
+
+
+# -- what each command loads ------------------------------------------------------
+
+SRC = Path(hda_lab.__file__).resolve().parents[1]
+
+
+def _python(*args, cwd=None):
+    """A child interpreter that finds this package first."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+@pytest.fixture(scope="module")
+def dimap_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("dimap")
+    f = subdivision_dimap()
+    save_hda(f.source, str(d / "src.json"))
+    save_hda(f.target, str(d / "tgt.json"))
+    save_dimap(f, str(d / "map.json"), "src.json", "tgt.json")
+    square = f.source.complex.cells(2)[0]
+    (d / "chain.json").write_text(json.dumps({"degree": 2, "coeffs": {str(square): 1}}))
+    save_program(peterson(), str(d / "peterson.prog.json"))
+    return d
+
+
+_BASE = "cli exterior fileformats hda precubical rings"
+
+# Command line (files relative to the work directories) -> the package's
+# modules loaded once it has run, besides hda_lab itself.
+IMPORTS = {
+    "validate {w}/peterson.json": _BASE,
+    "model klein": _BASE + " models programs",
+    "model peterson": _BASE + " models programs",
+    "model circle --labels a.b,c": _BASE + " models programs",
+    "model program --file {d}/peterson.prog.json": _BASE + " programs",
+    "tensor {w}/ca.json {w}/cb.json": _BASE + " products",
+    "homology {w}/peterson.json": _BASE + " homology",
+    "labels {w}/peterson.json": _BASE + " homology labeling",
+    "implements {w}/lock.json {w}/lock_spec.json": _BASE + " homology labeling reports",
+    "independence {w}/torus.json {w}/ca.json {w}/cb.json": _BASE + " homology labeling reports",
+    "dimap-check {d}/map.json": _BASE + " dimap homology labeling",
+    "pushforward {d}/map.json --chain @{d}/chain.json": _BASE + " dimap homology labeling",
+}
+
+
+# Prints the exit code, the modules loaded when the command first reads an
+# input file (or at the end, if it reads none) and the modules loaded at the end.
+_LOADED_SCRIPT = """
+import sys
+import hda_lab.cli as cli
+
+def loaded():
+    return " ".join(sorted(m[len("hda_lab."):] for m in sys.modules if m.startswith("hda_lab.")))
+
+first = []
+
+def recording(load):
+    def read(path):
+        first.append(loaded())
+        return load(path)
+    return read
+
+for name in ("load_hda", "load_dimap", "load_program"):
+    setattr(cli, name, recording(getattr(cli, name)))
+code = cli.main(sys.argv[1:])
+print(code, *(first[:1] or [loaded()]), loaded(), sep="\\n")
+"""
+
+
+@pytest.mark.parametrize("command", sorted(IMPORTS))
+def test_each_command_loads_only_the_layers_it_runs(command, workdir, dimap_dir, tmp_path):
+    # Loaded before the input is read, so that compiling a layer does not add
+    # to the peak memory of a process holding a large automaton.
+    argv = command.format(w=workdir, d=dimap_dir).split()
+    proc = _python("-c", _LOADED_SCRIPT, *argv, "--out", str(tmp_path / "report"))
+    assert proc.stderr == ""
+    code, at_first_read, at_end = proc.stdout.splitlines()
+    assert code in ("0", "3")
+    assert at_end == " ".join(sorted(IMPORTS[command].split()))
+    assert at_first_read == at_end
+
+
+# -- the names the benchmark's tracer wraps on the cli module ------------------------
+
+
+def _bench_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Name wrapped on hda_lab.cli -> (defining module, a command that calls it once).
+TRACED = {
+    "load_hda": ("fileformats", "homology {w}/peterson.json"),
+    "load_program": ("fileformats", "model program --file {p}"),
+    "hda_to_json": ("fileformats", "model klein"),
+    "canonical_json": ("fileformats", "model klein"),
+    "validate_hda": ("hda", "validate {w}/peterson.json"),
+    "program_to_hda": ("programs", "model peterson"),
+    "tensor_hda": ("products", "tensor {w}/ca.json {w}/cb.json"),
+    "all_homology": ("homology", "homology {w}/peterson.json"),
+    "labeled_homology": ("labeling", "labels {w}/peterson.json"),
+    "implements_report": ("reports", "implements {w}/lock.json {w}/lock_spec.json"),
+    "independence_report": ("reports", "independence {w}/torus.json {w}/ca.json {w}/cb.json"),
+}
+
+
+def test_traced_names_cover_the_cli_namespace():
+    assert sorted(_bench_spans().WRAPPED["hda_lab.cli"]) == sorted(TRACED)
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_traced_name_resolves_to_its_definition_and_runs_once(
+    name, workdir, tmp_path, monkeypatch
+):
+    module, command = TRACED[name]
+    fn = getattr(hda_lab.cli, name)
+    assert vars(hda_lab.cli)[name] is fn
+    assert fn.__module__ == f"hda_lab.{module}"
+    assert fn is getattr(importlib.import_module(f"hda_lab.{module}"), name)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(hda_lab.cli, name, counting)
+    prog = tmp_path / "peterson.prog.json"
+    save_program(peterson(), str(prog))
+    argv = command.format(w=workdir, p=prog).split()
+    assert run(argv + ["--out", str(tmp_path / "report")]) in (0, 3)
+    assert calls == [name]
+
+
+def test_unknown_cli_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'tensor'"):
+        hda_lab.cli.tensor
+
+
+def test_declared_entry_point_runs_a_command(workdir):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = re.search(r'^hda-lab = "(.+)"$', pyproject.read_text(), re.M)
+    module, func = target.group(1).split(":")
+    script = f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"
+    proc = _python("-c", script, "homology", str(workdir / "peterson.json"))
     assert proc.returncode == 0
     assert "H_1 = Z^5" in proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -535,3 +536,19 @@ def test_validation_reports_instead_of_raising_on_random_damage():
         report = validate_precubical(PrecubicalSet(cells, faces))
         # A rewrite can put back the key it replaced.
         assert bool(report) == (faces != pristine)
+
+
+def test_face_arity_in_a_high_dimension_builds_no_identities():
+    # 4·C(300, 2) identity tuples would take about 15 MB; a cube whose face
+    # tuples fail the arity check needs none of them.
+    P = PrecubicalSet({300: ["v"]}, {(300, "v"): ([], [])})
+    tracemalloc.start()
+    try:
+        report = _report(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == [
+        ("face-arity", (300, "v"), "expected 300 lower and upper faces, got 0/0", ())
+    ]
+    assert peak < 1 << 20
