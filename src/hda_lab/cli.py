@@ -234,7 +234,8 @@ def _cmd_labels(args) -> tuple[int, dict, str]:
 
 
 # -- model and tensor emit HDA files ------------------------------------------
-
+# Their report is the HDA document in every format, so they return no text
+# and ``main`` encodes the document once.
 
 # Built-in models, each built from the ``models`` module.
 _FIXTURES = {
@@ -248,7 +249,7 @@ _FIXTURES = {
 }
 
 
-def _cmd_model(args) -> tuple[int, dict, str]:
+def _cmd_model(args) -> tuple[int, dict, None]:
     name = args.name
     if name == "program":
         if not args.file:
@@ -273,16 +274,14 @@ def _cmd_model(args) -> tuple[int, dict, str]:
         from . import models
 
         h = _FIXTURES[name](models)
-    doc = hda_to_json(h)
-    return EXIT_OK, doc, canonical_json(doc)
+    return EXIT_OK, hda_to_json(h), None
 
 
-def _cmd_tensor(args) -> tuple[int, dict, str]:
+def _cmd_tensor(args) -> tuple[int, dict, None]:
     tensor_hda = _cli.tensor_hda
     a = _checked_hda(args.a, "tensor")
     b = _checked_hda(args.b, "tensor")
-    doc = hda_to_json(tensor_hda(a, b))
-    return EXIT_OK, doc, canonical_json(doc)
+    return EXIT_OK, hda_to_json(tensor_hda(a, b)), None
 
 
 # -- dimap commands ------------------------------------------------------------
@@ -346,6 +345,8 @@ def _chain_doc(spec: str) -> dict:
             text = FsPath(path).read_text()
         except OSError as e:
             raise FileFormatError(f"{path}: {e.strerror or e}") from e
+        except UnicodeDecodeError as e:
+            raise FileFormatError(f"{path}: {e}") from e
     else:
         text = spec
     try:
@@ -577,9 +578,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as e:
         print(f"hda-lab: {e}", file=sys.stderr)
         return EXIT_INVALID
-    payload = canonical_json(doc) if args.format == "json" else text
+    payload = canonical_json(doc) if text is None or args.format == "json" else text
     if not payload.endswith("\n"):
         payload += "\n"
+    # A report that cannot be encoded (a lone surrogate from a JSON escape)
+    # fails before anything is written.  ASCII, as JSON reports are, always
+    # encodes, and the check skips copying a large one.
+    if not payload.isascii():
+        try:
+            payload.encode()
+        except UnicodeEncodeError as e:
+            bad = e.object[e.start : e.end]
+            print(f"hda-lab: report cannot be written as UTF-8: {bad!r}: {e.reason}",
+                  file=sys.stderr)
+            return EXIT_BROKEN_INPUT
     if args.out:
         try:
             FsPath(args.out).write_text(payload)

@@ -169,6 +169,8 @@ def _read_json(path: str) -> dict:
         text = FsPath(path).read_text()
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: {e}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -13,6 +13,14 @@ the larger models fast, and one sparse echelon (``FpEchelon``) for the
 homology over the other primes and for label images and membership over
 every prime.
 
+Field homology runs in one pass per complex, from the top degree down.
+Each boundary d_n is assembled once and reduced once, and the reduction
+skips the columns whose index is a pivot of the reduced d_{n+1} (clearing,
+after Chen and Kerber, "Persistent homology computation with a twist"):
+such a column would reduce to zero and its cycle adds no class.  The
+echelon of d_{n+1} is then the image in the quotient for H_n.  The groups
+of every degree are kept per complex and field while the complex lives.
+
 Sparse vectors are dicts from index to nonzero entry (``Line``).  Boundaries
 are assembled from the face tuples as sparse signed columns
 (``boundary_columns``); ``boundary_matrix`` is their dense view.  Matrices
@@ -26,6 +34,7 @@ integer homology reads its kernels and generators from those directly.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -583,38 +592,6 @@ class Gf2Echelon:
         return None
 
 
-def _gf2_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
-    ring = CoefficientRing(2)
-    cn = P.size(n)
-    if cn == 0:
-        return HomologyGroup(n, ring, 0)
-    # Kernel of d_n as combination masks over the n-cells.
-    kernel_masks: list[int] = []
-    if n == 0:
-        kernel_masks = [1 << j for j in range(cn)]
-    else:
-        ech = Gf2Echelon(track=True)
-        for j, col in enumerate(gf2_boundary_columns(P, n)):
-            dep = ech.add(col, 1 << j)
-            if dep is not None:
-                kernel_masks.append(dep[1])
-    # Quotient by the image of d_{n+1}: seed an echelon with the boundary
-    # columns, then keep each kernel mask the echelon absorbs as new.  Top-bit
-    # reduction decides independence exactly, though it does not compute
-    # canonical residues, so the kept generators are the raw kernel cycles.
-    quot = Gf2Echelon()
-    if P.size(n + 1):
-        for col in gf2_boundary_columns(P, n + 1):
-            quot.add(col)
-    chains: list[Chain] = []
-    cells = P.cells(n)
-    for mask in kernel_masks:
-        if quot.add(mask) is None:
-            chain = {(n, cells[j]): 1 for j in range(cn) if mask >> j & 1}
-            chains.append(chain)
-    return HomologyGroup(n, ring, len(chains), [], chains, [])
-
-
 # -- general prime field elimination ------------------------------------------
 
 
@@ -681,37 +658,79 @@ def mod_line(vec: Iterable[int], p: int) -> Line:
     return {i: x % p for i, x in enumerate(vec) if x % p}
 
 
-def _fp_homology(P: PrecubicalSet, n: int, ring: CoefficientRing) -> HomologyGroup:
+# -- homology over a prime field ------------------------------------------------
+
+
+def _field_homology(
+    P: PrecubicalSet, ring: CoefficientRing, bitsets: bool
+) -> list[HomologyGroup]:
+    """H_0, ..., H_top of P over a prime field, in one pass from the top down.
+
+    Column j of d_n is skipped when j is a pivot of the reduced d_{n+1}: that
+    reduced column is a boundary e_j + (lower cells) which d_n kills, so
+    column j would reduce to zero and its cycle adds no class.  This needs
+    d_n d_{n+1} = 0, which the cubical identities give.  Over GF(2) a
+    generator is a raw kernel cycle that top-bit reduction finds independent;
+    over the other primes it is the kernel cycle reduced at the image's pivots.
+    """
     p = ring.characteristic
-    # Kernel of d_n as combinations over the n-cells; d_0 has empty columns.
-    kernel: list[Line] = []
-    ech = FpEchelon(p, track=True)
-    for j, col in enumerate(boundary_columns(P, n, ring)):
-        dep = ech.add(col, {j: 1})
-        if dep is not None:
-            kernel.append(dep[1])
-    image = FpEchelon(p)
-    for col in boundary_columns(P, n + 1, ring):
-        image.add(col)
-    gens = FpEchelon(p)
-    chains: list[Chain] = []
-    cells = P.cells(n)
-    for kvec in kernel:
-        vec, _ = image.reduce(kvec)
-        if gens.add(vec) is None:
-            chains.append({(n, cells[i]): vec[i] for i in sorted(vec)})
-    return HomologyGroup(n, ring, len(chains), [], chains, [])
+    groups: list[HomologyGroup] = []
+    image = Gf2Echelon() if bitsets else FpEchelon(p)  # the reduced d_{n+1}
+    for n in range(P.max_dim, -1, -1):
+        cells = P.cells(n)
+        if bitsets:
+            ech = Gf2Echelon(track=True)
+            cols = gf2_boundary_columns(P, n) if n else [0] * len(cells)
+        else:
+            ech = FpEchelon(p, track=True)
+            cols = boundary_columns(P, n, ring)
+        kernel = []
+        for j, col in enumerate(cols):
+            if j in image.pivots:
+                continue
+            dep = ech.add(col, 1 << j if bitsets else {j: 1})
+            if dep is not None:
+                kernel.append(dep[1])
+        del cols
+        ech.track, ech.combos = False, {}  # only the kernel needed them
+        chains: list[Chain] = []
+        if bitsets:
+            for mask in kernel:
+                if image.add(mask) is None:
+                    chains.append({(n, cells[j]): 1 for j in range(len(cells)) if mask >> j & 1})
+        else:
+            gens = FpEchelon(p)
+            for kvec in kernel:
+                vec, _ = image.reduce(kvec)
+                if gens.add(vec) is None:
+                    chains.append({(n, cells[i]): vec[i] for i in sorted(vec)})
+        groups.append(HomologyGroup(n, ring, len(chains), [], chains, []))
+        image = ech
+    return groups[::-1]
+
+
+# Complex -> characteristic -> its groups by degree.  A complex does not
+# change after construction, and its entry goes when it does.
+_FIELD_GROUPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def homology(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> HomologyGroup:
-    """The degree-n homology of the cubical chain complex of P."""
+    """The degree-n homology of the cubical chain complex of P.
+
+    Over a field every degree comes from one pass per complex, kept while
+    the complex lives; the groups returned are shared, so do not mutate
+    them.
+    """
     if n < 0:
         raise ValueError("negative degree")
-    if ring.characteristic == 0:
+    p = ring.characteristic
+    if p == 0:
         return _integer_homology(P, n)
-    if ring.characteristic == 2:
-        return _gf2_homology(P, n)
-    return _fp_homology(P, n, ring)
+    memo = _FIELD_GROUPS.setdefault(P, {})
+    if p not in memo:
+        memo[p] = _field_homology(P, ring, bitsets=p == 2)
+    groups = memo[p]
+    return groups[n] if n < len(groups) else HomologyGroup(n, ring, 0)
 
 
 def all_homology(

@@ -13,12 +13,14 @@ examples) live at the bottom; they compile shared-variable programs from
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .exterior import Alphabet
 from .hda import Hda, assert_valid_hda
 from .precubical import PrecubicalSet
-from .programs import Process, SharedVariable, SharedVariableProgram, Transition
+
+if TYPE_CHECKING:
+    from .programs import SharedVariableProgram
 
 
 def directed_circle(words: Sequence) -> Hda:
@@ -248,6 +250,8 @@ def peterson() -> SharedVariableProgram:
     flag is down or the turn came back, runs its critical section, and
     lowers the flag.  Both turn values are allowed initially.
     """
+    from .programs import Process, SharedVariable, SharedVariableProgram, Transition
+
     variables = (
         SharedVariable("b0", (0, 1), (0,)),
         SharedVariable("b1", (0, 1), (0,)),
@@ -282,6 +286,8 @@ def dining_philosophers(n: int) -> SharedVariableProgram:
     right (stick i+1), eats, and releases in the same order.  Only the two
     pick steps are guarded.
     """
+    from .programs import Process, SharedVariable, SharedVariableProgram, Transition
+
     if n < 2:
         raise ValueError("need at least two philosophers")
     variables = tuple(SharedVariable(f"stick{i}", (0, 1), (0,)) for i in range(n))
@@ -324,6 +330,8 @@ def lock_counter() -> SharedVariableProgram:
     two circles, whose top class is the concurrency witness the locked
     specification lacks.
     """
+    from .programs import Process, SharedVariable, SharedVariableProgram, Transition
+
     variables = (SharedVariable("x", (0, 1, 2), (0,)),)
     processes = tuple(
         Process(

@@ -63,7 +63,7 @@ class PrecubicalSet:
     rejected blindly.
     """
 
-    __slots__ = ("_cells", "_index", "_faces")
+    __slots__ = ("_cells", "_index", "_faces", "__weakref__")
 
     def __init__(
         self,

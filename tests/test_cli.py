@@ -453,6 +453,61 @@ def test_unwritable_out_exits_one_with_a_message(command, target, workdir, tmp_p
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{f}"],
+        ["homology", "{f}"],
+        ["model", "program", "--file", "{f}"],
+        ["dimap-check", "{f}"],
+        ["pushforward", "{d}/map.json", "--chain", "@{f}"],
+    ],
+)
+def test_input_that_is_not_utf8_exits_one_naming_the_file(argv, dimap_dir, tmp_path, capsys):
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run([a.format(f=path, d=dimap_dir) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"hda-lab: {path}: 'utf-8' codec can't decode byte 0xff in position 0:"
+        " invalid start byte\n"
+    )
+    assert captured.out == ""
+
+
+def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(tmp_path, capsys):
+    # A JSON escape such as "\ud800" loads as a letter no encoding can write.
+    model = tmp_path / "surrogate.json"
+    assert run(["model", "circle", "--labels", "\ud800,b", "--out", str(model)]) == 0
+    assert '"\\ud800"' in model.read_text()
+    assert run(["validate", str(model)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "labels.txt"
+    for extra in ([], ["--out", str(out)]):
+        assert run(["labels", str(model), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hda-lab: report cannot be written as UTF-8: '\\ud800': surrogates not allowed\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["model klein", "tensor {w}/ca.json {w}/cb.json"])
+def test_model_and_tensor_encode_the_document_once(command, fmt, workdir, monkeypatch, capsys):
+    calls = []
+
+    def counting(doc):
+        calls.append(doc)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(hda_lab.cli, "canonical_json", counting)
+    assert run(command.format(w=workdir).split() + ["--format", fmt]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == canonical_json(calls[0])
+
+
 # -- what each command loads ------------------------------------------------------
 
 SRC = Path(hda_lab.__file__).resolve().parents[1]
@@ -486,9 +541,9 @@ _BASE = "cli exterior fileformats hda precubical rings"
 # modules loaded once it has run, besides hda_lab itself.
 IMPORTS = {
     "validate {w}/peterson.json": _BASE,
-    "model klein": _BASE + " models programs",
+    "model klein": _BASE + " models",
     "model peterson": _BASE + " models programs",
-    "model circle --labels a.b,c": _BASE + " models programs",
+    "model circle --labels a.b,c": _BASE + " models",
     "model program --file {d}/peterson.prog.json": _BASE + " programs",
     "tensor {w}/ca.json {w}/cb.json": _BASE + " products",
     "homology {w}/peterson.json": _BASE + " homology",

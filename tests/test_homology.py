@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hda_lab.homology import (
+    FpEchelon,
     Gf2Echelon,
+    HomologyGroup,
     all_homology,
+    boundary_columns,
     boundary_matrix,
     boundary_violations,
     chain_boundary,
@@ -17,7 +20,7 @@ from hda_lab.homology import (
     lattice_membership,
     mat_mul,
     smith_normal_form,
-    _fp_homology,
+    _field_homology,
 )
 from hda_lab.precubical import PrecubicalSet, interval_grid, standard_cube, tensor
 from hda_lab.rings import GF2, ZZ, CoefficientRing
@@ -327,10 +330,10 @@ def test_generators_are_cycles_and_nonbounding():
 def test_gf2_agrees_with_generic_prime_path():
     # Same field, two implementations: bitsets vs generic elimination.
     for P in (circle(4), loop_square_torus(), klein(), hollow_cube()):
+        slow = _field_homology(P, GF2, bitsets=False)
         for n in range(P.max_dim + 1):
             fast = homology(P, n, GF2)
-            slow = _fp_homology(P, n, GF2)
-            assert fast.free_rank == slow.free_rank, (P, n)
+            assert fast.free_rank == slow[n].free_rank, (P, n)
 
 
 def test_field_generators_are_independent_cycles():
@@ -521,3 +524,157 @@ def test_membership_and_certificate_are_complementary():
             assert (s % mod != 0) if mod else s != 0
         if cert is not None and ring.characteristic:
             assert cert[1] == ring.characteristic
+
+
+# -- field homology against the per-degree reduction ------------------------------
+
+
+def gf2_per_degree(P, n):
+    """H_n over GF(2) by itself, without clearing: d_n and d_{n+1} assembled
+    and reduced afresh, the quotient kept as raw kernel masks."""
+    cn = P.size(n)
+    if cn == 0:
+        return HomologyGroup(n, GF2, 0)
+    kernel_masks = []
+    if n == 0:
+        kernel_masks = [1 << j for j in range(cn)]
+    else:
+        ech = Gf2Echelon(track=True)
+        for j, col in enumerate(gf2_boundary_columns(P, n)):
+            dep = ech.add(col, 1 << j)
+            if dep is not None:
+                kernel_masks.append(dep[1])
+    quot = Gf2Echelon()
+    if P.size(n + 1):
+        for col in gf2_boundary_columns(P, n + 1):
+            quot.add(col)
+    cells = P.cells(n)
+    chains = []
+    for mask in kernel_masks:
+        if quot.add(mask) is None:
+            chains.append({(n, cells[j]): 1 for j in range(cn) if mask >> j & 1})
+    return HomologyGroup(n, GF2, len(chains), [], chains, [])
+
+
+def fp_per_degree(P, n, ring):
+    """H_n over GF(p) by itself, without clearing; generators are the kernel
+    cycles reduced at the image's pivots."""
+    p = ring.characteristic
+    kernel = []
+    ech = FpEchelon(p, track=True)
+    for j, col in enumerate(boundary_columns(P, n, ring)):
+        dep = ech.add(col, {j: 1})
+        if dep is not None:
+            kernel.append(dep[1])
+    image = FpEchelon(p)
+    for col in boundary_columns(P, n + 1, ring):
+        image.add(col)
+    gens = FpEchelon(p)
+    cells = P.cells(n)
+    chains = []
+    for kvec in kernel:
+        vec, _ = image.reduce(kvec)
+        if gens.add(vec) is None:
+            chains.append({(n, cells[i]): vec[i] for i in sorted(vec)})
+    return HomologyGroup(n, ring, len(chains), [], chains, [])
+
+
+def _oracle_complexes():
+    from conftest import random_circle, random_torus, suite_rng
+    from test_programs import shuffled_butler
+
+    from hda_lab import models
+    from hda_lab.programs import program_to_hda
+
+    out = {
+        "circle4": circle(4),
+        "torus": loop_square_torus(),
+        "klein": klein(),
+        "hollow cube": hollow_cube(),
+        "empty": PrecubicalSet({}, {}),
+        "boundary square": models.boundary_square().complex,
+        "filled square": models.filled_square().complex,
+        "torus fixture": models.torus_hda().complex,
+        "klein fixture": models.klein_hda().complex,
+        "lock spec": models.lock_spec().complex,
+        "peterson": program_to_hda(models.peterson()).complex,
+        "lock counter": program_to_hda(models.lock_counter()).complex,
+        "phil3": program_to_hda(models.dining_philosophers(3)).complex,
+        "phil4": program_to_hda(models.dining_philosophers(4)).complex,
+        "butler3": program_to_hda(shuffled_butler(3, "butler3")).complex,
+    }
+    rng = suite_rng("field-oracle")
+    for k in range(6):
+        out[f"random circle {k}"] = random_circle(rng).complex
+        out[f"random torus {k}"] = random_torus(rng).complex
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_field_homology_equals_the_per_degree_reduction(p):
+    ring = CoefficientRing(p)
+    for name, P in _oracle_complexes().items():
+        got = all_homology(P, ring)
+        for n in range(max(P.max_dim, 0) + 2):
+            want = gf2_per_degree(P, n) if p == 2 else fp_per_degree(P, n, ring)
+            have = got[n] if n in got else homology(P, n, ring)
+            assert have == want, (name, n)
+            # Chain for chain, coefficients in the same order.
+            assert [list(c.items()) for c in have.generators] == [
+                list(c.items()) for c in want.generators
+            ], (name, n)
+
+
+def test_field_homology_is_computed_once_per_complex(monkeypatch):
+    import hda_lab.homology as hom
+
+    passes = []
+    real = hom._field_homology
+
+    def counting(P, ring, bitsets):
+        passes.append(ring.characteristic)
+        return real(P, ring, bitsets)
+
+    monkeypatch.setattr(hom, "_field_homology", counting)
+    P = klein()
+    for ring in (GF2, GF5, GF2, GF5):
+        for n in range(4):
+            homology(P, n, ring)
+        all_homology(P, ring)
+    assert passes == [2, 5]
+    assert homology(P, 1, GF2) is homology(P, 1, GF2)
+    assert homology(klein(), 1, GF2) == homology(P, 1, GF2)
+    assert passes == [2, 5, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_analyses_assemble_each_boundary_once(p, monkeypatch):
+    import hda_lab.homology as hom
+    from hda_lab import models
+    from hda_lab.labeling import labeled_homology
+    from hda_lab.programs import program_to_hda
+    from hda_lab.reports import implements_report, independence_report
+
+    ring = CoefficientRing(p)
+    assembled = {}
+    for name in ("gf2_boundary_columns", "boundary_columns"):
+        real = getattr(hom, name)
+
+        def counting(P, n, *rest, real=real):
+            assembled[id(P), n] = assembled.get((id(P), n), 0) + 1
+            return real(P, n, *rest)
+
+        monkeypatch.setattr(hom, name, counting)
+    # Every model stays alive to the end, so no two share an id.
+    peterson = program_to_hda(models.peterson())
+    counter = program_to_hda(models.lock_counter())
+    spec = models.lock_spec()
+    torus = models.torus_hda()
+    parts = [models.labeled_circle(["a1", "a2"]), models.labeled_circle(["b"])]
+    labeled_homology(peterson, ring)
+    labeled_homology(torus, ring)
+    implements_report(counter, spec, ring)
+    implements_report(peterson, peterson, ring)
+    independence_report(torus, parts, ring)
+    assert assembled
+    assert max(assembled.values()) == 1, assembled
