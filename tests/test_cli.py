@@ -555,6 +555,27 @@ IMPORTS = {
 }
 
 
+@pytest.mark.parametrize("command", ["validate {t}/dangling.json", *IMPORTS])
+def test_report_documents_encode_as_json_dumps(
+    command, workdir, dimap_dir, tmp_path, monkeypatch, capsys
+):
+    doc = json.loads((workdir / "lock.json").read_text())
+    doc["cubes"][-1]["d0"][0] = "nowhere"
+    (tmp_path / "dangling.json").write_text(json.dumps(doc))
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(hda_lab.cli, "canonical_json", recording)
+    argv = command.format(w=workdir, d=dimap_dir, t=tmp_path).split()
+    assert run(argv + ["--format", "json"]) in (0, 2, 3)
+    assert len(docs) == 1
+    assert canonical_json(docs[0]) == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == canonical_json(docs[0])
+
+
 # Prints the exit code, the modules loaded when the command first reads an
 # input file (or at the end, if it reads none) and the modules loaded at the end.
 _LOADED_SCRIPT = """

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -98,42 +99,171 @@ def test_canonical_json_shape():
     assert keys == sorted(keys)
 
 
+def _fixture_docs():
+    from hda_lab import cli, models
+    from conftest import random_circle, random_torus, suite_rng
+
+    docs = {
+        f"fixture-{name}": hda_to_json(build(models))
+        for name, build in cli._FIXTURES.items()
+    }
+    docs["tensor"] = hda_to_json(tensor_hda(labeled_circle(["a"]), labeled_circle(["b", "c"])))
+    docs["phil3"] = hda_to_json(program_to_hda(dining_philosophers(3)))
+    rng = suite_rng("canonical-json")
+    for i in range(4):
+        docs[f"stream-circle-{i}"] = hda_to_json(random_circle(rng))
+        docs[f"stream-torus-{i}"] = hda_to_json(random_torus(rng))
+    docs["program-peterson"] = program_to_json(peterson())
+    return docs
+
+
+def _adversarial_docs():
+    base = hda_to_json(directed_torus([("a",)], [("b",)]))
+
+    def edited(change):
+        doc = json.loads(json.dumps(base))
+        change(doc)
+        return doc
+
+    def letters(names):
+        def change(doc):
+            doc["alphabet"] = list(names)
+            doc["cubes"][-1]["label"] = list(names)
+        return change
+
+    def first(**fields):
+        def change(doc):
+            doc["cubes"][0].update(fields)
+        return change
+
+    weird = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u2028", "\x7f", "\u00e9"]
+    return {
+        "non-ascii-letters": edited(letters(["\u00e9", "\u65e5\u672c", "\U0001F600"])),
+        "lone-surrogates": edited(letters(["\ud800", "x\udfff", "\udbff\udc00"])),
+        "odd-ids": edited(lambda doc: [
+            e.update(id=w + e["id"], d0=[w + r for r in e["d0"]])
+            for e, w in zip(doc["cubes"], itertools.cycle(weird))
+        ]),
+        "empty": {"alphabet": [], "cubes": [], "final": [], "initial": []},
+        "empty-lists": edited(letters([])),
+        "extra-key": edited(first(note="x")),
+        "int-id": edited(first(id=3)),
+        "bool-dim": edited(first(dim=True)),
+        "float-dim": edited(first(dim=1.5)),
+        "tuple-faces": edited(first(d0=("a", "b"))),
+        "int-face": edited(first(d1=["a", 2])),
+        "label-not-a-list": edited(first(label="ab")),
+        "label-with-int": edited(first(label=["a", None])),
+        "no-faces": edited(lambda doc: doc["cubes"][0].pop("d0")),
+        "cube-not-a-dict": edited(lambda doc: doc["cubes"].extend([3, None, ["x"], {}])),
+        "nested-cube": edited(first(d0=[{"z": [1, {"y": []}], "a": {}}])),
+        "marks-not-strings": edited(lambda doc: doc.update(initial=[0], final=["v", 1.5])),
+        "extra-top-key": edited(lambda doc: doc.update(version=2)),
+        "missing-top-key": edited(lambda doc: doc.pop("final")),
+        "cubes-not-a-list": edited(lambda doc: doc.update(cubes={"a": [1]})),
+        "alphabet-tuple": edited(lambda doc: doc.update(alphabet=("a",))),
+        "big-dim": edited(first(dim=10**30)),
+        "not-hda": {"b": [1, 2.5, "x"], "a": {"c": None, "b": True}, "": []},
+        "list": [1, {"b": 2, "a": []}],
+    }
+
+
+CANONICAL_DOCS = {**_fixture_docs(), **_adversarial_docs()}
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_DOCS))
+def test_canonical_json_equals_json_dumps(name):
+    doc = CANONICAL_DOCS[name]
+    assert canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _parse_error(doc) -> str:
+    with pytest.raises(FileFormatError) as e:
+        hda_from_json(doc)
+    return str(e.value)
+
+
+def _set(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        *outer, last = path
+        for step in outer:
+            doc = doc[step]
+        doc[last] = value
+    return edit
+
+
+def _drop(path):
+    def edit(doc):
+        *outer, last = path
+        for step in outer:
+            doc = doc[step]
+        del doc[last]
+    return edit
+
+
+# The lock-spec document: cubes 0-2 are the vertices v, w0, w1 and cubes
+# 3-6 the edges x++_0, x++_1, x--_0, x--_1, in file order.
+HDA_PARSE_ERRORS = [
+    (_drop(["alphabet"]), "hda: missing field 'alphabet'"),
+    (_set(["alphabet"], "ab"), "hda.alphabet: expected list"),
+    (_set(["alphabet", 1], 3), "hda.alphabet: letters must be strings"),
+    (_set(["alphabet", 1], "x++_0"), "hda.alphabet: repeated letters"),
+    (_drop(["cubes"]), "hda: missing field 'cubes'"),
+    (_set(["cubes"], {}), "hda.cubes: expected list"),
+    (_set(["cubes", 1], 5), "hda.cubes[1]: missing field 'id'"),
+    (_drop(["cubes", 2, "id"]), "hda.cubes[2]: missing field 'id'"),
+    (_set(["cubes", 2, "id"], 7), "hda.cubes[2].id: expected str"),
+    (_drop(["cubes", 2, "dim"]), "hda.cubes[2]: missing field 'dim'"),
+    (_set(["cubes", 2, "dim"], "0"), "hda.cubes[2].dim: expected int"),
+    (_set(["cubes", 2, "dim"], False), "hda.cubes[2].dim: expected int"),
+    (_set(["cubes", 2, "dim"], 1.0), "hda.cubes[2].dim: expected int"),
+    (_set(["cubes", 2, "dim"], -1), "hda.cubes[2].dim: expected a dimension"),
+    (_set(["cubes", 2, "id"], "v"), "hda.cubes[2]: repeated id 'v' in dimension 0"),
+    (_set(["cubes", 6, "id"], "x++_1"), "hda.cubes[6]: repeated id 'x++_1' in dimension 1"),
+    (_drop(["cubes", 4, "d0"]), "hda.cubes[4]: missing field 'd0'"),
+    (_set(["cubes", 4, "d1"], "w1"), "hda.cubes[4].d1: expected list"),
+    (_set(["cubes", 4, "d0", 0], 0), "hda.cubes[4]: face ids must be strings"),
+    (_set(["cubes", 5, "d1", 0], None), "hda.cubes[5]: face ids must be strings"),
+    (_set(["cubes", 0, "d1"], [["v"]]), "hda.cubes[0]: face ids must be strings"),
+    (
+        _set(["cubes", 1, "label"], ["x++_0"]),
+        "hda.cubes[1]: label is only allowed on dimension-1 cubes",
+    ),
+    (_set(["cubes", 3, "label"], "x++_0"), "hda.cubes[3].label: expected list"),
+    (_set(["cubes", 3, "label"], ["x++_0", 3]), "hda.cubes[3].label: letters must be strings"),
+    (_drop(["initial"]), "hda: missing field 'initial'"),
+    (_set(["final"], "v"), "hda.final: expected list"),
+    (_set(["initial"], ["v", 0]), "hda.initial: vertex ids must be strings"),
+    (_set(["final"], [None]), "hda.final: vertex ids must be strings"),
+    # Of several defects in one entry, the first in field order is named.
+    (_set(["cubes", 4], {"id": 1, "dim": True}), "hda.cubes[4].id: expected str"),
+    (_set(["cubes", 4], {"id": "w1", "dim": 0}), "hda.cubes[4]: repeated id 'w1' in dimension 0"),
+    (
+        _set(["cubes", 4], {"id": "e", "dim": 1, "d0": ["v"], "d1": [2], "label": 3}),
+        "hda.cubes[4]: face ids must be strings",
+    ),
+    (
+        _set(["cubes", 0, "label"], "x"),
+        "hda.cubes[0]: label is only allowed on dimension-1 cubes",
+    ),
+    # The first defective entry is named, not a later one.
+    (
+        lambda doc: (_set(["cubes", 5, "dim"], -2)(doc), _drop(["cubes", 6, "id"])(doc)),
+        "hda.cubes[5].dim: expected a dimension",
+    ),
+]
+
+
 def test_hda_parse_errors():
     good = hda_to_json(lock_spec())
-
-    doc = json.loads(canonical_json(good))
-    del doc["alphabet"]
-    with pytest.raises(FileFormatError, match="alphabet"):
-        hda_from_json(doc)
-
-    doc = json.loads(canonical_json(good))
-    doc["alphabet"].append(doc["alphabet"][0])
-    with pytest.raises(FileFormatError, match="repeated letters"):
-        hda_from_json(doc)
-
-    doc = json.loads(canonical_json(good))
-    doc["cubes"].append(dict(doc["cubes"][0]))
-    with pytest.raises(FileFormatError, match="repeated id"):
-        hda_from_json(doc)
-
-    doc = json.loads(canonical_json(good))
-    doc["cubes"][0]["dim"] = -1
-    with pytest.raises(FileFormatError, match="dim"):
-        hda_from_json(doc)
-
-    # Labels on anything but an edge could silently overwrite an edge label
-    # with the same id, so they are refused outright.
-    doc = json.loads(canonical_json(good))
-    square = next(e for e in doc["cubes"] if e["dim"] == 0)
-    square["label"] = ["a"]
-    with pytest.raises(FileFormatError, match="dimension-1"):
-        hda_from_json(doc)
-
-    doc = json.loads(canonical_json(good))
-    edge = next(e for e in doc["cubes"] if e["dim"] == 1)
-    edge["label"] = ["a", 3]
-    with pytest.raises(FileFormatError, match="letters"):
-        hda_from_json(doc)
+    assert [e["id"] for e in good["cubes"]] == [
+        "v", "w0", "w1", "x++_0", "x++_1", "x--_0", "x--_1"
+    ]
+    for edit, message in HDA_PARSE_ERRORS:
+        doc = json.loads(canonical_json(good))
+        edit(doc)
+        assert _parse_error(doc) == message
 
 
 def test_hda_loader_keeps_semantic_defects_for_validation():

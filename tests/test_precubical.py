@@ -16,9 +16,11 @@ from hda_lab.precubical import (
     interval,
     interval_grid,
     standard_cube,
+    Violation,
     tensor,
     validate_precubical,
 )
+from hda_lab.hda import Hda, validate_hda
 
 
 def two_square():
@@ -379,8 +381,9 @@ def _damaged_cube3(case):
     return PrecubicalSet(cells, faces)
 
 
-def _report(P):
-    return [(v.kind, v.cube, v.message, v.data) for v in validate_precubical(P)]
+def _report(P, validate=None):
+    validate = validate or validate_precubical
+    return [(v.kind, v.cube, v.message, v.data) for v in validate(P)]
 
 
 # Full reports, in order.  Each one but short-inner-face was recorded from
@@ -504,7 +507,9 @@ GOLDEN_REPORTS = {
 
 @pytest.mark.parametrize("case", list(GOLDEN_REPORTS))
 def test_validation_reports_are_pinned(case):
-    assert _report(_damaged_cube3(case)) == GOLDEN_REPORTS[case]
+    P = _damaged_cube3(case)
+    assert _report(P) == GOLDEN_REPORTS[case]
+    assert _report(P, reference_validate_precubical) == GOLDEN_REPORTS[case]
 
 
 def test_named_cube3_is_clean():
@@ -533,9 +538,11 @@ def test_validation_reports_instead_of_raising_on_random_damage():
                 side[rng.randrange(len(side))] = rng.choice(names)
             elif op == 3:
                 del faces[cube]
-        report = validate_precubical(PrecubicalSet(cells, faces))
+        P = PrecubicalSet(cells, faces)
+        report = validate_precubical(P)
         # A rewrite can put back the key it replaced.
         assert bool(report) == (faces != pristine)
+        assert report == reference_validate_precubical(P)
 
 
 def test_face_arity_in_a_high_dimension_builds_no_identities():
@@ -552,3 +559,142 @@ def test_face_arity_in_a_high_dimension_builds_no_identities():
         ("face-arity", (300, "v"), "expected 300 lower and upper faces, got 0/0", ())
     ]
     assert peak < 1 << 20
+
+
+# -- the validator before the gathered identity check, as reference ------------
+
+_NO_FACES = ((), ())
+
+
+def reference_validate_precubical(P: PrecubicalSet) -> list[Violation]:
+    """validate_precubical as it was when every cube ran the full check."""
+    out: list[Violation] = []
+    faces = P._faces
+    for n in P.dims():
+        if n == 0:
+            continue
+        below = P.positions(n - 1)
+        checks = None
+        for cube in P.cubes(n):
+            entry = faces.get(cube)
+            if entry is None:
+                out.append(Violation("missing-faces", cube, "no face entry"))
+                continue
+            d0, d1 = entry
+            if len(d0) != n or len(d1) != n:
+                out.append(
+                    Violation(
+                        "face-arity",
+                        cube,
+                        f"expected {n} lower and upper faces, got {len(d0)}/{len(d1)}",
+                    )
+                )
+                continue
+            dangling = False
+            for k, keys in ((0, d0), (1, d1)):
+                for i, key in enumerate(keys, start=1):
+                    if key not in below:
+                        out.append(
+                            Violation(
+                                "dangling-face",
+                                cube,
+                                f"d[{k},{i}] refers to missing cell {key!r} in dim {n-1}",
+                                (k, i),
+                            )
+                        )
+                        dangling = True
+            if dangling or n == 1:
+                continue
+            if checks is None:
+                checks = [
+                    (k, i, l, j)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1)
+                    for k in (0, 1)
+                    for l in (0, 1)
+                ]
+            inner = (
+                [faces.get((n - 1, key), _NO_FACES) for key in d0],
+                [faces.get((n - 1, key), _NO_FACES) for key in d1],
+            )
+            for k, i, l, j in checks:
+                try:
+                    left = inner[l][j - 1][k][i - 1]
+                    right = inner[k][i - 1][l][j - 2]
+                except IndexError:
+                    continue
+                if left != right:
+                    out.append(
+                        Violation(
+                            "cubical-identity",
+                            cube,
+                            f"d[{k},{i}]d[{l},{j}] = {(n - 2, left)} but "
+                            f"d[{l},{j-1}]d[{k},{i}] = {(n - 2, right)}",
+                            (k, i, l, j),
+                        )
+                    )
+    for cube in faces:
+        if cube not in P:
+            out.append(Violation("orphan-face-entry", cube, "face entry for unknown cell"))
+    return out
+
+
+def _damaged_model(rng, h):
+    """h with one to three random defects in its faces, labels or marks."""
+    P = h.complex
+    cells = {n: list(P.cells(n)) for n in P.dims()}
+    faces = {cube: (list(d0), list(d1)) for cube, (d0, d1) in P._faces.items()}
+    labels, marks = dict(h.labels), [set(h.initial), set(h.final)]
+    for _ in range(rng.randint(1, 3)):
+        cube = rng.choice(list(faces))
+        n = cube[0]
+        side = rng.choice(faces[cube])
+        op = rng.randrange(9)
+        if op == 0 and side:  # dangling reference
+            side[rng.randrange(len(side))] = "nowhere"
+        elif op == 1 and side:  # short tuple
+            side.pop(rng.randrange(len(side)))
+        elif op == 2:  # long tuple
+            side.append(rng.choice(cells[n - 1]))
+        elif op == 3:  # orphan entry
+            faces[(n, f"ghost{len(faces)}")] = faces[cube]
+        elif op == 4:  # missing entry
+            del faces[cube]
+        elif op == 5 and side:  # broken square: a real face in the wrong place
+            side[rng.randrange(len(side))] = rng.choice(cells[n - 1])
+        elif op == 6 and n > 1:  # lower and upper face of one direction swapped
+            i = rng.randrange(n)
+            d0, d1 = faces[cube]
+            d0[i], d1[i] = d1[i], d0[i]
+        elif op == 7:  # orphan label, or a word moved to another edge
+            edge = rng.choice(cells[1])
+            labels[rng.choice([edge, "ghost"])] = labels[rng.choice(cells[1])]
+        else:  # a marked cell outside the complex
+            rng.choice(marks).add(rng.choice([(0, "nowhere"), (1, cells[1][0]), (5, "v")]))
+    return Hda(
+        PrecubicalSet(cells, faces), h.alphabet, labels, frozenset(marks[0]), frozenset(marks[1])
+    )
+
+
+def test_validation_matches_the_reference_on_damaged_models(monkeypatch):
+    from conftest import suite_rng
+    from hda_lab import hda as hda_module
+    from hda_lab.models import dining_philosophers, lock_counter, peterson
+    from hda_lab.programs import program_to_hda
+
+    rng = suite_rng("damaged-models")
+    kinds = set()
+    for prog in (peterson(), dining_philosophers(3), lock_counter()):
+        h = program_to_hda(prog)
+        for _ in range(40):
+            damaged = _damaged_model(rng, h)
+            with monkeypatch.context() as m:
+                m.setattr(hda_module, "validate_precubical", reference_validate_precubical)
+                expected = validate_hda(damaged)
+            assert validate_hda(damaged) == expected
+            kinds |= {v.kind for v in expected}
+    assert kinds >= {
+        "dangling-face", "face-arity", "orphan-face-entry", "missing-faces",
+        "cubical-identity", "orphan-label", "square-condition",
+        "initial-not-in-complex", "final-not-in-complex",
+    }
