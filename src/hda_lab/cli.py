@@ -30,9 +30,11 @@ from .fileformats import (
     canonical_json,
     chain_from_json,
     hda_to_json,
+    json_object,
     load_dimap,
     load_hda,
     load_program,
+    read_text,
     render_id,
 )
 from .hda import Hda, validate_hda
@@ -339,25 +341,8 @@ def _cmd_dimap_check(args) -> tuple[int, dict, str]:
 
 
 def _chain_doc(spec: str) -> dict:
-    if spec.startswith("@"):
-        path = spec[1:]
-        try:
-            text = FsPath(path).read_text()
-        except OSError as e:
-            raise FileFormatError(f"{path}: {e.strerror or e}") from e
-        except UnicodeDecodeError as e:
-            raise FileFormatError(f"{path}: {e}") from e
-    else:
-        text = spec
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(
-            f"chain: line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise FileFormatError("chain: expected a JSON object")
-    return doc
+    text = read_text(spec[1:]) if spec.startswith("@") else spec
+    return json_object(text, "chain")
 
 
 def _render_chain(chain) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
@@ -65,8 +66,57 @@ def _id_maps(P: PrecubicalSet) -> dict[int, dict[str, Key]]:
     return out
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_CUBE_KEYS = ({"d0", "d1", "dim", "id"}, {"d0", "d1", "dim", "id", "label"})
+
+
+def _str_list(value) -> bool:
+    return type(value) is list and {str}.issuperset(map(type, value))
+
+
+def _strings(items, pad: str) -> str | None:
+    """A list of str as indented JSON whose closing bracket follows ``pad``."""
+    if not _str_list(items):
+        return None
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + pad + "]"
+
+
+def _cube_json(entry) -> str:
+    """A record of a top-level "cubes" list, as ``json.dumps`` indents it there."""
+    if type(entry) is dict and entry.keys() in _CUBE_KEYS:
+        pad = "\n      "
+        rid, dim = entry["id"], entry["dim"]
+        d0, d1 = _strings(entry["d0"], pad), _strings(entry["d1"], pad)
+        label = _strings(entry["label"], pad) if len(entry) == 5 else ""
+        if type(rid) is str and type(dim) is int and None not in (d0, d1, label):
+            label = label and f',{pad}"label": {label}'
+            return (f'{{{pad}"d0": {d0},{pad}"d1": {d1},{pad}"dim": {dim},'
+                    f'{pad}"id": {_encode_str(rid)}{label}\n    }}')
+    # JSON text holds no raw newline, so this only indents the record.
+    return json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    ``json.dumps`` encodes in pure Python when indenting, so the records of a
+    top-level "cubes" list, an HDA file's bulk, are laid out here instead.
+    """
+    cubes = doc.get("cubes") if type(doc) is dict else None
+    if type(cubes) is not list or not cubes:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # A top-level key is the only line that starts with two spaces and a quote.
+    rest = json.dumps({**doc, "cubes": [0]}, sort_keys=True, indent=2)
+    head, tail = rest.split('\n  "cubes": [\n    0\n  ]', 1)
+    parts = [head, '\n  "cubes": [']
+    for entry in cubes:
+        parts += (",\n    ", _cube_json(entry))
+    parts[2] = "\n    "  # no comma before the first record
+    parts += ["\n  ]", tail, "\n"]
+    return "".join(parts)
 
 
 # -- HDA files --------------------------------------------------------------
@@ -110,44 +160,57 @@ def _want(doc: dict, field: str, kind, where: str):
     return value
 
 
+def _cube_error(entry, where: str, cells: dict) -> None:
+    """Raise the error of the first bad field of a cube entry, if any."""
+    rid = _want(entry, "id", str, where)
+    dim = _want(entry, "dim", int, where)
+    if dim < 0:
+        raise FileFormatError(f"{where}.dim: expected a dimension")
+    if rid in cells.get(dim, ()):
+        raise FileFormatError(f"{where}: repeated id {rid!r} in dimension {dim}")
+    for arr in (_want(entry, "d0", list, where), _want(entry, "d1", list, where)):
+        if not all(isinstance(ref, str) for ref in arr):
+            raise FileFormatError(f"{where}: face ids must be strings")
+    if "label" in entry:
+        if dim != 1:
+            raise FileFormatError(f"{where}: label is only allowed on dimension-1 cubes")
+        if not all(isinstance(a, str) for a in _want(entry, "label", list, where)):
+            raise FileFormatError(f"{where}.label: letters must be strings")
+
+
 def hda_from_json(doc: dict) -> Hda:
     letters = _want(doc, "alphabet", list, "hda")
     if not all(isinstance(x, str) for x in letters):
         raise FileFormatError("hda.alphabet: letters must be strings")
     if len(set(letters)) != len(letters):
         raise FileFormatError("hda.alphabet: repeated letters")
-    cells: dict[int, list[Key]] = {}
-    seen: dict[int, set[str]] = {}
+    # A JSON escape such as "\\ud800" reads as a letter no report can print.
+    for letter in filter(_SURROGATE.search, letters):
+        raise FileFormatError(f"hda.alphabet: letter {letter!r} holds a lone surrogate")
+    strings = {str}.issuperset
+    cells: dict[int, dict[str, None]] = {}
     faces: dict[Cube, tuple] = {}
     labels: dict[Key, tuple[str, ...]] = {}
     for pos, entry in enumerate(_want(doc, "cubes", list, "hda")):
-        where = f"hda.cubes[{pos}]"
-        rid = _want(entry, "id", str, where)
-        dim = _want(entry, "dim", int, where)
-        if dim < 0:
-            raise FileFormatError(f"{where}.dim: expected a dimension")
-        if rid in seen.setdefault(dim, set()):
-            raise FileFormatError(f"{where}: repeated id {rid!r} in dimension {dim}")
-        seen[dim].add(rid)
-        cells.setdefault(dim, []).append(rid)
-        d0 = _want(entry, "d0", list, where)
-        d1 = _want(entry, "d1", list, where)
-        for arr in (d0, d1):
-            for ref in arr:
-                if not isinstance(ref, str):
-                    raise FileFormatError(f"{where}: face ids must be strings")
+        # Exact types pass at once; anything else gets the full diagnosis.
+        if not (
+            type(entry) is dict
+            and type(rid := entry.get("id")) is str
+            and type(dim := entry.get("dim")) is int
+            and dim >= 0
+            and rid not in cells.get(dim, ())
+            and type(d0 := entry.get("d0")) is list
+            and type(d1 := entry.get("d1")) is list
+            and strings(map(type, d0 + d1))
+            and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
+        ):
+            _cube_error(entry, f"hda.cubes[{pos}]", cells)
+            rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
+        cells.setdefault(dim, {})[rid] = None
         if dim:
             faces[(dim, rid)] = (tuple(d0), tuple(d1))
         if "label" in entry:
-            if dim != 1:
-                raise FileFormatError(
-                    f"{where}: label is only allowed on dimension-1 cubes"
-                )
-            word = _want(entry, "label", list, where)
-            for letter in word:
-                if not isinstance(letter, str):
-                    raise FileFormatError(f"{where}.label: letters must be strings")
-            labels[rid] = tuple(word)
+            labels[rid] = tuple(entry["label"])
     marks = {}
     for mark in ("initial", "final"):
         refs = _want(doc, mark, list, "hda")
@@ -164,28 +227,31 @@ def hda_from_json(doc: dict) -> Hda:
     )
 
 
-def _read_json(path: str) -> dict:
+def read_text(path: str) -> str:
     try:
-        text = FsPath(path).read_text()
+        return FsPath(path).read_text()
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise FileFormatError(f"{path}: {e}") from e
+
+
+def json_object(text: str, where: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(
-            f"{path}: line {e.lineno} column {e.colno}: {e.msg}"
+            f"{where}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
     except RecursionError as e:
-        raise FileFormatError(f"{path}: JSON nested too deeply") from e
+        raise FileFormatError(f"{where}: JSON nested too deeply") from e
     if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
+        raise FileFormatError(f"{where}: expected a JSON object")
     return doc
 
 
 def load_hda(path: str) -> Hda:
-    doc = _read_json(path)
+    doc = json_object(read_text(path), path)
     try:
         return hda_from_json(doc)
     except FileFormatError as e:
@@ -289,7 +355,7 @@ def dimap_from_json(doc: dict, source: Hda, target: Hda) -> ElementaryDimap:
 
 
 def load_dimap(path: str) -> ElementaryDimap:
-    doc = _read_json(path)
+    doc = json_object(read_text(path), path)
     base = FsPath(path).parent
     source = load_hda(str(base / _want(doc, "source", str, "dimap")))
     target = load_hda(str(base / _want(doc, "target", str, "dimap")))
@@ -421,7 +487,7 @@ def program_from_json(doc: dict) -> SharedVariableProgram:
 
 
 def load_program(path: str) -> SharedVariableProgram:
-    return program_from_json(_read_json(path))
+    return program_from_json(json_object(read_text(path), path))
 
 
 def save_program(prog: SharedVariableProgram, path: str) -> None:

@@ -20,6 +20,8 @@ machinery builds on.
 from __future__ import annotations
 
 import itertools
+from itertools import chain
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -142,6 +144,17 @@ class PrecubicalSet:
 _NO_FACES: tuple[tuple[Key, ...], tuple[Key, ...]] = ((), ())
 
 
+def _identities(n: int):
+    """The identities (k, i, l, j) of an n-cube in report order, and getters of
+    their two sides from its faces' d0 + d1 tuples laid end to end."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    checks = [(k, i, l, j) for i, j in pairs for k in (0, 1) for l in (0, 1)]
+    m = n - 1
+    left = [(l * n + j - 1) * 2 * m + k * m + i - 1 for k, i, l, j in checks]
+    right = [(k * n + i - 1) * 2 * m + l * m + j - 2 for k, i, l, j in checks]
+    return checks, itemgetter(*left), itemgetter(*right)
+
+
 def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     """All structural defects of P, empty when P is a genuine precubical set.
 
@@ -156,12 +169,13 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     """
     out: list[Violation] = []
     faces = P._faces
-    for n in P.dims():
-        if n == 0:
-            continue
+    # d0 + d1 of every cell of the dimension below with face tuples of the
+    # right length; a cube whose faces all have them gathers its identities.
+    flats: dict[Key, tuple] = dict.fromkeys(P.cells(0), ())
+    for n in range(1, P.max_dim + 1):
         below = P.positions(n - 1)
-        # The identities (k, i, l, j) to check, in report order; 4·C(n,2) of
-        # them, so built only once a cube of this dimension has sound faces.
+        flats_below, flats = flats, {}
+        # 4·C(n,2) of them, so built only once a cube passes the arity test.
         checks = None
         for cube in P.cubes(n):
             entry = faces.get(cube)
@@ -178,6 +192,15 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                     )
                 )
                 continue
+            flat = flats[cube[1]] = d0 + d1
+            if checks is None and n > 1:
+                checks, get_left, get_right = _identities(n)
+            try:
+                inner = tuple(chain.from_iterable(map(flats_below.__getitem__, flat)))
+                if n == 1 or get_left(inner) == get_right(inner):
+                    continue
+            except KeyError:
+                pass  # a face is missing or has bad tuples: diagnose below
             dangling = False
             for k, keys in ((0, d0), (1, d1)):
                 for i, key in enumerate(keys, start=1):
@@ -193,14 +216,6 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                         dangling = True
             if dangling or n == 1:
                 continue
-            if checks is None:
-                checks = [
-                    (k, i, l, j)
-                    for i in range(1, n + 1)
-                    for j in range(i + 1, n + 1)
-                    for k in (0, 1)
-                    for l in (0, 1)
-                ]
             # The face tuples of d[k,i] x, read once per face: inner[k][i-1].
             # A missing entry reads as two empty tuples, so it fails like a
             # too-short tuple does: with IndexError.

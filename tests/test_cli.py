@@ -417,11 +417,7 @@ def test_model_program_file_matches_named_model(tmp_path, workdir):
 
 
 def test_console_script_entry_point(workdir):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hda_lab.cli", "homology", str(workdir / "peterson.json")],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python("-m", "hda_lab.cli", "homology", str(workdir / "peterson.json"))
     assert proc.returncode == 0
     assert "H_1 = Z^5" in proc.stdout
 
@@ -475,19 +471,30 @@ def test_input_that_is_not_utf8_exits_one_naming_the_file(argv, dimap_dir, tmp_p
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("form", ["inline", "file"])
+def test_deeply_nested_chain_exits_one_with_a_message(form, dimap_dir, tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    spec = tmp_path / "deep.json"
+    spec.write_text(deep)
+    chain = deep if form == "inline" else f"@{spec}"
+    assert run(["pushforward", str(dimap_dir / "map.json"), "--chain", chain]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "hda-lab: chain: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(tmp_path, capsys):
-    # A JSON escape such as "\ud800" loads as a letter no encoding can write.
+    # A JSON escape such as "\ud800" loads as a letter no encoding can write,
+    # so a file with such a letter is refused at load.
     model = tmp_path / "surrogate.json"
     assert run(["model", "circle", "--labels", "\ud800,b", "--out", str(model)]) == 0
     assert '"\\ud800"' in model.read_text()
-    assert run(["validate", str(model)]) == 0
-    capsys.readouterr()
     out = tmp_path / "labels.txt"
-    for extra in ([], ["--out", str(out)]):
-        assert run(["labels", str(model), *extra]) == 1
+    for argv in (["validate"], ["labels"], ["labels", "--out", str(out)]):
+        assert run([argv[0], str(model), *argv[1:]]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            "hda-lab: report cannot be written as UTF-8: '\\ud800': surrogates not allowed\n"
+            f"hda-lab: {model}: hda.alphabet: letter '\\ud800' holds a lone surrogate\n"
         )
         assert captured.out == ""
         assert not out.exists()

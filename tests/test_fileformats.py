@@ -209,6 +209,7 @@ HDA_PARSE_ERRORS = [
     (_set(["alphabet"], "ab"), "hda.alphabet: expected list"),
     (_set(["alphabet", 1], 3), "hda.alphabet: letters must be strings"),
     (_set(["alphabet", 1], "x++_0"), "hda.alphabet: repeated letters"),
+    (_set(["alphabet", 1], "x\udc00"), "hda.alphabet: letter 'x\\udc00' holds a lone surrogate"),
     (_drop(["cubes"]), "hda: missing field 'cubes'"),
     (_set(["cubes"], {}), "hda.cubes: expected list"),
     (_set(["cubes", 1], 5), "hda.cubes[1]: missing field 'id'"),
