@@ -20,9 +20,9 @@ machinery builds on.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Key = Hashable
@@ -172,10 +172,11 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     # d0 + d1 of every cell of the dimension below with face tuples of the
     # right length; a cube whose faces all have them gathers its identities.
     flats: dict[Key, tuple] = dict.fromkeys(P.cells(0), ())
-    for n in range(1, P.max_dim + 1):
+    for n in filter(None, P.dims()):
         below = P.positions(n - 1)
-        flats_below, flats = flats, {}
-        # 4·C(n,2) of them, so built only once a cube passes the arity test.
+        # With no cells in dimension n - 1, flats holds a lower dimension's.
+        flats_below, flats = (flats if below else {}), {}
+        # The 4·C(n,2) identities, built only once a cube passes the arity test.
         checks = None
         for cube in P.cubes(n):
             entry = faces.get(cube)

@@ -561,6 +561,21 @@ def test_face_arity_in_a_high_dimension_builds_no_identities():
     assert peak < 1 << 20
 
 
+def test_validation_visits_only_the_dimensions_that_have_cells():
+    # A vertex moved to dimension 10**9 gets its face-arity violation at
+    # once, without a walk through the empty dimensions below it.
+    n = 10**9
+    faces = {(2, "e"): (["u", "u"], ["u", "u"]), (n, "v"): ([], [])}
+    P = PrecubicalSet({0: ["u"], 2: ["e"], n: ["v"]}, faces)
+    assert _report(P) == _report(P, reference_validate_precubical) == [
+        ("dangling-face", (2, "e"), "d[0,1] refers to missing cell 'u' in dim 1", (0, 1)),
+        ("dangling-face", (2, "e"), "d[0,2] refers to missing cell 'u' in dim 1", (0, 2)),
+        ("dangling-face", (2, "e"), "d[1,1] refers to missing cell 'u' in dim 1", (1, 1)),
+        ("dangling-face", (2, "e"), "d[1,2] refers to missing cell 'u' in dim 1", (1, 2)),
+        ("face-arity", (n, "v"), f"expected {n} lower and upper faces, got 0/0", ()),
+    ]
+
+
 # -- the validator before the gathered identity check, as reference ------------
 
 _NO_FACES = ((), ())
