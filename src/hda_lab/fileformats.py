@@ -66,7 +66,6 @@ def _id_maps(P: PrecubicalSet) -> dict[int, dict[str, Key]]:
     return out
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
 _CUBE_KEYS = ({"d0", "d1", "dim", "id"}, {"d0", "d1", "dim", "id", "label"})
 
 
@@ -185,8 +184,9 @@ def hda_from_json(doc: dict) -> Hda:
     if len(set(letters)) != len(letters):
         raise FileFormatError("hda.alphabet: repeated letters")
     # A JSON escape such as "\\ud800" reads as a letter no report can print.
-    for letter in filter(_SURROGATE.search, letters):
-        raise FileFormatError(f"hda.alphabet: letter {letter!r} holds a lone surrogate")
+    for letter in letters:
+        if not letter.isascii() and any("\ud800" <= c <= "\udfff" for c in letter):
+            raise FileFormatError(f"hda.alphabet: letter {letter!r} holds a lone surrogate")
     strings = {str}.issuperset
     cells: dict[int, dict[str, None]] = {}
     faces: dict[Cube, tuple] = {}

@@ -483,7 +483,9 @@ def test_deeply_nested_chain_exits_one_with_a_message(form, dimap_dir, tmp_path,
     assert captured.out == ""
 
 
-def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(tmp_path, capsys):
+def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
     # A JSON escape such as "\ud800" loads as a letter no encoding can write,
     # so a file with such a letter is refused at load.
     model = tmp_path / "surrogate.json"
@@ -495,6 +497,16 @@ def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(tmp_path, cap
         captured = capsys.readouterr()
         assert captured.err == (
             f"hda-lab: {model}: hda.alphabet: letter '\\ud800' holds a lone surrogate\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+    # A report that holds one all the same is refused before it is written.
+    monkeypatch.setitem(hda_lab.cli._DISPATCH, "labels", lambda args: (0, {}, "\ud800\n"))
+    for extra in ([], ["--out", str(out)]):
+        assert run(["labels", str(model), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hda-lab: report cannot be written as UTF-8: '\\ud800': surrogates not allowed\n"
         )
         assert captured.out == ""
         assert not out.exists()
