@@ -304,19 +304,30 @@ def _obstruction_reports(ring):
     }
 
 
-# SHA-256 of the canonical JSON above over GF(3) and GF(5): homology
-# generators, class labels, label images, zero-label classes and
-# nonmembership functionals.  Any change to the prime-field elimination's
-# pivot order or normalization shows here.
+# SHA-256 of the canonical JSON above over Z (key suffix 0), GF(2), GF(3)
+# and GF(5): homology generators, class labels, label images, zero-label
+# classes and nonmembership certificates.  Any change to the Smith normal
+# form's or the prime-field elimination's pivot order or normalization
+# shows here.
 GOLDEN_PRIME_FIELD = {
+    "klein/0": "fa54e66fbe05fccfa3224766f65d284e01c15ad5f87847c008592b51a862da75",
+    "klein/2": "60a14d0dd4670e2828b05f8ca5b8a60a6b7cccb05d0b8b4e4f0b2e5efb2ed001",
     "klein/3": "25749a0c054739f191af2d593adc5a8d1f20117d18be99ce43c6ae89636e22c3",
     "klein/5": "25749a0c054739f191af2d593adc5a8d1f20117d18be99ce43c6ae89636e22c3",
+    "obstructions/0": "95df876467f2d6e902d8414cebf5f68cc37d2d6cef6bce92676f4e86c0d4e9e1",
+    "obstructions/2": "94f969abc6a9d12ccec3f4ac0970d3ea4257d3923b9dd6c4654b91b271993b0a",
     "obstructions/3": "de4a44ff4a455eb08e3eb0a5ca4111246bb810039da4861c1262a74a2ee688bb",
     "obstructions/5": "70abcdb2d8b8c5727f837e13b68d545846882ba680898aebc4447059bbd7dd1c",
+    "peterson/0": "117ff74aca45ebf1119507ddd2647ababfdbd62a1f5b7235aefe11303a16455a",
+    "peterson/2": "fd7561b179922ef1e0eada74af8a33fb6ce64218c213975e00856f1baa37e71d",
     "peterson/3": "666e0adfeec0d093344f7db8e78340de848f14ee5be0c9e76d0ee59a0ea82ead",
     "peterson/5": "3387dd7b5058bb51496fdb8a902fad484999ec18e6f167ca35f05e080492f973",
+    "phil3/0": "5a98e0ea969fed3bf77841cd63d1b331f225eba9b16ccaf94b5e6b62d46c9d97",
+    "phil3/2": "ae47fa081c9f0c1f81f822623afa384ffae3775b356d7ddd60bd02f003987812",
     "phil3/3": "ae47fa081c9f0c1f81f822623afa384ffae3775b356d7ddd60bd02f003987812",
     "phil3/5": "ae47fa081c9f0c1f81f822623afa384ffae3775b356d7ddd60bd02f003987812",
+    "torus/0": "1e0895521a160ca43825b8b0272bfb67855421ff92a480ed6a9706becac09a1c",
+    "torus/2": "2d4543ec85463613b97cf790321630f4995380ad9766d4a315a394bab2f926c0",
     "torus/3": "168cfd5fad1077a24a2da9c230112b73f6041904b1cd548c149a0e909a1e3a23",
     "torus/5": "2d442f8f7c8b780d36295f84f29bef5248d08cd58320c630cb078912ee139929",
 }
