@@ -21,14 +21,14 @@ such a column would reduce to zero and its cycle adds no class.  The
 echelon of d_{n+1} is then the image in the quotient for H_n.  The groups
 of every degree are kept per complex and field while the complex lives.
 
-Sparse vectors are dicts from index to nonzero entry (``Line``).  Boundaries
-are assembled from the face tuples as sparse signed columns
-(``boundary_columns``); ``boundary_matrix`` is their dense view.  Matrices
-passed in and out (that view, SNF inputs, the certificate views) are plain
-lists of rows of ints.  An empty matrix loses its column count, so
-functions that can meet one take the count explicitly.  Inside the Smith
-normal form every matrix is a list of sparse rows or columns, and the
-integer homology reads its kernels and generators from those directly.
+Sparse vectors are dicts from index to nonzero entry (``Line``); lists of
+them are the one matrix format here and in ``labeling``.  Boundaries are
+assembled as sparse signed columns (``boundary_columns``), and the Smith
+normal form takes its matrix as sparse columns and a row count.  Dense
+lists of rows remain at three edges: ``boundary_matrix``, the dense view of
+a boundary; the ``SmithNormalForm`` views that ``verify`` multiplies; and
+the vectors of ``lattice_membership`` and ``nonmembership_certificate``,
+whose answers are rechecked by dot products.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
     return out
 
 
-def mat_cols(a: Matrix, cols: int | None = None) -> list[list[int]]:
-    if not a:
-        return [[] for _ in range(cols or 0)]
-    return [[row[j] for row in a] for j in range(len(a[0]))]
-
-
 # -- Smith normal form ------------------------------------------------------
 
 Line = dict[int, int]  # one sparse row or column: index -> nonzero entry
@@ -120,6 +114,11 @@ def _transpose(lines: Sequence[Line], width: int) -> list[Line]:
         for k, x in line.items():
             out[k][i] = x
     return out
+
+
+def _sparse(vectors: Iterable[Sequence[int]]) -> list[Line]:
+    """Dense vectors (the rows or columns of a matrix) as sparse lines."""
+    return [{i: x for i, x in enumerate(v) if x} for v in vectors]
 
 
 def _dense(lines: Sequence[Line], width: int) -> Matrix:
@@ -274,21 +273,17 @@ def _combine(side: _Side, i: int, j: int, x: int, y: int, z: int, w: int) -> Non
     t_inv[i], t_inv[j] = _mix(t_inv[i], t_inv[j], s * w, -s * z, -s * y, s * x)
 
 
-def smith_normal_form(mat: Matrix, cols: int | None = None) -> SmithNormalForm:
+def smith_normal_form(columns: Sequence[Line], rows: int) -> SmithNormalForm:
     """Smith normal form over Z with tracked unimodular certificates.
 
-    Pivots are chosen by minimal absolute value in the remaining submatrix,
-    the first in row-major order on ties; non-divisible entries are folded
-    into the pivot with extended-gcd row and column transforms; a final pass
-    repairs the divisibility chain.  The work is sparse: each step touches
-    only the nonzeros of the lines it combines.
+    The matrix is given as sparse columns and a row count.  Pivots are the
+    minimal absolute values of the remaining submatrix, the first in
+    row-major order on ties; non-divisible entries are folded into the pivot
+    with extended-gcd row and column transforms; a final pass repairs the
+    divisibility chain.  Each step touches only the nonzeros it combines.
     """
-    rows = len(mat)
-    if rows:
-        cols = len(mat[0])
-    elif cols is None:
-        cols = 0
-    a_rows = [{j: x for j, x in enumerate(r) if x} for r in mat]
+    cols = len(columns)
+    a_rows = _transpose(columns, rows)
     m_rows = [dict(r) for r in a_rows]
     a_cols = _transpose(a_rows, cols)
     by_rows: _Side = (a_rows, a_cols, _units(rows), _units(rows))
@@ -492,7 +487,7 @@ def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
     if n == 0:
         kernel_cols = coords = _units(cn)
     else:
-        snf_a = smith_normal_form(boundary_matrix(P, n), cols=cn)
+        snf_a = smith_normal_form(_transpose(_sparse(boundary_matrix(P, n)), cn), P.size(n - 1))
         r = snf_a.rank
         if r == cn:
             return HomologyGroup(n, ZZ, 0)
@@ -501,16 +496,13 @@ def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
     kdim = len(kernel_cols)
 
     # The boundaries of the (n+1)-cells in kernel coordinates.
-    cn1 = P.size(n + 1)
-    b_rows = [{j: x for j, x in enumerate(row) if x} for row in boundary_matrix(P, n + 1)]
-    q = zero_matrix(kdim, cn1)
-    for j, col in enumerate(_transpose(b_rows, cn1)):
+    q: list[Line] = []
+    for col in _transpose(_sparse(boundary_matrix(P, n + 1)), P.size(n + 1)):
         acc: Line = {}
         for i, c in col.items():
             _axpy(acc, coords[i], c)
-        for k, x in acc.items():
-            q[k][j] = x
-    snf_q = smith_normal_form(q, cols=cn1)
+        q.append(acc)
+    snf_q = smith_normal_form(q, kdim)
 
     free_gens: list[Chain] = []
     tors_gens: list[Chain] = []
@@ -770,8 +762,7 @@ def lattice_membership(
             return None
         x = [-coeffs.get(j, 0) % p for j in range(k)]
     else:
-        mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
-        snf = smith_normal_form(mat, cols=k)
+        snf = smith_normal_form(_sparse(vectors), m)
         y = snf.apply_u(target)
         for i in range(m):
             d = snf.diagonal[i] if i < snf.rank else 0
@@ -827,9 +818,7 @@ def nonmembership_certificate(
             if s % p:
                 phi[q] = -s % p
         return [phi.get(i, 0) for i in range(m - 1, -1, -1)], p
-    k = len(vectors)
-    mat = [[vectors[j][i] for j in range(k)] for i in range(m)]
-    snf = smith_normal_form(mat, cols=k)
+    snf = smith_normal_form(_sparse(vectors), m)
     y = snf.apply_u(target)
     for i in range(m):
         d = snf.diagonal[i] if i < snf.rank else 0

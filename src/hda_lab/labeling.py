@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .exterior import Alphabet, ExteriorElement, word_to_vector
 from .hda import Hda
@@ -30,7 +30,6 @@ from .homology import (
     HomologyGroup,
     Line,
     homology,
-    mod_line,
     smith_normal_form,
 )
 from .precubical import Cube, edge_in_direction
@@ -65,20 +64,16 @@ def degree_monomials(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(len(alphabet)), n))
 
 
-def label_to_column(x: ExteriorElement, n: int, monomials: Sequence[tuple[int, ...]]) -> list[int]:
+def _degree_terms(x: ExteriorElement, n: int) -> Mapping[tuple[int, ...], int]:
     extra = [idx for idx in x.terms if len(idx) != n]
     if extra:
         raise ValueError(f"label has terms outside degree {n}: {extra}")
-    return [x.terms.get(idx, 0) for idx in monomials]
+    return x.terms
 
 
-def column_to_label(
-    alphabet: Alphabet,
-    ring: CoefficientRing,
-    col: Sequence[int],
-    monomials: Sequence[tuple[int, ...]],
-) -> ExteriorElement:
-    return ExteriorElement(alphabet, ring, {m: c for m, c in zip(monomials, col) if c})
+def label_to_column(x: ExteriorElement, n: int, monomials: Sequence[tuple[int, ...]]) -> list[int]:
+    terms = _degree_terms(x, n)
+    return [terms.get(idx, 0) for idx in monomials]
 
 
 @dataclass
@@ -135,42 +130,40 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
     """Homology of degree n with labels, image basis and invisible classes."""
     group = homology(h.complex, n, ring)
     monomials = degree_monomials(h.alphabet, n)
+    index = {m: i for i, m in enumerate(monomials)}
 
     classes: list[LabeledClass] = []
     free_chains: list[Chain] = []
-    free_labels: list[ExteriorElement] = []
+    lines: list[Line] = []  # each free label as a sparse line over the monomials
     for chain in group.free_generators:
         label = chain_label(h, chain, ring)
         if ring.characteristic == 0:
             chain, label = _orient_by_label(chain, label)
         classes.append(LabeledClass(chain, label, 0))
         free_chains.append(chain)
-        free_labels.append(label)
+        lines.append({index[m]: c for m, c in _degree_terms(label, n).items()})
     for order, chain in zip(group.torsion, group.torsion_generators):
         classes.append(LabeledClass(chain, chain_label(h, chain, ring), order))
 
-    cols = [label_to_column(lbl, n, monomials) for lbl in free_labels]
+    def label_of(line: Line, d: int = 1) -> ExteriorElement:
+        terms = {monomials[i]: d * c for i, c in sorted(line.items())}
+        return ExteriorElement(h.alphabet, ring, terms)
+
     image_basis: list[ExteriorElement] = []
     zero_classes: list[Chain] = []
-    r = len(cols)
-    if r:
+    if lines:
         if ring.characteristic == 0:
-            mat = [[cols[j][i] for j in range(r)] for i in range(len(monomials))]
-            snf = smith_normal_form(mat, cols=r)
-            for d, u_col in zip(snf.diagonal, snf.u_inv_cols):
-                col = [d * u_col.get(row, 0) for row in range(len(monomials))]
-                image_basis.append(column_to_label(h.alphabet, ring, col, monomials))
+            snf = smith_normal_form(lines, len(monomials))
+            image_basis = [label_of(u, d) for d, u in zip(snf.diagonal, snf.u_inv_cols)]
             for v_col in snf.v_cols[snf.rank :]:
                 zero_classes.append(_combine_chains(free_chains, v_col, ring))
         else:
             ech = FpEchelon(ring.characteristic, track=True)
-            for j, col in enumerate(cols):
-                dep = ech.add(mod_line(col, ring.characteristic), {j: 1})
+            for j, line in enumerate(lines):
+                dep = ech.add(line, {j: 1})
                 if dep is not None:
                     zero_classes.append(_combine_chains(free_chains, dep[1], ring))
-            for _, vec in sorted(ech.pivots.items()):
-                col = [vec.get(i, 0) for i in range(len(monomials))]
-                image_basis.append(column_to_label(h.alphabet, ring, col, monomials))
+            image_basis = [label_of(vec) for _, vec in sorted(ech.pivots.items())]
     return DegreeLabelReport(n, ring, group, classes, image_basis, zero_classes)
 
 

@@ -41,3 +41,11 @@ def random_torus(rng: random.Random, prefix: str = "t"):
     return tensor_hda(
         random_circle(rng, prefix + "x"), random_circle(rng, prefix + "y")
     )
+
+
+def sparse_columns(mat, cols=None):
+    """A dense matrix given by rows as the (sparse columns, row count) pair
+    ``smith_normal_form`` takes; ``cols`` is the width of a matrix with no rows."""
+    width = len(mat[0]) if mat else cols or 0
+    columns = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(width)]
+    return columns, len(mat)

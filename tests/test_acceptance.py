@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import random_circle, suite_rng
+from conftest import random_circle, sparse_columns, suite_rng
 from test_dimap import (
     strip_transposition_dimap,
     subdivision_dimap,
@@ -42,12 +42,12 @@ from hda_lab.dimap import (
 )
 from hda_lab.exterior import ExteriorElement, word_to_vector
 from hda_lab.homology import (
+    boundary_columns,
     boundary_matrix,
     boundary_violations,
     chain_boundary,
     chain_to_column,
     lattice_membership,
-    mat_cols,
     mat_mul,
     smith_normal_form,
     verify_nonmembership,
@@ -125,9 +125,10 @@ def test_c01_peterson_zero_label_sublattice(peterson_report):
         assert chain_boundary(P, z, ZZ) == {}
         assert chain_label(h, z, ZZ).is_zero()
     # independent modulo boundaries: each class raises the rank over im d_2
-    filled = mat_cols(boundary_matrix(P, 2))
-    extra = [chain_to_column(P, 1, z) for z in rep.zero_label_classes]
-    gain = smith_normal_form(filled + extra).rank - smith_normal_form(filled).rank
+    filled = boundary_columns(P, 2)
+    extra = [{P.cell_index(c): x for c, x in z.items()} for z in rep.zero_label_classes]
+    rows = P.size(1)
+    gain = smith_normal_form(filled + extra, rows).rank - smith_normal_form(filled, rows).rank
     assert gain == 3
 
 
@@ -285,7 +286,8 @@ def test_c07_dimap_laws_on_the_fixture_family():
 def cycle_class_is_nonzero(P, z, ring):
     """A cycle's class is nonzero exactly when it is not a boundary."""
     assert chain_boundary(P, z, ring) == {}
-    filled = mat_cols(boundary_matrix(P, 2, ring))
+    rows = range(P.size(1))
+    filled = [[col.get(i, 0) for i in rows] for col in boundary_columns(P, 2, ring)]
     return lattice_membership(filled, chain_to_column(P, 1, z), ring) is None
 
 
@@ -313,13 +315,13 @@ def test_c08_boundary_snf_and_loop_cycle_oracles():
             if n == 0:
                 continue
             mat = boundary_matrix(P, n)
-            snf = smith_normal_form(mat)
+            snf = smith_normal_form(*sparse_columns(mat))
             assert snf.verify()
             assert mat_mul(mat_mul(snf.u, mat), snf.v) == snf.d_matrix()
     for _ in range(40):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(*sparse_columns(mat))
         assert snf.verify()
         assert mat_mul(mat_mul(snf.u, mat), snf.v) == snf.d_matrix()
 

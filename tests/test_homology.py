@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sparse_columns
 from hda_lab.homology import (
     FpEchelon,
     Gf2Echelon,
@@ -75,27 +76,27 @@ def betti(P, ring):
 
 
 def test_snf_pinned_2_3():
-    snf = smith_normal_form([[2, 0], [0, 3]])
+    snf = smith_normal_form(*sparse_columns([[2, 0], [0, 3]]))
     assert snf.diagonal == [1, 6]
     assert snf.verify()
 
 
 def test_snf_small_cases():
-    assert smith_normal_form([]).diagonal == []
-    assert smith_normal_form([], cols=3).diagonal == []
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == []
-    assert smith_normal_form(identity_matrix(3)).diagonal == [1, 1, 1]
-    snf = smith_normal_form([[4]])
+    assert smith_normal_form(*sparse_columns([])).diagonal == []
+    assert smith_normal_form(*sparse_columns([], 3)).diagonal == []
+    assert smith_normal_form(*sparse_columns([[0, 0], [0, 0]])).diagonal == []
+    assert smith_normal_form(*sparse_columns(identity_matrix(3))).diagonal == [1, 1, 1]
+    snf = smith_normal_form(*sparse_columns([[4]]))
     assert snf.diagonal == [4]
-    assert smith_normal_form([[-4]]).diagonal == [4]
-    snf = smith_normal_form([[2, 4, 4], [-6, 6, 12]])
+    assert smith_normal_form(*sparse_columns([[-4]])).diagonal == [4]
+    snf = smith_normal_form(*sparse_columns([[2, 4, 4], [-6, 6, 12]]))
     assert snf.diagonal == [2, 6]
     assert snf.verify()
 
 
 def test_snf_divisibility_chain_forced():
     # Diagonal entries that need the pair-repair pass.
-    snf = smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    snf = smith_normal_form(*sparse_columns([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
     assert snf.diagonal == [1, 30, 30]
     assert snf.verify()
 
@@ -109,7 +110,7 @@ def test_snf_random_against_sympy():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        snf = smith_normal_form(m)
+        snf = smith_normal_form(*sparse_columns(m))
         assert snf.verify(), m
         expected = [int(x) for x in invariant_factors(sympy.Matrix(m)) if x != 0]
         assert snf.diagonal == expected, m
@@ -119,7 +120,7 @@ def test_snf_certificates_are_recomputed_products():
     rng = random.Random(55)
     for _ in range(50):
         m = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
-        snf = smith_normal_form(m)
+        snf = smith_normal_form(*sparse_columns(m))
         umv = mat_mul(mat_mul(snf.u, m, 3), snf.v, 4)
         assert umv == snf.d_matrix()
         assert mat_mul(snf.u, snf.u_inv, 3) == identity_matrix(3)
@@ -132,7 +133,7 @@ def test_snf_operation_order_is_pinned():
     # entry, so a change to the pivot rule or the elimination order shows.
     # The matrix also has tied pivot candidates, and the final certificates
     # differ if either sweep runs backwards or ties go to a later entry.
-    snf = smith_normal_form([[3, 2, 2], [-3, 4, 3], [0, 6, 0], [-2, 0, 9]])
+    snf = smith_normal_form(*sparse_columns([[3, 2, 2], [-3, 4, 3], [0, 6, 0], [-2, 0, 9]]))
     assert snf.verify()
     assert snf.diagonal == [1, 1, 2]
     assert snf.u == [
@@ -164,7 +165,7 @@ def test_snf_tall_sparse_membership():
         g1[i] = x
     vectors = [g0, g1]
     mat = [[g0[i], g1[i]] for i in range(m)]
-    snf = smith_normal_form(mat)
+    snf = smith_normal_form(*sparse_columns(mat))
     assert snf.verify()
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
