@@ -24,9 +24,10 @@ minus its image square.  This is the map the label cochain is natural for.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .hda import Hda
 from .homology import Chain, chain_boundary
@@ -105,9 +106,40 @@ def face_restriction(cm: CubeMap, k: int, i: int) -> CubeMap:
     )
     flat2 = {}
     for cell, img in cm.flat.items():
-        if cell[m - 1] == frozen:
+        if len(cell) >= m and cell[m - 1] == frozen:  # orphans may be short
             flat2[cell[: m - 1] + cell[m:]] = img
     return CubeMap(shape2, perm2, flat2)
+
+
+def _cell_dim(coord: GridCoord) -> int:
+    return sum(1 for c in coord if isinstance(c, tuple))
+
+
+def _grid_prefix(shape: Sequence[int], count: int) -> Iterator[GridCoord]:
+    """The first ``count`` cells of interval_grid(shape) in product order,
+    vertex j then edge (j, j+1) along each axis, without building the grid.
+
+    A cell among the first ``count`` uses only the first ``count`` components
+    of each axis, so no axis is listed further.
+    """
+    axes = [
+        [t // 2 if t % 2 == 0 else (t // 2, t // 2 + 1) for t in range(min(2 * l + 1, count))]
+        for l in shape
+    ]
+    return itertools.islice(itertools.product(*axes), count)
+
+
+def _is_grid_cell(coord: GridCoord, shape: Sequence[int]) -> bool:
+    """Whether coord names a cell of interval_grid(shape)."""
+    if len(coord) != len(shape):
+        return False
+    for c, l in zip(coord, shape):
+        if isinstance(c, tuple):
+            if not (len(c) == 2 and isinstance(c[0], int) and c[1] == c[0] + 1 and 0 <= c[0] < l):
+                return False
+        elif not (isinstance(c, int) and 0 <= c <= l):
+            return False
+    return True
 
 
 def _structural_violations(f: ElementaryDimap) -> list[Violation]:
@@ -141,22 +173,23 @@ def _structural_violations(f: ElementaryDimap) -> list[Violation]:
                     Violation("bad-axis-perm", x, f"{cm.axis_perm} is not a permutation of 1..{n}")
                 )
                 continue
-            grid = interval_grid(cm.shape)
-            mapping = {}
-            complete = True
-            for cell in grid.all_cubes():
-                img = cm.flat.get(cell[1])
-                if img is None:
-                    out.append(Violation("flat-missing-cell", x, f"grid cell {cell[1]} unmapped"))
-                    complete = False
-                else:
-                    mapping[cell] = img
+            # A valid table holds one entry per grid cell.  So when the grid
+            # has more cells than the table, one of its first len(flat) + 1
+            # cells is missing, and the grid is built only for a full table.
+            missing = sorted(
+                (_cell_dim(coord), pos, coord)
+                for pos, coord in enumerate(_grid_prefix(cm.shape, len(cm.flat) + 1))
+                if cm.flat.get(coord) is None
+            )
+            for _, _, coord in missing:
+                out.append(Violation("flat-missing-cell", x, f"grid cell {coord} unmapped"))
             for coord in cm.flat:
-                dim = sum(1 for c in coord if isinstance(c, tuple))
-                if (dim, coord) not in grid:
+                if not _is_grid_cell(coord, cm.shape):
                     out.append(Violation("flat-orphan-cell", x, f"no grid cell {coord}"))
-            if not complete:
+            if missing:
                 continue
+            grid = interval_grid(cm.shape)
+            mapping = {cell: cm.flat[cell[1]] for cell in grid.all_cubes()}
             for v in PcMorphism(grid, Q, mapping).violations():
                 out.append(
                     Violation("flat-" + v.kind, x, f"grid cell {v.cube}: {v.message}", v.data)

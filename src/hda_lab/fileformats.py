@@ -343,6 +343,9 @@ def dimap_from_json(doc: dict, source: Hda, target: Hda) -> ElementaryDimap:
         where = f"dimap.cubes[{pos}]"
         shape = _want(entry, "shape", list, where)
         sigma = _want(entry, "sigma", list, where)
+        for name, values in (("shape", shape), ("sigma", sigma)):
+            if not {int}.issuperset(map(type, values)):
+                raise FileFormatError(f"{where}.{name}: expected list of int")
         n = len(shape)
         cube = resolve(src_ids, n, _want(entry, "id", str, where), where)
         flat = {}

@@ -228,6 +228,59 @@ def test_dimap_check_flags_a_relabeled_target(tmp_path, capsys):
     assert doc["ok"] is False
 
 
+def _damaged_map(dimap_dir, tmp_path, change):
+    """Arguments naming the subdivision map of ``dimap_dir`` after ``change``
+    of its bottom edge's grid data (``dimap.cubes[0]``), and a chain."""
+    for name in ("src.json", "tgt.json", "chain.json"):
+        (tmp_path / name).write_bytes((dimap_dir / name).read_bytes())
+    doc = json.loads((dimap_dir / "map.json").read_text())
+    assert doc["cubes"][0]["id"] == "bottom"
+    change(doc["cubes"][0])
+    (tmp_path / "map.json").write_text(json.dumps(doc))
+    return {
+        "dimap-check": [str(tmp_path / "map.json")],
+        "pushforward": [str(tmp_path / "map.json"), "--chain", f"@{tmp_path / 'chain.json'}"],
+    }
+
+
+@pytest.mark.parametrize("command", ["dimap-check", "pushforward"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("shape", ["x"]), ("shape", [True]), ("shape", [2.0]), ("sigma", [1.0]), ("sigma", [None])],
+)
+def test_dimap_grid_data_must_be_integers(command, field, value, dimap_dir, tmp_path, capsys):
+    args = _damaged_map(dimap_dir, tmp_path, lambda entry: entry.update({field: value}))
+    assert run([command, *args[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"hda-lab: dimap.cubes[0].{field}: expected list of int\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["dimap-check", "pushforward"])
+@pytest.mark.parametrize(
+    "change,line",
+    [
+        (
+            lambda entry: entry.update(shape=[10**7]),
+            "[flat-missing-cell] at (1, 'bottom'): grid cell ((2, 3),) unmapped",
+        ),
+        (
+            lambda entry: entry["flat"].update({"()": "(0,0)"}),
+            "[flat-orphan-cell] at (1, 'bottom'): no grid cell ()",
+        ),
+    ],
+    ids=["huge-shape", "short-coordinate"],
+)
+def test_broken_grid_data_is_reported(command, change, line, dimap_dir, tmp_path, capsys):
+    # A grid of 2 * 10**7 + 1 cells against a table of 5 is reported from
+    # the table alone; a coordinate shorter than the grid is an orphan.
+    args = _damaged_map(dimap_dir, tmp_path, change)
+    assert run([command, *args[command]]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert line in out
+    assert sum(1 for text in out if text.startswith("[flat-")) == 1
+
+
 def test_pushforward_through_subdivision(tmp_path, capsys):
     f = subdivision_dimap()
     save_hda(f.source, str(tmp_path / "src.json"))

@@ -399,3 +399,73 @@ def test_assert_valid_dimap_raises():
     with pytest.raises(ValueError, match="invalid dimap"):
         assert_valid_dimap(f)
     assert_valid_dimap(subdivision_dimap())
+
+
+def test_a_table_its_grid_outgrows_builds_no_grid():
+    # The bottom edge claims 20000 grid steps but its table holds 5 cells.
+    # One of the grid's first 6 cells is missing, found without building
+    # the grid's 40001 cells (several MB); bounded by the table instead.
+    import tracemalloc
+
+    f = subdivision_dimap()
+    f.cube_maps[(1, "bottom")].shape = (20000,)
+    tracemalloc.start()
+    try:
+        bad = validate_dimap(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    flat = [(v.kind, v.cube, v.message) for v in bad if v.kind.startswith("flat-")]
+    assert flat == [("flat-missing-cell", (1, "bottom"), "grid cell ((2, 3),) unmapped")]
+    assert peak < 1 << 20
+
+
+def reference_flat_violations(x, cm):
+    """The flat-table part of the structural check as it was when it built
+    every grid: each missing cell in grid order, then each orphan entry."""
+    grid = interval_grid(cm.shape)
+    out = [
+        ("flat-missing-cell", x, f"grid cell {cell[1]} unmapped")
+        for cell in grid.all_cubes()
+        if cm.flat.get(cell[1]) is None
+    ]
+    for coord in cm.flat:
+        dim = sum(1 for c in coord if isinstance(c, tuple))
+        if (dim, coord) not in grid:
+            out.append(("flat-orphan-cell", x, f"no grid cell {coord}"))
+    return out
+
+
+def test_flat_table_reports_match_the_full_grid_check():
+    # A table with at most one cell short of its grid gets the full grid's
+    # report; a shorter one gets the missing cells among the grid's first
+    # len(flat) + 1 cells, in the same order, so at least one.
+    from math import prod
+
+    from conftest import suite_rng
+
+    rng = suite_rng("dimap-flat")
+    for trial in range(300):
+        f = (subdivision_dimap if trial % 2 else transposition_dimap)()
+        for cm in f.cube_maps.values():
+            for coord in rng.sample(sorted(cm.flat, key=repr), rng.randint(0, 3)):
+                if rng.random() < 0.5:
+                    del cm.flat[coord]
+                else:
+                    cm.flat[coord] = None
+            for _ in range(rng.randint(0, 2)):
+                parts = [rng.randint(-1, 4), (rng.randint(-1, 3), rng.randint(-1, 4))]
+                cm.flat[tuple(rng.choice(parts) for _ in range(rng.randint(0, 3)))] = (0, "x")
+            if rng.random() < 0.2:
+                cm.shape = tuple(l + rng.randint(0, 2) for l in cm.shape)
+        got = [(v.kind, v.cube, v.message) for v in validate_dimap(f) if v.kind in (
+            "flat-missing-cell", "flat-orphan-cell")]
+        for x, cm in f.cube_maps.items():
+            want = reference_flat_violations(x, cm)
+            mine = [v for v in got if v[1] == x]
+            if prod(2 * l + 1 for l in cm.shape) <= len(cm.flat) + 1:
+                assert mine == want
+            else:
+                rest = iter(want)
+                assert all(v in rest for v in mine)
+                assert any(v[0] == "flat-missing-cell" for v in mine)
