@@ -32,12 +32,16 @@ class Alphabet:
 
     def __init__(self, letters: Iterable[str]) -> None:
         self._letters = tuple(letters)
-        self._pos = {a: i for i, a in enumerate(self._letters)}
-        if len(self._pos) != len(self._letters):
-            raise ValueError("alphabet letters must be distinct")
         for a in self._letters:
             if not isinstance(a, str) or not a:
                 raise ValueError(f"letters must be nonempty strings, got {a!r}")
+            # A lone surrogate (a JSON escape such as "\ud800", or argv bytes
+            # that are not UTF-8) makes a letter no report can print.
+            if not a.isascii() and any("\ud800" <= c <= "\udfff" for c in a):
+                raise ValueError(f"letter {a!r} holds a lone surrogate")
+        self._pos = {a: i for i, a in enumerate(self._letters)}
+        if len(self._pos) != len(self._letters):
+            raise ValueError("alphabet letters must be distinct")
 
     @property
     def letters(self) -> tuple[str, ...]:

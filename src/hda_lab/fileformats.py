@@ -183,10 +183,10 @@ def hda_from_json(doc: dict) -> Hda:
         raise FileFormatError("hda.alphabet: letters must be strings")
     if len(set(letters)) != len(letters):
         raise FileFormatError("hda.alphabet: repeated letters")
-    # A JSON escape such as "\\ud800" reads as a letter no report can print.
-    for letter in letters:
-        if not letter.isascii() and any("\ud800" <= c <= "\udfff" for c in letter):
-            raise FileFormatError(f"hda.alphabet: letter {letter!r} holds a lone surrogate")
+    try:
+        alphabet = Alphabet(letters)
+    except ValueError as e:
+        raise FileFormatError(f"hda.alphabet: {e}") from None
     strings = {str}.issuperset
     cells: dict[int, dict[str, None]] = {}
     faces: dict[Cube, tuple] = {}
@@ -220,7 +220,7 @@ def hda_from_json(doc: dict) -> Hda:
         marks[mark] = frozenset((0, ref) for ref in refs)
     return Hda(
         complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(letters),
+        alphabet=alphabet,
         labels=labels,
         initial=marks["initial"],
         final=marks["final"],

@@ -542,7 +542,8 @@ def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
     # A JSON escape such as "\ud800" loads as a letter no encoding can write,
     # so a file with such a letter is refused at load.
     model = tmp_path / "surrogate.json"
-    assert run(["model", "circle", "--labels", "\ud800,b", "--out", str(model)]) == 0
+    assert run(["model", "circle", "--labels", "x,b", "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace('"x"', '"\\ud800"'))
     assert '"\\ud800"' in model.read_text()
     out = tmp_path / "labels.txt"
     for argv in (["validate"], ["labels"], ["labels", "--out", str(out)]):
@@ -563,6 +564,31 @@ def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
         )
         assert captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("letter", ["\ud800", "\udced\udca0\udc80", "a\udfff"])
+def test_model_circle_refuses_a_letter_with_a_lone_surrogate(letter, tmp_path, capsys):
+    # Python decodes argv bytes that are not UTF-8 (b"\xed\xa0\x80") to
+    # surrogates; the program must not write a file that it then refuses.
+    out = tmp_path / "circle.json"
+    assert run(["model", "circle", "--labels", f"{letter},b", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"hda-lab: letter {letter!r} holds a lone surrogate\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_empty_letter_in_a_file_exits_one_naming_it(command, tmp_path, capsys):
+    model = tmp_path / "empty.json"
+    assert run(["model", "circle", "--labels", "x,b", "--out", str(model)]) == 0
+    model.write_text(model.read_text().replace('"x"', '""'))
+    assert run([command, str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"hda-lab: {model}: hda.alphabet: letters must be nonempty strings, got ''\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
