@@ -115,35 +115,21 @@ def _violation_dicts(violations) -> list[dict]:
     ]
 
 
+def _invalid(analysis: str, path: str, what: str, violations, **extra) -> _Failure:
+    """The exit-2 report that refuses an input: ``<path>: <what>`` and its violations."""
+    doc = {"analysis": analysis, "input": path, "valid": False, **extra}
+    doc["violations"] = _violation_dicts(violations)
+    lines = [f"{path}: {what}"] + [str(v) for v in violations]
+    return _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
+
+
 def _checked_hda(path: str, analysis: str) -> Hda:
     """Load an HDA file and refuse to analyze an invalid one."""
     h = load_hda(path)
     violations = validate_hda(h)
     if violations:
-        doc = {
-            "analysis": analysis,
-            "input": path,
-            "valid": False,
-            "violations": _violation_dicts(violations),
-        }
-        lines = [f"{path}: invalid"] + [str(v) for v in violations]
-        raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
+        raise _invalid(analysis, path, "invalid", violations)
     return h
-
-
-def _render_group(ring: CoefficientRing, rank: int, torsion: Sequence[int]) -> str:
-    parts = []
-    if rank:
-        base = str(ring)
-        if rank == 1:
-            parts.append(base)
-        elif ring.is_field:
-            parts.append(f"({base})^{rank}")
-        else:
-            parts.append(f"{base}^{rank}")
-    for d in torsion:
-        parts.append(f"Z/{d}")
-    return " + ".join(parts) if parts else "0"
 
 
 # -- plain commands ----------------------------------------------------------
@@ -192,7 +178,7 @@ def _cmd_homology(args) -> tuple[int, dict, str]:
         f"euler: {euler}",
     ]
     for n, g in sorted(groups.items()):
-        lines.append(f"H_{n} = {_render_group(args.ring, g.free_rank, g.torsion)}")
+        lines.append(f"H_{n} = {g.describe()}")
     return EXIT_OK, doc, "\n".join(lines) + "\n"
 
 
@@ -217,9 +203,7 @@ def _cmd_labels(args) -> tuple[int, dict, str]:
                 "zero_label_rank": rep.zero_label_rank,
             }
         )
-        lines.append(
-            f"H_{n} = {_render_group(args.ring, g.free_rank, g.torsion)}"
-        )
+        lines.append(f"H_{n} = {g.describe()}")
         for c in rep.classes:
             order = f" (order {c.order})" if c.order else ""
             lines.append(f"  class: {c.label}{order}")
@@ -294,16 +278,7 @@ def _checked_dimap(path: str, analysis: str):
     for which, h in (("source", f.source), ("target", f.target)):
         violations = validate_hda(h)
         if violations:
-            doc = {
-                "analysis": analysis,
-                "input": path,
-                "valid": False,
-                "endpoint": which,
-                "violations": _violation_dicts(violations),
-            }
-            lines = [f"{path}: {which} automaton invalid"]
-            lines += [str(v) for v in violations]
-            raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
+            raise _invalid(analysis, path, f"{which} automaton invalid", violations, endpoint=which)
     return f
 
 
@@ -358,14 +333,7 @@ def _cmd_pushforward(args) -> tuple[int, dict, str]:
     f = _checked_dimap(args.file, "pushforward")
     violations = validate_dimap(f)
     if violations:
-        doc = {
-            "analysis": "pushforward",
-            "input": args.file,
-            "valid": False,
-            "violations": _violation_dicts(violations),
-        }
-        lines = [f"{args.file}: invalid dimap"] + [str(v) for v in violations]
-        raise _Failure(EXIT_INVALID, doc, "\n".join(lines) + "\n")
+        raise _invalid("pushforward", args.file, "invalid dimap", violations)
     degree, chain = chain_from_json(_chain_doc(args.chain), f.source)
     image = pushforward_chain(f, chain, args.ring)
     label = chain_label(f.source, chain, args.ring)

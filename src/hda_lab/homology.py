@@ -468,11 +468,13 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
     def describe(self) -> str:
+        """Like ``Z^2 + Z/3``; a field's power is bracketed, ``(Z/2)^3``."""
         parts = []
         if self.free_rank == 1:
             parts.append(str(self.ring))
         elif self.free_rank:
-            parts.append(f"{self.ring}^{self.free_rank}")
+            base = f"({self.ring})" if self.ring.is_field else str(self.ring)
+            parts.append(f"{base}^{self.free_rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 

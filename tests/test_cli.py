@@ -675,9 +675,12 @@ def test_report_documents_encode_as_json_dumps(
 
 
 # Prints the exit code, the modules loaded when the command first reads an
-# input file (or at the end, if it reads none) and the modules loaded at the end.
+# input file (or at the end, if it reads none), the modules loaded at the end
+# and the top-level modules the run loaded from outside the package and the
+# standard library (the package has no runtime dependencies).
 _LOADED_SCRIPT = """
 import sys
+at_start = set(sys.modules)
 import hda_lab.cli as cli
 
 def loaded():
@@ -694,7 +697,9 @@ def recording(load):
 for name in ("load_hda", "load_dimap", "load_program"):
     setattr(cli, name, recording(getattr(cli, name)))
 code = cli.main(sys.argv[1:])
-print(code, *(first[:1] or [loaded()]), loaded(), sep="\\n")
+tops = {m.partition(".")[0] for m in set(sys.modules) - at_start}
+foreign = sorted(tops - set(sys.stdlib_module_names) - {"hda_lab"})
+print(code, *(first[:1] or [loaded()]), loaded(), " ".join(foreign), sep="\\n")
 """
 
 
@@ -705,10 +710,11 @@ def test_each_command_loads_only_the_layers_it_runs(command, workdir, dimap_dir,
     argv = command.format(w=workdir, d=dimap_dir).split()
     proc = _python("-c", _LOADED_SCRIPT, *argv, "--out", str(tmp_path / "report"))
     assert proc.stderr == ""
-    code, at_first_read, at_end = proc.stdout.splitlines()
+    code, at_first_read, at_end, foreign = proc.stdout.split("\n")[:4]
     assert code in ("0", "3")
     assert at_end == " ".join(sorted(IMPORTS[command].split()))
     assert at_first_read == at_end
+    assert foreign == ""
 
 
 # -- the names the benchmark's tracer wraps on the cli module ------------------------
