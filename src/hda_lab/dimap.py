@@ -111,10 +111,6 @@ def face_restriction(cm: CubeMap, k: int, i: int) -> CubeMap:
     return CubeMap(shape2, perm2, flat2)
 
 
-def _cell_dim(coord: GridCoord) -> int:
-    return sum(1 for c in coord if isinstance(c, tuple))
-
-
 def _grid_prefix(shape: Sequence[int], count: int) -> Iterator[GridCoord]:
     """The first ``count`` cells of interval_grid(shape) in product order,
     vertex j then edge (j, j+1) along each axis, without building the grid.
@@ -177,7 +173,7 @@ def _structural_violations(f: ElementaryDimap) -> list[Violation]:
             # has more cells than the table, one of its first len(flat) + 1
             # cells is missing, and the grid is built only for a full table.
             missing = sorted(
-                (_cell_dim(coord), pos, coord)
+                (sum(isinstance(c, tuple) for c in coord), pos, coord)
                 for pos, coord in enumerate(_grid_prefix(cm.shape, len(cm.flat) + 1))
                 if cm.flat.get(coord) is None
             )
