@@ -468,7 +468,6 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
     def describe(self) -> str:
-        """Like ``Z^2 + Z/3``; a field's power is bracketed, ``(Z/2)^3``."""
         parts = []
         if self.free_rank == 1:
             parts.append(str(self.ring))

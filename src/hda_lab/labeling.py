@@ -129,34 +129,36 @@ def _combine_chains(chains: Sequence[Chain], coeffs: Line, ring: CoefficientRing
 def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelReport:
     """Homology of degree n with labels, image basis and invisible classes."""
     group = homology(h.complex, n, ring)
-    monomials = degree_monomials(h.alphabet, n)
-    index = {m: i for i, m in enumerate(monomials)}
 
     classes: list[LabeledClass] = []
     free_chains: list[Chain] = []
-    lines: list[Line] = []  # each free label as a sparse line over the monomials
+    free_labels: list[ExteriorElement] = []
     for chain in group.free_generators:
         label = chain_label(h, chain, ring)
         if ring.characteristic == 0:
             chain, label = _orient_by_label(chain, label)
         classes.append(LabeledClass(chain, label, 0))
         free_chains.append(chain)
-        lines.append({index[m]: c for m, c in _degree_terms(label, n).items()})
+        free_labels.append(label)
     for order, chain in zip(group.torsion, group.torsion_generators):
         classes.append(LabeledClass(chain, chain_label(h, chain, ring), order))
 
-    def label_of(line: Line, d: int = 1) -> ExteriorElement:
-        terms = {monomials[i]: d * c for i, c in sorted(line.items())}
-        return ExteriorElement(h.alphabet, ring, terms)
-
     image_basis: list[ExteriorElement] = []
     zero_classes: list[Chain] = []
-    if lines:
+    if free_labels:
+        # Listed only here: a degree has C(|alphabet|, n) monomials.
+        monomials = degree_monomials(h.alphabet, n)
+        index = {m: i for i, m in enumerate(monomials)}
+        lines = [{index[m]: c for m, c in _degree_terms(x, n).items()} for x in free_labels]
+
+        def label_of(line: Line, d: int = 1) -> ExteriorElement:
+            terms = {monomials[i]: d * c for i, c in sorted(line.items())}
+            return ExteriorElement(h.alphabet, ring, terms)
+
         if ring.characteristic == 0:
             snf = smith_normal_form(lines, len(monomials))
             image_basis = [label_of(u, d) for d, u in zip(snf.diagonal, snf.u_inv_cols)]
-            for v_col in snf.v_cols[snf.rank :]:
-                zero_classes.append(_combine_chains(free_chains, v_col, ring))
+            zero_classes = [_combine_chains(free_chains, v, ring) for v in snf.v_cols[snf.rank :]]
         else:
             ech = FpEchelon(ring.characteristic, track=True)
             for j, line in enumerate(lines):
