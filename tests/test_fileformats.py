@@ -302,6 +302,102 @@ def test_hda_loader_keeps_semantic_defects_for_validation():
     assert "face-arity" in kinds
 
 
+# -- the HDA writer before the one rendering per cell, as reference -------------
+
+
+def reference_hda_to_json(h) -> dict:
+    """hda_to_json as it was when every face reference was rendered again."""
+    P = h.complex
+    for n in range(P.max_dim + 1):
+        table = {}
+        for key in P.cells(n):
+            rid = render_id(key)
+            if rid in table:
+                raise FileFormatError(f"dimension {n} ids collide after rendering: {rid!r}")
+            table[rid] = key
+    cubes = []
+    for n in range(P.max_dim + 1):
+        for key in P.cells(n):
+            entry: dict = {"id": render_id(key), "dim": n}
+            if n:
+                d0, d1 = P.face_keys((n, key))
+                entry["d0"] = [render_id(k) for k in d0]
+                entry["d1"] = [render_id(k) for k in d1]
+            else:
+                entry["d0"] = []
+                entry["d1"] = []
+            if n == 1:
+                entry["label"] = list(h.labels[key])
+            cubes.append(entry)
+    cubes.sort(key=lambda e: (e["dim"], e["id"]))
+    return {
+        "alphabet": list(h.alphabet.letters),
+        "cubes": cubes,
+        "initial": sorted(render_id(key) for _, key in h.initial),
+        "final": sorted(render_id(key) for _, key in h.final),
+    }
+
+
+def _written(to_json, h):
+    """The document, with its cube records' key order, or the error raised."""
+    try:
+        doc = to_json(h)
+    except Exception as e:
+        return type(e), str(e)
+    return doc, [list(entry) for entry in doc["cubes"]]
+
+
+def _hda(cells, faces, labels, initial=()):
+    from hda_lab.exterior import Alphabet
+    from hda_lab.hda import Hda
+    from hda_lab.precubical import PrecubicalSet
+
+    return Hda(PrecubicalSet(cells, faces), Alphabet(["a"]), labels, frozenset(initial))
+
+
+WRITER_CASES = {
+    "dangling-face": _hda({0: ["u", "v"], 1: ["e"]}, {(1, "e"): (["u"], ["nowhere"])}, {"e": ("a",)}),
+    "dangling-tuple-face": _hda(
+        {0: [(0, 1)], 1: [2]}, {(1, 2): ([(0, 1)], [(0, (1, "x"))])}, {2: ("a",)}
+    ),
+    "unrenderable-dangling-face": _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], [1.5])}, {"e": ()}),
+    "unhashable-dangling-face": _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], [["u"]])}, {"e": ()}),
+    "collision": _hda({0: [1, "1"]}, {}, {}),
+    "collision-above": _hda(
+        {0: ["u"], 1: [(1, 2), "(1,2)"]},
+        {(1, (1, 2)): (["u"], ["u"]), (1, "(1,2)"): (["u"], ["u"])},
+        {(1, 2): (), "(1,2)": ()},
+    ),
+    "collision-after-unrenderable": _hda({0: ["1", 1, 2.5]}, {}, {}),
+    "unrenderable-before-collision": _hda({0: [2.5, "1", 1]}, {}, {}),
+    "unrenderable-face-below-collision": _hda(
+        {0: ["u"], 1: ["e"], 2: [1, "1"]},
+        {(1, "e"): (["u"], [None]), (2, 1): (["e"] * 2, ["e"] * 2), (2, "1"): (["e"] * 2, ["e"] * 2)},
+        {"e": ("a",)},
+    ),
+    "bool-key": _hda({0: [True]}, {}, {}),
+    "missing-face-entry": _hda({0: ["u"], 1: ["e"]}, {}, {"e": ("a",)}),
+    "unlabeled-edge": _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {}),
+    "unknown-mark": _hda({0: ["u"]}, {}, {}, [(0, "nowhere"), (3, ("p", 4))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_hda_writer_matches_the_reference_on_damaged_automata(name):
+    h = WRITER_CASES[name]
+    assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+
+
+def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
+    from test_precubical import damaged_models
+
+    for h in damaged_models():
+        assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+    for build in (lock_spec, lambda: tensor_hda(directed_torus([("a",)], [("b",)]), lock_spec())):
+        h = build()
+        assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+
+
 def test_grid_coord_round_trip():
     for coord in ((), (0,), (3, (1, 2)), ((0, 1), (5, 6), 4)):
         assert parse_grid_coord(render_grid_coord(coord)) == coord

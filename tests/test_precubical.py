@@ -664,7 +664,7 @@ def _damaged_model(rng, h):
         cube = rng.choice(list(faces))
         n = cube[0]
         side = rng.choice(faces[cube])
-        op = rng.randrange(9)
+        op = rng.randrange(12)
         if op == 0 and side:  # dangling reference
             side[rng.randrange(len(side))] = "nowhere"
         elif op == 1 and side:  # short tuple
@@ -684,6 +684,15 @@ def _damaged_model(rng, h):
         elif op == 7:  # orphan label, or a word moved to another edge
             edge = rng.choice(cells[1])
             labels[rng.choice([edge, "ghost"])] = labels[rng.choice(cells[1])]
+        elif op == 8:  # a word that is not a tuple of letters
+            labels[rng.choice(cells[1])] = rng.choice(
+                [["a"], ("a", ["b"]), (3,), (None, "x"), "ab", ()]
+            )
+        elif op == 9:  # a letter outside the alphabet
+            edge = rng.choice(cells[1])
+            labels[edge] = tuple(labels.get(edge, ())) + ("zz",)
+        elif op == 10:  # an unlabeled edge
+            labels.pop(rng.choice(cells[1]), None)
         else:  # a marked cell outside the complex
             rng.choice(marks).add(rng.choice([(0, "nowhere"), (1, cells[1][0]), (5, "v")]))
     return Hda(
@@ -691,25 +700,84 @@ def _damaged_model(rng, h):
     )
 
 
-def test_validation_matches_the_reference_on_damaged_models(monkeypatch):
+def reference_validate_hda(h: Hda) -> list[Violation]:
+    """validate_hda as it was when every edge ran the per-letter checks."""
+    out = reference_validate_precubical(h.complex)
+    P = h.complex
+    for key in P.cells(1):
+        if key not in h.labels:
+            out.append(Violation("unlabeled-edge", (1, key), "edge has no word"))
+            continue
+        word = h.labels[key]
+        if not isinstance(word, tuple) or any(not isinstance(a, str) for a in word):
+            out.append(
+                Violation("bad-word", (1, key), f"word must be a tuple of letters, got {word!r}")
+            )
+            continue
+        for a in word:
+            if a not in h.alphabet:
+                out.append(
+                    Violation("unknown-letter", (1, key), f"letter {a!r} not in alphabet")
+                )
+    edge_keys = set(P.cells(1))
+    for key in h.labels:
+        if key not in edge_keys:
+            out.append(Violation("orphan-label", (1, key), "label for unknown edge"))
+    if not any(v.kind in ("missing-faces", "dangling-face", "face-arity") for v in out):
+        for key in P.cells(2):
+            sq = (2, key)
+            for i, (lo, hi) in enumerate(zip(*P.face_keys(sq)), start=1):
+                wl = h.labels.get(lo)
+                wh = h.labels.get(hi)
+                if wl is not None and wh is not None and wl != wh:
+                    out.append(
+                        Violation(
+                            "square-condition",
+                            sq,
+                            f"opposite edges disagree in direction {i}: "
+                            f"{wl!r} vs {wh!r}",
+                            (i,),
+                        )
+                    )
+    for name, cubes in (("initial", h.initial), ("final", h.final)):
+        for cube in cubes:
+            if cube not in P:
+                out.append(Violation(f"{name}-not-in-complex", cube, "marked cell missing"))
+    return out
+
+
+def damaged_models():
+    """The damaged-model stream: 40 random damages of each of three programs."""
     from conftest import suite_rng
-    from hda_lab import hda as hda_module
     from hda_lab.models import dining_philosophers, lock_counter, peterson
     from hda_lab.programs import program_to_hda
 
     rng = suite_rng("damaged-models")
-    kinds = set()
     for prog in (peterson(), dining_philosophers(3), lock_counter()):
         h = program_to_hda(prog)
         for _ in range(40):
-            damaged = _damaged_model(rng, h)
-            with monkeypatch.context() as m:
-                m.setattr(hda_module, "validate_precubical", reference_validate_precubical)
-                expected = validate_hda(damaged)
-            assert validate_hda(damaged) == expected
-            kinds |= {v.kind for v in expected}
+            yield _damaged_model(rng, h)
+
+
+def test_validation_matches_the_reference_on_damaged_models():
+    kinds = set()
+    for damaged in damaged_models():
+        expected = reference_validate_hda(damaged)
+        assert validate_hda(damaged) == expected
+        kinds |= {v.kind for v in expected}
     assert kinds >= {
         "dangling-face", "face-arity", "orphan-face-entry", "missing-faces",
         "cubical-identity", "orphan-label", "square-condition",
         "initial-not-in-complex", "final-not-in-complex",
+        "unlabeled-edge", "bad-word", "unknown-letter",
     }
+
+
+def test_face_lists_are_stored_as_tuples():
+    faces = {(1, "a"): (["u"], ["v"]), (1, "b"): [("u",), ["v"]], (1, "c"): (("v",), ("u",))}
+    P = PrecubicalSet({0: ["u", "v"], 1: ["a", "b", "c"]}, faces)
+    for key, (d0, d1) in faces.items():
+        pair = P.face_keys(key)
+        assert type(pair) is tuple and pair == (tuple(d0), tuple(d1))
+        assert type(pair[0]) is tuple and type(pair[1]) is tuple
+    assert faces[(1, "a")] == (["u"], ["v"])  # the caller's lists are not touched
