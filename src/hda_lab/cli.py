@@ -7,7 +7,8 @@ writes one report to stdout (or ``--out``), as text or JSON via
 Exit codes, chosen so scripts can branch on the interesting outcomes:
 
     0  success / no obstruction found
-    1  unreadable input: I/O trouble, JSON syntax, schema errors, bad usage
+    1  unreadable input: I/O trouble, JSON syntax, schema errors, bad usage;
+       also an internal error, reported on one line with no report written
     2  input read fine but fails validation or a precondition
     3  an obstruction was proved (independence / implements)
 
@@ -19,6 +20,7 @@ homology code.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import sys
@@ -520,7 +522,26 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # The cyclic collector never finds anything a command made: what it finds
+    # at the end is the same few hundred objects imports leave, whatever the
+    # input.  Each of its runs walks the whole loaded model, so a command runs
+    # without it, and the caller's setting comes back on every way out.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(_build_parser().parse_args(argv))
+    except Exception as e:
+        # A fault of the program, not of its input: one line, and the report
+        # is not written, since that comes last.
+        message = " ".join(f"{type(e).__name__}: {e}".splitlines())
+        print(f"hda-lab: internal error: {message}", file=sys.stderr)
+        return EXIT_BROKEN_INPUT
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args) -> int:
     try:
         code, doc, text = _DISPATCH[args.cmd](args)
     except FileFormatError as e:

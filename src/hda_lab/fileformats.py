@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
@@ -123,22 +124,38 @@ def canonical_json(doc: dict) -> str:
 
 def hda_to_json(h: Hda) -> dict:
     P = h.complex
-    _id_maps(P)
-    cubes = []
+    # key -> rendered id per dimension, each id rendered once; _id_maps only
+    # runs to name the first key that does not render or collides.
+    ids = []
     for n in range(P.max_dim + 1):
-        for key in P.cells(n):
-            entry: dict = {"id": render_id(key), "dim": n}
+        keys = P.cells(n)
+        try:
+            table = dict(zip(keys, map(render_id, keys)))
+        except FileFormatError:
+            table = {}
+        if len(set(table.values())) < len(keys):
+            _id_maps(P)
+        ids.append(table)
+    cubes = []
+    for n, table in enumerate(ids):
+        rid_of = ids[n - 1].__getitem__ if n else None
+        for key, rid in table.items():
+            entry: dict = {"id": rid, "dim": n}
             if n:
                 d0, d1 = P.face_keys((n, key))
-                entry["d0"] = [render_id(k) for k in d0]
-                entry["d1"] = [render_id(k) for k in d1]
+                try:
+                    entry["d0"] = [*map(rid_of, d0)]
+                    entry["d1"] = [*map(rid_of, d1)]
+                except (KeyError, TypeError):  # a face that is not a cell
+                    entry["d0"] = [render_id(k) for k in d0]
+                    entry["d1"] = [render_id(k) for k in d1]
             else:
                 entry["d0"] = []
                 entry["d1"] = []
             if n == 1:
                 entry["label"] = list(h.labels[key])
             cubes.append(entry)
-    cubes.sort(key=lambda e: (e["dim"], e["id"]))
+    cubes.sort(key=itemgetter("dim", "id"))
     return {
         "alphabet": list(h.alphabet.letters),
         "cubes": cubes,
@@ -161,6 +178,8 @@ def _want(doc: dict, field: str, kind, where: str):
 
 def _cube_error(entry, where: str, cells: dict) -> None:
     """Raise the error of the first bad field of a cube entry, if any."""
+    if not isinstance(entry, dict):
+        raise FileFormatError(f"{where}: expected an object")
     rid = _want(entry, "id", str, where)
     dim = _want(entry, "dim", int, where)
     if dim < 0:

@@ -71,7 +71,14 @@ def validate_hda(h: Hda) -> list[Violation]:
     """Structural defects: complex, label table, square condition, markings."""
     out = validate_precubical(h.complex)
     P = h.complex
+    word_of, strings = h.labels.get, {str}.issuperset
+    letters = set(h.alphabet.letters).issuperset
     for key in P.cells(1):
+        # A tuple of letters of the alphabet passes at once; the type test
+        # comes first, so that an unhashable letter reaches the diagnosis.
+        word = word_of(key)
+        if type(word) is tuple and strings(map(type, word)) and letters(word):
+            continue
         if key not in h.labels:
             out.append(Violation("unlabeled-edge", (1, key), "edge has no word"))
             continue

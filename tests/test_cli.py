@@ -1,3 +1,4 @@
+import gc
 import importlib
 import importlib.util
 import json
@@ -715,6 +716,152 @@ def test_each_command_loads_only_the_layers_it_runs(command, workdir, dimap_dir,
     assert at_end == " ".join(sorted(IMPORTS[command].split()))
     assert at_first_read == at_end
     assert foreign == ""
+
+
+# -- the cyclic collector and internal errors -----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_dir(tmp_path_factory):
+    from hda_lab.dimap import identity_dimap
+    from hda_lab.models import dining_philosophers
+    from test_programs import shuffled_butler
+
+    d = tmp_path_factory.mktemp("large")
+    save_program(dining_philosophers(4), str(d / "phil4.prog.json"))
+    save_program(shuffled_butler(3, "butler3"), str(d / "butler3.prog.json"))
+    for argv in (
+        ["model", "philosophers", "--n", "4", "--out", str(d / "phil4.json")],
+        ["model", "philosophers", "--n", "3", "--out", str(d / "phil3.json")],
+        ["model", "program", "--file", str(d / "butler3.prog.json"), "--out", str(d / "butler3.json")],
+    ):
+        assert run(argv) == 0
+    for i in range(2):
+        steps = ",".join(f"{s}_{i}" for s in ("pick_l", "pick_r", "eat", "put_l", "put_r", "think"))
+        assert run(["model", "circle", "--labels", steps, "--out", str(d / f"loop{i}.json")]) == 0
+    phil3 = load_hda(str(d / "phil3.json"))
+    save_dimap(identity_dimap(phil3), str(d / "idmap.json"), "phil3.json", "phil3.json")
+    square = phil3.complex.cells(2)[0]
+    (d / "chain.json").write_text(json.dumps({"degree": 2, "coeffs": {square: 1}}))
+    return d
+
+
+# Each command of IMPORTS on a large input ({l}: the large_dir fixture).
+LARGER = {
+    "validate {w}/peterson.json": "validate {l}/phil4.json",
+    "model klein": "model circle --labels " + ",".join(f"a{i}.b{i}" for i in range(200)),
+    "model peterson": "model philosophers --n 4",
+    "model circle --labels a.b,c": "model circle --labels " + ",".join(f"c{i}" for i in range(300)),
+    "model program --file {d}/peterson.prog.json": "model program --file {l}/phil4.prog.json",
+    "tensor {w}/ca.json {w}/cb.json": "tensor {l}/phil3.json {l}/loop0.json",
+    "homology {w}/peterson.json": "homology {l}/phil4.json",
+    "labels {w}/peterson.json": "labels {l}/phil4.json",
+    "implements {w}/lock.json {w}/lock_spec.json": "implements {l}/phil3.json {l}/butler3.json",
+    "independence {w}/torus.json {w}/ca.json {w}/cb.json":
+        "independence {l}/phil3.json {l}/loop0.json {l}/loop1.json",
+    "dimap-check {d}/map.json": "dimap-check {l}/idmap.json",
+    "pushforward {d}/map.json --chain @{d}/chain.json":
+        "pushforward {l}/idmap.json --chain @{l}/chain.json",
+}
+
+_COLLECTED_SCRIPT = """
+import gc, sys
+from hda_lab.cli import main
+print(main(sys.argv[1:]), gc.collect())
+"""
+
+
+def test_every_command_has_a_larger_input():
+    assert sorted(LARGER) == sorted(IMPORTS)
+
+
+@pytest.mark.parametrize("command", sorted(IMPORTS))
+def test_the_cycles_a_command_leaves_do_not_grow_with_its_input(
+    command, workdir, dimap_dir, large_dir, tmp_path
+):
+    # main runs without the cyclic collector; that is safe while the cycles
+    # it leaves are the imports' and none are made per cell of the input.
+    found = []
+    for line in (command, LARGER[command]):
+        argv = line.format(w=workdir, d=dimap_dir, l=large_dir).split()
+        proc = _python("-c", _COLLECTED_SCRIPT, *argv, "--out", str(tmp_path / "report"))
+        assert proc.stderr == ""
+        code, collected = proc.stdout.split()
+        assert code in ("0", "3")
+        found.append(int(collected))
+    assert found[0] == found[1]
+
+
+@pytest.mark.parametrize("collector", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "{w}/peterson.json"], 0),
+        (["validate", "{w}/nowhere.json"], 1),
+        (["validate", "{t}/dangling.json"], 2),
+        (["implements", "{w}/lock.json", "{w}/lock_spec.json"], 3),
+        (["homology"], 1),
+        (["validate", "--help"], 0),
+        (["internal-error"], 1),
+    ],
+)
+def test_main_gives_back_the_callers_collector_state(
+    argv, code, collector, workdir, tmp_path, monkeypatch, capsys
+):
+    doc = json.loads((workdir / "lock.json").read_text())
+    doc["cubes"][-1]["d0"][0] = "nowhere"
+    (tmp_path / "dangling.json").write_text(json.dumps(doc))
+    if argv == ["internal-error"]:
+        monkeypatch.setattr(hda_lab.cli, "all_homology", lambda *a: {}[0])
+        argv = ["homology", "{w}/peterson.json"]
+    was = gc.isenabled()
+    (gc.enable if collector else gc.disable)()
+    try:
+        assert run([a.format(w=workdir, t=tmp_path) for a in argv]) == code
+        assert gc.isenabled() is collector
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (RuntimeError("layer broke\non two lines"), "RuntimeError: layer broke on two lines"),
+        (KeyError((1, "e")), "KeyError: (1, 'e')"),
+    ],
+)
+def test_an_internal_error_is_one_line_and_writes_no_report(
+    error, line, fmt, workdir, tmp_path, monkeypatch, capsys
+):
+    during = []
+
+    def broken(*args):
+        during.append(gc.isenabled())
+        raise error
+
+    out = tmp_path / "report"
+    argv = ["homology", str(workdir / "peterson.json"), "--format", fmt]
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        # Raised by a layer, and raised while the report is encoded.
+        for name in ("all_homology", "canonical_json"):
+            if name == "canonical_json" and fmt == "text":
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(hda_lab.cli, name, broken)
+                for extra in ([], ["--out", str(out)]):
+                    assert run(argv + extra) == 1
+                    captured = capsys.readouterr()
+                    assert captured.err == f"hda-lab: internal error: {line}\n"
+                    assert captured.out == ""
+                    assert not out.exists()
+                    assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)
 
 
 # -- the names the benchmark's tracer wraps on the cli module ------------------------

@@ -212,7 +212,9 @@ HDA_PARSE_ERRORS = [
     (_set(["alphabet", 1], "x\udc00"), "hda.alphabet: letter 'x\\udc00' holds a lone surrogate"),
     (_drop(["cubes"]), "hda: missing field 'cubes'"),
     (_set(["cubes"], {}), "hda.cubes: expected list"),
-    (_set(["cubes", 1], 5), "hda.cubes[1]: missing field 'id'"),
+    (_set(["cubes", 1], 5), "hda.cubes[1]: expected an object"),
+    (_set(["cubes", 1], ["id", "dim"]), "hda.cubes[1]: expected an object"),
+    (_set(["cubes", 1], None), "hda.cubes[1]: expected an object"),
     (_drop(["cubes", 2, "id"]), "hda.cubes[2]: missing field 'id'"),
     (_set(["cubes", 2, "id"], 7), "hda.cubes[2].id: expected str"),
     (_drop(["cubes", 2, "dim"]), "hda.cubes[2]: missing field 'dim'"),
