@@ -138,20 +138,26 @@ def hda_to_json(h: Hda) -> dict:
         ids.append(table)
     cubes = []
     for n, table in enumerate(ids):
-        rid_of = ids[n - 1].__getitem__ if n else None
-        for key, rid in table.items():
+        # Every table is whole here, so its ids are in basis order.
+        rids_below = [*ids[n - 1].values()] if n else None
+        flats = P.face_positions(n)
+        for pos, (key, rid) in enumerate(table.items()):
             entry: dict = {"id": rid, "dim": n}
-            if n:
+            if not n:
+                entry["d0"] = []
+                entry["d1"] = []
+            elif (flat := flats[pos]) is not None:
+                refs = [*map(rids_below.__getitem__, flat)]
+                entry["d0"] = refs[:n]
+                entry["d1"] = refs[n:]
+            else:  # faces that are not cells, or not n of them
                 d0, d1 = P.face_keys((n, key))
                 try:
-                    entry["d0"] = [*map(rid_of, d0)]
-                    entry["d1"] = [*map(rid_of, d1)]
+                    entry["d0"] = [*map(ids[n - 1].__getitem__, d0)]
+                    entry["d1"] = [*map(ids[n - 1].__getitem__, d1)]
                 except (KeyError, TypeError):  # a face that is not a cell
                     entry["d0"] = [render_id(k) for k in d0]
                     entry["d1"] = [render_id(k) for k in d1]
-            else:
-                entry["d0"] = []
-                entry["d1"] = []
             if n == 1:
                 entry["label"] = list(h.labels[key])
             cubes.append(entry)
@@ -198,19 +204,22 @@ def _cube_error(entry, where: str, cells: dict) -> None:
 
 def hda_from_json(doc: dict) -> Hda:
     letters = _want(doc, "alphabet", list, "hda")
-    if not all(isinstance(x, str) for x in letters):
-        raise FileFormatError("hda.alphabet: letters must be strings")
-    if len(set(letters)) != len(letters):
-        raise FileFormatError("hda.alphabet: repeated letters")
     try:
         alphabet = Alphabet(letters)
     except ValueError as e:
         raise FileFormatError(f"hda.alphabet: {e}") from None
     strings = {str}.issuperset
-    cells: dict[int, dict[str, None]] = {}
-    faces: dict[Cube, tuple] = {}
+    # Id -> position per dimension.  While the dimensions come in order, as
+    # in a canonical file, each face id is resolved through the table of the
+    # dimension below when its cube is read; an entry whose faces are not
+    # cells of the right number is kept as given, for the validator.
+    cells: dict[int, dict[str, int]] = {}
+    faces: dict[int, list] = {}
+    unresolved: dict[Cube, tuple] = {}
     labels: dict[Key, tuple[str, ...]] = {}
-    for pos, entry in enumerate(_want(doc, "cubes", list, "hda")):
+    entries = _want(doc, "cubes", list, "hda")
+    top, ordered = -1, True
+    for pos, entry in enumerate(entries):
         # Exact types pass at once; anything else gets the full diagnosis.
         if not (
             type(entry) is dict
@@ -220,14 +229,27 @@ def hda_from_json(doc: dict) -> Hda:
             and rid not in cells.get(dim, ())
             and type(d0 := entry.get("d0")) is list
             and type(d1 := entry.get("d1")) is list
-            and strings(map(type, d0 + d1))
+            and strings(map(type, refs := d0 + d1))
             and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
         ):
             _cube_error(entry, f"hda.cubes[{pos}]", cells)
             rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
-        cells.setdefault(dim, {})[rid] = None
-        if dim:
-            faces[(dim, rid)] = (tuple(d0), tuple(d1))
+            refs = d0 + d1
+        if dim != top:
+            ordered = ordered and dim > top
+            top = dim
+            table = cells.setdefault(dim, {})
+            below = cells.get(dim - 1, {})
+            flats = faces.setdefault(dim, [])
+        table[rid] = len(table)
+        if dim and ordered:
+            try:
+                flat = tuple(map(below.__getitem__, refs)) if len(d0) == dim == len(d1) else None
+            except KeyError:
+                flat = None
+            flats.append(flat)
+            if flat is None:
+                unresolved[(dim, rid)] = (tuple(d0), tuple(d1))
         if "label" in entry:
             labels[rid] = tuple(entry["label"])
     marks = {}
@@ -237,8 +259,14 @@ def hda_from_json(doc: dict) -> Hda:
             if not isinstance(ref, str):
                 raise FileFormatError(f"hda.{mark}: vertex ids must be strings")
         marks[mark] = frozenset((0, ref) for ref in refs)
+    if ordered:
+        complex = PrecubicalSet.from_positions(cells, faces, unresolved)
+    else:
+        complex = PrecubicalSet(
+            cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
+        )
     return Hda(
-        complex=PrecubicalSet(cells, faces),
+        complex=complex,
         alphabet=alphabet,
         labels=labels,
         initial=marks["initial"],

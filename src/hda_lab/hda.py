@@ -98,11 +98,17 @@ def validate_hda(h: Hda) -> list[Violation]:
         if key not in edge_keys:
             out.append(Violation("orphan-label", (1, key), "label for unknown edge"))
     if not any(v.kind in ("missing-faces", "dangling-face", "face-arity") for v in out):
-        for key in P.cells(2):
+        # Every square's faces are edges, so their words are read by
+        # position: first a column per face for all squares at once, then,
+        # when lower and upper columns differ, square by square.
+        words = [*map(h.labels.get, P.cells(1))]
+        flats = P.face_positions(2)
+        sides = [[*map(words.__getitem__, col)] for col in zip(*flats)]
+        for key, flat in zip(P.cells(2), flats if sides[:2] != sides[2:] else ()):
             sq = (2, key)
-            for i, (lo, hi) in enumerate(zip(*P.face_keys(sq)), start=1):
-                wl = h.labels.get(lo)
-                wh = h.labels.get(hi)
+            for i, (lo, hi) in enumerate(zip(flat[:2], flat[2:]), start=1):
+                wl = words[lo]
+                wh = words[hi]
                 if wl is not None and wh is not None and wl != wh:
                     out.append(
                         Violation(

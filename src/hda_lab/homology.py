@@ -8,10 +8,9 @@ so an edge maps to target minus source.  Homology over the integers is
 computed from Smith normal forms that carry full change-of-basis certificates
 (U, U^-1, V, V^-1 with U*M*V = D); the certificates are cheap to re-verify by
 plain matrix multiplication and the test suite does so.  Over a prime field
-column elimination is used instead: bitsets for GF(2) homology, which keep
-the larger models fast, and one sparse echelon (``FpEchelon``) for the
-homology over the other primes and for label images and membership over
-every prime.
+column elimination is used instead: bitsets for GF(2) homology, and one
+sparse echelon (``FpEchelon``) for the homology over the other primes and for
+label images and membership over every prime.
 
 Field homology runs in one pass per complex, from the top degree down.
 Each boundary d_n is assembled once and reduced once, and the reduction
@@ -23,7 +22,8 @@ of every degree are kept per complex and field while the complex lives.
 
 Sparse vectors are dicts from index to nonzero entry (``Line``); lists of
 them are the one matrix format here and in ``labeling``.  Boundaries are
-assembled as sparse signed columns (``boundary_columns``), and the Smith
+assembled from the face positions the complex stores, as sparse signed
+columns (``boundary_columns``) or GF(2) bitsets, and the Smith
 normal form takes its matrix as sparse columns and a row count.  Dense
 lists of rows remain at three edges: ``boundary_matrix``, the dense view of
 a boundary; the ``SmithNormalForm`` views that ``verify`` multiplies; and
@@ -377,14 +377,12 @@ def boundary_columns(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> li
     """
     if n < 1:
         return [{} for _ in P.cells(n)]
-    row = P.positions(n - 1)
     cols = []
-    for key in P.cells(n):
+    for flat in P.face_positions(n):
         acc: Line = {}
-        lower, upper = P.face_keys((n, key))
-        for i, (lo, hi) in enumerate(zip(lower, upper), 1):
+        for i, (lo, hi) in enumerate(zip(flat[:n], flat[n:]), 1):
             sign = -1 if i % 2 else 1
-            for r, s in ((row[lo], sign), (row[hi], -sign)):
+            for r, s in ((lo, sign), (hi, -sign)):
                 acc[r] = acc.get(r, 0) + s
         cols.append({r: x for r, x in ((r, ring.normalize(x)) for r, x in acc.items()) if x})
     return cols
@@ -536,13 +534,11 @@ def gf2_boundary_columns(P: PrecubicalSet, n: int) -> list[int]:
     """Boundary columns over GF(2) as bitsets (bit r = row cell r)."""
     if n == 0:
         return [0] * P.size(0)
-    row = P.positions(n - 1)
     cols = []
-    for key in P.cells(n):
+    for flat in P.face_positions(n):
         bits = 0
-        for side in P.face_keys((n, key)):
-            for face in side:
-                bits ^= 1 << row[face]
+        for r in flat:
+            bits ^= 1 << r
         cols.append(bits)
     return cols
 

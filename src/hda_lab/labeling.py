@@ -191,22 +191,3 @@ def _orient_by_label(chain: Chain, label: ExteriorElement) -> tuple[Chain, Exter
             return {k: -v for k, v in chain.items()}, label.scale(-1)
     return chain, label
 
-
-def label_membership(
-    basis: Sequence[ExteriorElement],
-    target: ExteriorElement,
-    ring: CoefficientRing,
-    degree: int,
-    alphabet: Alphabet,
-) -> list[int] | None:
-    """Coefficients expressing target over the basis, or None if outside.
-
-    Used for the obstruction question "is this exterior value realized by
-    the labels of a model's homology"; over Z membership means membership in
-    the lattice the basis spans.
-    """
-    from .homology import lattice_membership
-
-    monomials = degree_monomials(alphabet, degree)
-    cols = [label_to_column(b, degree, monomials) for b in basis]
-    return lattice_membership(cols, label_to_column(target, degree, monomials), ring)

@@ -6,7 +6,11 @@ face maps d[k,i] : P_n -> P_{n-1} for k in {0,1} and i in 1..n, subject to
     d[k,i] d[l,j] = d[l,j-1] d[k,i]   for i < j.
 
 Cells are identified by (dim, key) pairs; keys are arbitrary hashable values,
-unique within their dimension.  Everything here is finite and immutable after
+unique within their dimension.  Inside a set, a cell's position in its
+dimension is its basis position, and its faces are stored once, as positions
+one dimension down: validation and boundary assembly read integers, and keys
+appear only where cells are named (construction, ``face``, ``face_keys``,
+files and reports).  Everything here is finite and immutable after
 construction.  Face indices are 1-based throughout, matching the usual
 convention for cubical identities; the k index says which end of direction i
 is taken (0 = lower, 1 = upper).
@@ -22,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Key = Hashable
@@ -63,9 +66,17 @@ class PrecubicalSet:
     problems (missing faces, broken identities) are reported by
     ``validate_precubical`` so that damaged inputs can be diagnosed instead of
     rejected blindly.
+
+    Faces are stored once, as integer positions: the faces of an n-cell are
+    one tuple of 2n positions into the cells of dimension n - 1, d[0,1..n]
+    followed by d[1,1..n] (``face_positions``).  A face entry that cannot be
+    stored so (a face that names no cell, a tuple of the wrong length, an
+    entry for a cell that does not exist) is kept by cube, as given, in a
+    side table for the validator; its cell's positions read None, as do
+    those of a cell with no entry at all.
     """
 
-    __slots__ = ("_cells", "_index", "_faces", "__weakref__")
+    __slots__ = ("_cells", "_index", "_faces", "_unresolved", "__weakref__")
 
     def __init__(
         self,
@@ -85,15 +96,40 @@ class PrecubicalSet:
                 raise ValueError(f"duplicate cell keys in dimension {n}")
             self._cells[n] = keys
             self._index[n] = index
-        faces = faces or {}
-        pairs = faces.values()
-        self._faces: dict[Cube, tuple[tuple[Key, ...], tuple[Key, ...]]]
-        # Pairs of tuples, as the file loader builds them, are kept as they are.
-        tuples = {tuple}.issuperset(map(type, chain(pairs, chain.from_iterable(pairs))))
-        if tuples and {2}.issuperset(map(len, pairs)):
-            self._faces = dict(faces)
-        else:
-            self._faces = {cube: (tuple(d0), tuple(d1)) for cube, (d0, d1) in faces.items()}
+        store = self._faces = {n: [None] * len(keys) for n, keys in self._cells.items() if n}
+        unresolved = self._unresolved = {}
+        index = self._index
+        for cube, (d0, d1) in (faces or {}).items():
+            n, key = cube
+            try:
+                if len(d0) == n == len(d1):
+                    store[n][index[n][key]] = tuple(map(index[n - 1].__getitem__, chain(d0, d1)))
+                    continue
+            except (KeyError, TypeError):  # no such cell or face, or an unhashable key
+                pass
+            unresolved[cube] = (tuple(d0), tuple(d1))
+
+    @classmethod
+    def from_positions(
+        cls,
+        index: Mapping[int, dict[Key, int]],
+        faces: Mapping[int, list[tuple[int, ...] | None]],
+        unresolved: dict[Cube, tuple[tuple[Key, ...], tuple[Key, ...]]] | None = None,
+    ) -> "PrecubicalSet":
+        """A set whose builder has already resolved its faces.
+
+        ``index[n]`` maps each key of dimension n to its position, in
+        position order; ``faces[n]`` lists, per n-cell in that order, what
+        ``face_positions`` returns, and ``unresolved`` the entries a None stands
+        for, as the constructor keeps them.  The dictionaries are taken over
+        and the positions are trusted.
+        """
+        P = cls.__new__(cls)
+        P._index = {n: index[n] for n in sorted(index) if index[n]}
+        P._cells = {n: tuple(keys) for n, keys in P._index.items()}
+        P._faces = {n: faces[n] for n in P._cells if n}
+        P._unresolved = unresolved or {}
+        return P
 
     # -- basic queries ---------------------------------------------------
 
@@ -117,6 +153,12 @@ class PrecubicalSet:
         """Key -> basis position of every cell in dimension n; do not mutate."""
         return self._index.get(n, {})
 
+    def face_positions(self, n: int) -> Sequence[tuple[int, ...] | None]:
+        """Per n-cell, in basis order, the positions of d[0,1..n] and then
+        d[1,1..n] among the (n-1)-cells; None for a cell whose faces are not
+        n cells of dimension n - 1 on each side.  Do not mutate."""
+        return self._faces.get(n, ())
+
     def cubes(self, n: int) -> Iterator[Cube]:
         for key in self.cells(n):
             yield (n, key)
@@ -131,16 +173,31 @@ class PrecubicalSet:
 
     def face(self, cube: Cube, k: int, i: int) -> Cube:
         """d[k,i] of the cube; k in {0,1}, i in 1..dim."""
-        n, _ = cube
+        n, key = cube
         if not 1 <= i <= n:
             raise IndexError(f"face index {i} out of range for dimension {n}")
         if k not in (0, 1):
             raise IndexError(f"face side {k} must be 0 or 1")
-        pair = self._faces[cube]
-        return (n - 1, pair[k][i - 1])
+        flat = self._flat(n, key)
+        if flat is None:
+            return (n - 1, self._unresolved[cube][k][i - 1])
+        return (n - 1, self._cells[n - 1][flat[k * n + i - 1]])
 
     def face_keys(self, cube: Cube) -> tuple[tuple[Key, ...], tuple[Key, ...]]:
-        return self._faces[cube]
+        """The keys of d[0,1..n] and of d[1,1..n]: the cells themselves, or
+        the entry as given when its faces are not cells."""
+        n, key = cube
+        flat = self._flat(n, key)
+        if flat is None:
+            return self._unresolved[cube]
+        below = self._cells[n - 1]
+        return tuple(map(below.__getitem__, flat[:n])), tuple(map(below.__getitem__, flat[n:]))
+
+    def _flat(self, n: int, key: Key) -> tuple[int, ...] | None:
+        try:
+            return self._faces[n][self._index[n][key]]
+        except KeyError:
+            return None
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{self.size(n)} in dim {n}" for n in self.dims())
@@ -150,15 +207,30 @@ class PrecubicalSet:
 _NO_FACES: tuple[tuple[Key, ...], tuple[Key, ...]] = ((), ())
 
 
-def _identities(n: int):
-    """The identities (k, i, l, j) of an n-cube in report order, and getters of
-    their two sides from its faces' d0 + d1 tuples laid end to end."""
+def _identities(n: int) -> list[tuple[int, int, int, int]]:
+    """The cubical identities (k, i, l, j) of an n-cube, in report order."""
     pairs = itertools.combinations(range(1, n + 1), 2)
-    checks = [(k, i, l, j) for i, j in pairs for k in (0, 1) for l in (0, 1)]
+    return [(k, i, l, j) for i, j in pairs for k in (0, 1) for l in (0, 1)]
+
+
+def _identities_hold(n: int, flats: list, flats_below: list) -> bool:
+    """Whether every n-cube, all faces resolved, meets every identity.
+
+    Each identity is checked for the whole dimension at once: with m = n - 1,
+    d[k,i]d[l,j] x is entry k·m + i - 1 of the positions of face l·n + j - 1
+    of x, so both sides are columns of positions mapped through columns of
+    the dimension below.
+    """
+    if None in flats_below:
+        return False
     m = n - 1
-    left = [(l * n + j - 1) * 2 * m + k * m + i - 1 for k, i, l, j in checks]
-    right = [(k * n + i - 1) * 2 * m + l * m + j - 2 for k, i, l, j in checks]
-    return checks, itemgetter(*left), itemgetter(*right)
+    cols = list(zip(*flats))
+    inner = [list(col) for col in zip(*flats_below)]
+    return all(
+        list(map(inner[k * m + i - 1].__getitem__, cols[l * n + j - 1]))
+        == list(map(inner[l * m + j - 2].__getitem__, cols[k * n + i - 1]))
+        for k, i, l, j in _identities(n)
+    )
 
 
 def validate_precubical(P: PrecubicalSet) -> list[Violation]:
@@ -174,23 +246,22 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
     face-arity violation is reported when it is visited.
     """
     out: list[Violation] = []
-    faces = P._faces
-    matched = 0  # face entries of cells the walk visits
-    # d0 + d1 of every cell of the dimension below with face tuples of the
-    # right length; a cube whose faces all have them gathers its identities.
-    flats: dict[Key, tuple] = dict.fromkeys(P.cells(0), ())
+    store, unresolved = P._faces, P._unresolved
     for n in filter(None, P.dims()):
+        flats = store[n]
+        # A dimension whose faces all resolved and meet the identities is
+        # clean; any other is diagnosed cube by cube, from face keys.
+        if None not in flats and (n == 1 or _identities_hold(n, flats, store[n - 1])):
+            continue
         below = P.positions(n - 1)
-        # With no cells in dimension n - 1, flats holds a lower dimension's.
-        flats_below, flats = (flats if below else {}), {}
         # The 4·C(n,2) identities, built only once a cube passes the arity test.
         checks = None
-        for cube in P.cubes(n):
-            entry = faces.get(cube)
+        for key, flat in zip(P.cells(n), flats):
+            cube = (n, key)
+            entry = P.face_keys(cube) if flat is not None else unresolved.get(cube)
             if entry is None:
                 out.append(Violation("missing-faces", cube, "no face entry"))
                 continue
-            matched += 1
             d0, d1 = entry
             if len(d0) != n or len(d1) != n:
                 out.append(
@@ -201,15 +272,6 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                     )
                 )
                 continue
-            flat = flats[cube[1]] = d0 + d1
-            if checks is None and n > 1:
-                checks, get_left, get_right = _identities(n)
-            try:
-                inner = tuple(chain.from_iterable(map(flats_below.__getitem__, flat)))
-                if n == 1 or get_left(inner) == get_right(inner):
-                    continue
-            except KeyError:
-                pass  # a face is missing or has bad tuples: diagnose below
             dangling = False
             for k, keys in ((0, d0), (1, d1)):
                 for i, key in enumerate(keys, start=1):
@@ -225,12 +287,14 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                         dangling = True
             if dangling or n == 1:
                 continue
+            if checks is None:
+                checks = _identities(n)
             # The face tuples of d[k,i] x, read once per face: inner[k][i-1].
             # A missing entry reads as two empty tuples, so it fails like a
             # too-short tuple does: with IndexError.
             inner = (
-                [faces.get((n - 1, key), _NO_FACES) for key in d0],
-                [faces.get((n - 1, key), _NO_FACES) for key in d1],
+                [_entry(P, (n - 1, key)) for key in d0],
+                [_entry(P, (n - 1, key)) for key in d1],
             )
             for k, i, l, j in checks:
                 try:
@@ -248,13 +312,19 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
                             (k, i, l, j),
                         )
                     )
-    # Face entries for cells that are not in the set at all; with every entry
-    # matched above, there are none.
-    if matched < len(faces):
-        for cube in faces:
-            if cube not in P:
-                out.append(Violation("orphan-face-entry", cube, "face entry for unknown cell"))
+    # Face entries for cells that are not in the set at all.
+    for cube in unresolved:
+        if cube not in P:
+            out.append(Violation("orphan-face-entry", cube, "face entry for unknown cell"))
     return out
+
+
+def _entry(P: PrecubicalSet, cube: Cube) -> tuple[tuple[Key, ...], tuple[Key, ...]]:
+    """The face keys of a cell, or two empty tuples when it has no entry."""
+    try:
+        return P.face_keys(cube)
+    except KeyError:
+        return _NO_FACES
 
 
 def assert_valid_precubical(P: PrecubicalSet) -> None:

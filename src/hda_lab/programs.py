@@ -271,23 +271,25 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
                     moves_k.append((pid, tag))
                     succ_k[tag] = state_key(s2)
 
-    cells: dict[int, list[Key]] = {0: list(states)}
-    faces: dict[tuple[int, Key], tuple[tuple[Key, ...], tuple[Key, ...]]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
 
     # An (n-1)-cube is a base state plus moves sorted by process id, all
     # enabled at the base, so the successor table holds each corner one step
-    # away.  Its key is the base key followed by the move tags; this table
-    # maps the key to (base key, last process id, tags).
-    current: dict[str, tuple[str, int, tuple[str, ...]]] = {
-        k: (k, -1, ()) for k in states
-    }
+    # away.  Its key is the base key followed by the move tags.  Per
+    # dimension, ``current`` maps each key to its position and ``cubes``
+    # holds (base key, last process id, tags) at that position; a cube's
+    # faces are the positions its face keys find in ``current``.
+    index: dict[int, dict[Key, int]] = {0: {k: pos for pos, k in enumerate(states)}}
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    current = index[0]
+    cubes: list[tuple[str, int, tuple[str, ...]]] = [(k, -1, ()) for k in states]
 
     n = 1
-    while current:
-        following: dict[str, tuple[str, int, tuple[str, ...]]] = {}
-        keys_n: list[Key] = []
-        for key, (base, top_pid, tags) in current.items():
+    while cubes:
+        following: dict[Key, int] = {}
+        cubes_n: list[tuple[str, int, tuple[str, ...]]] = []
+        faces_n: list[tuple[int, ...]] = []
+        for key, (base, top_pid, tags) in zip(current, cubes):
             succ_base = succ[base]
             for pid, tag in enabled[base]:
                 if pid <= top_pid:
@@ -300,12 +302,12 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
                     rest = cand[:i] + cand[i + 1 :]
                     tail = "".join(rest)
                     mid = succ_base[cand[i]]
-                    k0 = base + tail
-                    k1 = mid + tail
-                    if n > 1 and (k0 not in current or k1 not in current):
+                    p0 = current.get(base + tail)
+                    p1 = current.get(mid + tail)
+                    if p0 is None or p1 is None:
                         break
-                    face_d0.append(k0)
-                    face_d1.append(k1)
+                    face_d0.append(p0)
+                    face_d1.append(p1)
                     if n == 2:
                         far = succ[mid].get(rest[0])
                         if far is None:
@@ -315,20 +317,21 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
                     if n == 2 and len(ends) != 1:
                         continue
                     ck = key + tag
-                    following[ck] = (base, pid, cand)
-                    keys_n.append(ck)
-                    faces[(n, ck)] = (tuple(face_d0), tuple(face_d1))
+                    following[ck] = len(cubes_n)
+                    cubes_n.append((base, pid, cand))
+                    faces_n.append(tuple(face_d0 + face_d1))
                     if n == 1:
                         labels[ck] = (tag[1:],)
-        if keys_n:
-            cells[n] = keys_n
-        current = following
+        if cubes_n:
+            index[n] = following
+            faces[n] = faces_n
+        current, cubes = following, cubes_n
         n += 1
 
     letters = [t.action for p in prog.processes for t in p.transitions]
     start = frozenset((0, state_key(s)) for s in initial_states(prog))
     return Hda(
-        complex=PrecubicalSet(cells, faces),
+        complex=PrecubicalSet.from_positions(index, faces),
         alphabet=Alphabet(dict.fromkeys(letters)),
         labels=labels,
         initial=start,

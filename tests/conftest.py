@@ -49,3 +49,18 @@ def sparse_columns(mat, cols=None):
     width = len(mat[0]) if mat else cols or 0
     columns = [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(width)]
     return columns, len(mat)
+
+
+def raw_faces(P):
+    """Every face entry of a precubical set by cube, as key pairs: the cells'
+    own entries in dimension and basis order, then the entries for cubes
+    that are not cells (kept in the set's side table)."""
+    faces = {}
+    for n in P.dims():
+        for key in P.cells(n):
+            try:
+                faces[(n, key)] = P.face_keys((n, key))
+            except KeyError:  # a cell with no entry
+                pass
+    faces.update((cube, pair) for cube, pair in P._unresolved.items() if cube not in P)
+    return faces

@@ -55,7 +55,6 @@ from hda_lab.homology import (
 from hda_lab.labeling import (
     chain_label,
     degree_monomials,
-    label_membership,
     label_to_column,
     labeled_degree,
     labeled_homology,
@@ -77,6 +76,7 @@ from hda_lab.programs import program_to_hda
 from hda_lab.reports import (
     NO_OBSTRUCTION,
     OBSTRUCTION,
+    _membership,
     implements_report,
     independence_report,
 )
@@ -110,7 +110,7 @@ def test_c01_peterson_homology_and_label_image(peterson_report):
     assert rep.label_image_rank == 2
     for loop in (PETERSON_LOOP_0, PETERSON_LOOP_1):
         target = word_to_vector(h.alphabet, loop, ZZ)
-        found = label_membership(rep.label_image_basis, target, ZZ, 1, h.alphabet)
+        found = _membership(rep.label_image_basis, target, ZZ, 1, h.alphabet)[0]
         assert found is not None, f"{target} missing from the degree-1 label image"
 
 
@@ -196,9 +196,9 @@ def test_c04_small_model_label_quartet():
         word_to_vector(torus.alphabet, ("b",), GF2),
     ]
     for x in spanning:
-        assert label_membership(rep1.label_image_basis, x, GF2, 1, torus.alphabet)
+        assert _membership(rep1.label_image_basis, x, GF2, 1, torus.alphabet)[0]
     for b in rep1.label_image_basis:
-        assert label_membership(spanning, b, GF2, 1, torus.alphabet)
+        assert _membership(spanning, b, GF2, 1, torus.alphabet)[0]
     rep2 = labeled_degree(torus, 2, GF2)
     a1, a2, bb = (
         ExteriorElement.letter(torus.alphabet, x, GF2) for x in ("a1", "a2", "b")

@@ -367,10 +367,10 @@ def test_malformed_program_file_exits_with_a_message(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "alphabet, message",
     [
-        ([[]], "hda.alphabet: letters must be strings"),
-        ([{}], "hda.alphabet: letters must be strings"),
-        ([3], "hda.alphabet: letters must be strings"),
-        (["a", "a"], "hda.alphabet: repeated letters"),
+        ([[]], "hda.alphabet: letters must be nonempty strings, got []"),
+        ([{}], "hda.alphabet: letters must be nonempty strings, got {}"),
+        ([3], "hda.alphabet: letters must be nonempty strings, got 3"),
+        (["a", "a"], "hda.alphabet: alphabet letters must be distinct"),
     ],
 )
 def test_malformed_hda_alphabet_exits_one_with_a_message(

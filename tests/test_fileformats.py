@@ -207,8 +207,8 @@ def _drop(path):
 HDA_PARSE_ERRORS = [
     (_drop(["alphabet"]), "hda: missing field 'alphabet'"),
     (_set(["alphabet"], "ab"), "hda.alphabet: expected list"),
-    (_set(["alphabet", 1], 3), "hda.alphabet: letters must be strings"),
-    (_set(["alphabet", 1], "x++_0"), "hda.alphabet: repeated letters"),
+    (_set(["alphabet", 1], 3), "hda.alphabet: letters must be nonempty strings, got 3"),
+    (_set(["alphabet", 1], "x++_0"), "hda.alphabet: alphabet letters must be distinct"),
     (_set(["alphabet", 1], "x\udc00"), "hda.alphabet: letter 'x\\udc00' holds a lone surrogate"),
     (_drop(["cubes"]), "hda: missing field 'cubes'"),
     (_set(["cubes"], {}), "hda.cubes: expected list"),

@@ -7,7 +7,6 @@ from hda_lab.labeling import (
     chain_label,
     degree_monomials,
     label_cochain,
-    label_membership,
     label_to_column,
     labeled_degree,
     labeled_homology,
@@ -22,6 +21,7 @@ from hda_lab.models import (
     torus_hda,
 )
 from hda_lab.precubical import Path, PrecubicalSet
+from hda_lab.reports import _membership
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 GF3 = CoefficientRing(3)
@@ -127,9 +127,9 @@ def test_torus_gf2_spans():
     assert rep1.zero_label_rank == 0
     targets = [build(a1=1, a2=1), build(b=1)]
     for t in targets:
-        assert label_membership(rep1.label_image_basis, t, GF2, 1, h.alphabet) is not None
+        assert _membership(rep1.label_image_basis, t, GF2, 1, h.alphabet)[0] is not None
     for b in rep1.label_image_basis:
-        assert label_membership(targets, b, GF2, 1, h.alphabet) is not None
+        assert _membership(targets, b, GF2, 1, h.alphabet)[0] is not None
 
     rep2 = labeled_degree(h, 2, GF2)
     assert rep2.group.free_rank == 1
@@ -227,11 +227,11 @@ def test_label_membership_over_z_lattice():
     build = lab(h, ZZ)
     inside = build(a1=1, a2=-1)
     doubled = build(a1=2, a2=-2)
-    assert label_membership(basis, doubled, ZZ, 1, h.alphabet) is not None
-    assert label_membership(basis, inside, ZZ, 1, h.alphabet) is not None
+    assert _membership(basis, doubled, ZZ, 1, h.alphabet)[0] is not None
+    assert _membership(basis, inside, ZZ, 1, h.alphabet)[0] is not None
     # a1 alone is not a label of any class: only a1 - a2 and b generate.
     outside = build(a1=1)
-    assert label_membership(basis, outside, ZZ, 1, h.alphabet) is None
+    assert _membership(basis, outside, ZZ, 1, h.alphabet)[0] is None
 
 
 # -- prime-field bytes -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hda_lab.exterior import word_to_vector
 from hda_lab.hda import validate_hda
 from hda_lab.homology import _field_homology, all_homology, gf2_boundary_columns
-from hda_lab.labeling import label_membership, labeled_degree, labeled_homology
+from hda_lab.labeling import labeled_degree, labeled_homology
 from hda_lab.models import (
     dining_philosophers,
     directed_circle,
@@ -16,6 +16,7 @@ from hda_lab.models import (
     two_phase_torus,
 )
 from hda_lab.programs import program_to_hda, validate_program
+from hda_lab.reports import _membership
 from hda_lab.rings import GF2, ZZ
 
 
@@ -115,7 +116,7 @@ def test_lock_counter_top_class_is_the_interleaving_witness():
     w = word_to_vector(h.alphabet, ("x++_0", "x--_0"), GF2) ^ word_to_vector(
         h.alphabet, ("x++_1", "x--_1"), GF2
     )
-    assert label_membership(rep2.label_image_basis, w, GF2, 2, h.alphabet) is not None
+    assert _membership(rep2.label_image_basis, w, GF2, 2, h.alphabet)[0] is not None
 
 
 def test_lock_spec_has_no_concurrency():
@@ -225,7 +226,7 @@ def test_philosophers_four_stick_conflicts_are_the_only_missing_squares():
 
     for i, j in combinations(range(4), 2):
         w = round_sum(i) ^ round_sum(j)
-        hit = label_membership(rep.label_image_basis, w, GF2, 2, alpha) is not None
+        hit = _membership(rep.label_image_basis, w, GF2, 2, alpha)[0] is not None
         assert hit == (j - i == 2), (i, j)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import raw_faces
 from hda_lab.precubical import (
     Path,
     PcMorphism,
@@ -584,7 +585,7 @@ _NO_FACES = ((), ())
 def reference_validate_precubical(P: PrecubicalSet) -> list[Violation]:
     """validate_precubical as it was when every cube ran the full check."""
     out: list[Violation] = []
-    faces = P._faces
+    faces = raw_faces(P)
     for n in P.dims():
         if n == 0:
             continue
@@ -658,7 +659,7 @@ def _damaged_model(rng, h):
     """h with one to three random defects in its faces, labels or marks."""
     P = h.complex
     cells = {n: list(P.cells(n)) for n in P.dims()}
-    faces = {cube: (list(d0), list(d1)) for cube, (d0, d1) in P._faces.items()}
+    faces = {cube: (list(d0), list(d1)) for cube, (d0, d1) in raw_faces(P).items()}
     labels, marks = dict(h.labels), [set(h.initial), set(h.final)]
     for _ in range(rng.randint(1, 3)):
         cube = rng.choice(list(faces))
@@ -781,3 +782,131 @@ def test_face_lists_are_stored_as_tuples():
         assert type(pair) is tuple and pair == (tuple(d0), tuple(d1))
         assert type(pair[0]) is tuple and type(pair[1]) is tuple
     assert faces[(1, "a")] == (["u"], ["v"])  # the caller's lists are not touched
+
+
+# -- the position store against a key-based reference -------------------------------
+
+
+class KeyFaces:
+    """Face entries kept by cube, as the constructor is given them: the store
+    before integer positions, as the reference for ``face`` and ``face_keys``."""
+
+    def __init__(self, faces):
+        self.faces = {cube: (tuple(d0), tuple(d1)) for cube, (d0, d1) in faces.items()}
+
+    def face_keys(self, cube):
+        return self.faces[cube]
+
+    def face(self, cube, k, i):
+        n = cube[0]
+        if not 1 <= i <= n or k not in (0, 1):
+            raise IndexError(cube, k, i)
+        return (n - 1, self.faces[cube][k][i - 1])
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (KeyError, IndexError) as e:
+        return type(e)
+
+
+def assert_store_matches(P, faces):
+    """P answers ``face`` and ``face_keys`` as a key-based store of ``faces``
+    does, for its cells and for every entry, and a face it resolved to a
+    cell is that cell's own key object."""
+    ref = KeyFaces(faces)
+    for cube in itertools.chain(P.all_cubes(), ref.faces):
+        n = cube[0]
+        assert _outcome(P.face_keys, cube) == _outcome(ref.face_keys, cube), cube
+        for k, i in itertools.product((0, 1), range(1, n + 1)):
+            assert _outcome(P.face, cube, k, i) == _outcome(ref.face, cube, k, i), (cube, k, i)
+        if cube in P and n and P.face_positions(n)[P.cell_index(cube)] is not None:
+            below, pos = P.cells(n - 1), P.positions(n - 1)
+            assert all(key is below[pos[key]] for key in itertools.chain(*P.face_keys(cube)))
+
+
+def _models():
+    """Every fixture, the conftest streams and the damaged-model stream."""
+    from conftest import random_circle, random_torus, suite_rng
+    from hda_lab import cli, models
+    from hda_lab.products import tensor_hda
+    from hda_lab.programs import program_to_hda
+
+    for build in cli._FIXTURES.values():
+        yield build(models)
+    yield tensor_hda(models.labeled_circle(["a"]), models.labeled_circle(["b", "c"]))
+    yield program_to_hda(models.dining_philosophers(3))
+    rng = suite_rng("face-store")
+    for _ in range(6):
+        yield random_circle(rng)
+        yield random_torus(rng)
+    yield from damaged_models()
+
+
+def test_the_constructor_matches_a_key_based_store(monkeypatch):
+    built = []
+    init = PrecubicalSet.__init__
+
+    def recording(self, cells, faces=None):
+        init(self, cells, faces)
+        built.append((self, KeyFaces(faces or {}).faces))
+
+    monkeypatch.setattr(PrecubicalSet, "__init__", recording)
+    models = list(_models())
+    monkeypatch.undo()
+    assert len(built) > len(models) // 2
+    for P, faces in built:
+        assert_store_matches(P, faces)
+    for grid in (interval_grid((2, 1, 3)), standard_cube(3), tensor(interval(0, 2), standard_cube(2))):
+        assert_store_matches(grid, raw_faces(grid))
+
+
+def _reordered(doc, order):
+    cubes = doc["cubes"]
+    if order == "reversed":
+        cubes = cubes[::-1]
+    elif order == "top-dimension-first":
+        cubes = sorted(cubes, key=lambda e: -e["dim"])
+    return {**doc, "cubes": cubes}
+
+
+def test_loaded_files_match_a_key_based_store_in_any_cube_order():
+    """Canonical files resolve faces while loading; a file in another order
+    goes through the key-based constructor.  Both load the same complex:
+    the same faces, the same bytes on save and the same validation reports."""
+    from hda_lab.fileformats import FileFormatError, canonical_json, hda_from_json, hda_to_json
+
+    loaded, kinds = 0, set()
+    for h in _models():
+        try:
+            doc = hda_to_json(h)
+        except (KeyError, FileFormatError):  # a damage no file can hold
+            continue
+        faces = {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in doc["cubes"] if e["dim"]}
+        if all(type(key) is str for n in h.complex.dims() for key in h.complex.cells(n)):
+            if not validate_hda(h):
+                assert_store_matches(h.complex, faces)
+        try:
+            canonical = hda_from_json(doc)
+        except FileFormatError:
+            for order in ("reversed", "top-dimension-first"):
+                with pytest.raises(FileFormatError):
+                    hda_from_json(_reordered(doc, order))
+            continue
+        loaded += 1
+        text = canonical_json(doc)
+        report = validate_hda(canonical)
+        kinds |= {v.kind for v in report}
+        assert_store_matches(canonical.complex, faces)
+        assert canonical_json(hda_to_json(canonical)) == text
+        for order in ("reversed", "top-dimension-first"):
+            other = hda_from_json(_reordered(doc, order))
+            assert_store_matches(other.complex, faces)
+            assert canonical_json(hda_to_json(other)) == text
+            if order == "reversed":  # each dimension's cells, and so reports, run backwards
+                assert sorted(map(str, validate_hda(other))) == sorted(map(str, report))
+            else:
+                assert validate_hda(other) == report
+    assert loaded > 90
+    assert kinds >= {"dangling-face", "face-arity", "cubical-identity", "square-condition"}
