@@ -178,7 +178,10 @@ class PrecubicalSet:
             raise IndexError(f"face index {i} out of range for dimension {n}")
         if k not in (0, 1):
             raise IndexError(f"face side {k} must be 0 or 1")
-        flat = self._flat(n, key)
+        try:
+            flat = self._faces[n][self._index[n][key]]
+        except KeyError:
+            flat = None
         if flat is None:
             return (n - 1, self._unresolved[cube][k][i - 1])
         return (n - 1, self._cells[n - 1][flat[k * n + i - 1]])
@@ -187,17 +190,14 @@ class PrecubicalSet:
         """The keys of d[0,1..n] and of d[1,1..n]: the cells themselves, or
         the entry as given when its faces are not cells."""
         n, key = cube
-        flat = self._flat(n, key)
+        try:
+            flat = self._faces[n][self._index[n][key]]
+        except KeyError:
+            flat = None
         if flat is None:
             return self._unresolved[cube]
         below = self._cells[n - 1]
         return tuple(map(below.__getitem__, flat[:n])), tuple(map(below.__getitem__, flat[n:]))
-
-    def _flat(self, n: int, key: Key) -> tuple[int, ...] | None:
-        try:
-            return self._faces[n][self._index[n][key]]
-        except KeyError:
-            return None
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{self.size(n)} in dim {n}" for n in self.dims())
