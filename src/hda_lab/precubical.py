@@ -120,9 +120,9 @@ class PrecubicalSet:
 
         ``index[n]`` maps each key of dimension n to its position, in
         position order; ``faces[n]`` lists, per n-cell in that order, what
-        ``face_positions`` returns, and ``unresolved`` the entries a None stands
-        for, as the constructor keeps them.  The dictionaries are taken over
-        and the positions are trusted.
+        ``face_positions`` returns; ``unresolved`` holds the entries a None
+        stands for, as the constructor keeps them.  The dictionaries are
+        taken over and the positions are trusted.
         """
         P = cls.__new__(cls)
         P._index = {n: index[n] for n in sorted(index) if index[n]}
