@@ -29,6 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .exterior import perm_sign
 from .hda import Hda
 from .homology import Chain, chain_boundary
 from .labeling import chain_label, label_cochain
@@ -45,17 +46,6 @@ from .precubical import (
 from .rings import CoefficientRing, ZZ
 
 
-def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a value sequence."""
-    sign = 1
-    vals = list(perm)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
-
-
 @dataclass
 class CubeMap:
     """Grid data of one source cube: shape, axis permutation, flattening.
@@ -69,15 +59,6 @@ class CubeMap:
     shape: tuple[int, ...]
     axis_perm: tuple[int, ...]
     flat: dict[GridCoord, Cube]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CubeMap):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.axis_perm == other.axis_perm
-            and self.flat == other.flat
-        )
 
 
 @dataclass

@@ -77,6 +77,17 @@ class Alphabet:
         return Alphabet(self._letters + tuple(extra))
 
 
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation given as a value sequence."""
+    sign = 1
+    vals = list(perm)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if vals[i] > vals[j]:
+                sign = -sign
+    return sign
+
+
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Merge two strictly increasing index tuples.
 
@@ -243,13 +254,8 @@ class ExteriorElement:
         mapping = {}
         for idx, c in self.terms.items():
             translated = [alphabet.index(self.alphabet.letters[i]) for i in idx]
-            sign = 1
-            for a in range(len(translated)):
-                for b in range(a + 1, len(translated)):
-                    if translated[a] > translated[b]:
-                        sign = -sign
             new_idx = tuple(sorted(translated))
-            mapping[new_idx] = mapping.get(new_idx, 0) + sign * c
+            mapping[new_idx] = mapping.get(new_idx, 0) + perm_sign(translated) * c
         return ExteriorElement(alphabet, self.ring, mapping)
 
     # -- rendering ------------------------------------------------------------

@@ -549,7 +549,7 @@ def save_program(prog: SharedVariableProgram, path: str) -> None:
 
 def chain_from_json(doc: dict, h: Hda) -> tuple[int, Chain]:
     degree = _want(doc, "degree", int, "chain")
-    if isinstance(degree, bool) or degree < 0:
+    if degree < 0:
         raise FileFormatError("chain.degree: expected a dimension")
     ids = _id_maps(h.complex).get(degree, {})
     chain: Chain = {}

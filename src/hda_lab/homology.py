@@ -733,6 +733,28 @@ def all_homology(
 # -- membership in a spanned sublattice / subspace -----------------------------
 
 
+def _integer_scan(vectors: Sequence[Sequence[int]], target: Sequence[int], ring: CoefficientRing):
+    """Check the vector lengths; over Z, also look for an obstruction.
+
+    Over Z: the Smith form U M V = D of the generators, y = U * target, and
+    the first (i, d_i) with y_i not a multiple of d_i (0 past the rank), or
+    None when the target is in the lattice.  Over a field: None.
+    """
+    m = len(target)
+    for v in vectors:
+        if len(v) != m:
+            raise ValueError("vector length mismatch")
+    if ring.characteristic:
+        return None
+    snf = smith_normal_form(_sparse(vectors), m)
+    y = snf.apply_u(target)
+    for i in range(m):
+        d = snf.diagonal[i] if i < snf.rank else 0
+        if (y[i] % d) if d else y[i]:
+            return snf, y, (i, d)
+    return snf, y, None
+
+
 def lattice_membership(
     vectors: Sequence[Sequence[int]],
     target: Sequence[int],
@@ -746,10 +768,8 @@ def lattice_membership(
     """
     k = len(vectors)
     m = len(target)
-    for v in vectors:
-        if len(v) != m:
-            raise ValueError("vector length mismatch")
-    if ring.characteristic:
+    scan = _integer_scan(vectors, target, ring)
+    if scan is None:
         p = ring.characteristic
         ech = FpEchelon(p, track=True)
         for j, vec in enumerate(vectors):
@@ -759,12 +779,9 @@ def lattice_membership(
             return None
         x = [-coeffs.get(j, 0) % p for j in range(k)]
     else:
-        snf = smith_normal_form(_sparse(vectors), m)
-        y = snf.apply_u(target)
-        for i in range(m):
-            d = snf.diagonal[i] if i < snf.rank else 0
-            if (y[i] % d) if d else y[i]:
-                return None
+        snf, y, bad = scan
+        if bad is not None:
+            return None
         x = [0] * k
         for j, d in enumerate(snf.diagonal):
             for t, c in snf.v_cols[j].items():
@@ -794,10 +811,8 @@ def nonmembership_certificate(
     solved from an ``FpEchelon`` of the generators.
     """
     m = len(target)
-    for v in vectors:
-        if len(v) != m:
-            raise ValueError("vector length mismatch")
-    if ring.characteristic:
+    scan = _integer_scan(vectors, target, ring)
+    if scan is None:
         # Reversed, the echelon has the pivots of the reduced row echelon
         # form, so the residue is the target reduced against that form.  phi
         # is 1 at the residue's first nonzero and 0 off the pivots; killing
@@ -815,13 +830,11 @@ def nonmembership_certificate(
             if s % p:
                 phi[q] = -s % p
         return [phi.get(i, 0) for i in range(m - 1, -1, -1)], p
-    snf = smith_normal_form(_sparse(vectors), m)
-    y = snf.apply_u(target)
-    for i in range(m):
-        d = snf.diagonal[i] if i < snf.rank else 0
-        if (y[i] % d) if d else y[i]:
-            return [snf.u_rows[i].get(c, 0) for c in range(m)], d
-    return None
+    snf, _, bad = scan
+    if bad is None:
+        return None
+    i, d = bad
+    return [snf.u_rows[i].get(c, 0) for c in range(m)], d
 
 
 def verify_nonmembership(

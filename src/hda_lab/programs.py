@@ -226,50 +226,42 @@ def state_key(state: State) -> str:
     return ",".join(locs) + "|" + ",".join(str(x) for x in vals)
 
 
-def reachable_states(prog: SharedVariableProgram) -> dict[str, State]:
-    """All states reachable from the initial ones, keyed, in discovery order."""
-    seen: dict[str, State] = {}
-    queue: deque[State] = deque()
-    for s in initial_states(prog):
+def reachable_states(prog: SharedVariableProgram) -> dict[str, dict[str, str]]:
+    """Every state reachable from the initial ones, keyed, in discovery order.
+
+    Each key maps to its successor table: the enabled moves in process and
+    declaration order, each tagged "!action", to the successor's key.  Action
+    names are unique per program, so the tag names the move.
+    """
+    moves = [
+        (pid, t, "!" + t.action) for pid, p in enumerate(prog.processes) for t in p.transitions
+    ]
+    succ: dict[str, dict[str, str]] = {}
+    queue: deque[tuple[State, dict[str, str]]] = deque()
+
+    def visit(s: State) -> str:
         k = state_key(s)
-        if k not in seen:
-            seen[k] = s
-            queue.append(s)
+        if k not in succ:
+            succ[k] = {}
+            queue.append((s, succ[k]))
+        return k
+
+    for s in initial_states(prog):
+        visit(s)
     while queue:
-        s = queue.popleft()
-        for pid, proc in enumerate(prog.processes):
-            for t in proc.transitions:
-                s2 = fire(prog, s, pid, t)
-                if s2 is None:
-                    continue
-                k2 = state_key(s2)
-                if k2 not in seen:
-                    seen[k2] = s2
-                    queue.append(s2)
-    return seen
+        s, table = queue.popleft()
+        for pid, t, tag in moves:
+            s2 = fire(prog, s, pid, t)
+            if s2 is not None:
+                table[tag] = visit(s2)
+    return succ
 
 
 def program_to_hda(prog: SharedVariableProgram) -> Hda:
     """Compile to a labeled automaton; see the module docstring for the rules."""
     assert_valid_program(prog)
-    states = reachable_states(prog)
-
-    # A move is tagged "!action"; action names are unique per program, so
-    # the tag names the move.  One successor table per state: the enabled
-    # moves as (pid, tag) in process and declaration order, and each
-    # successor's key by tag.
-    enabled: dict[str, list[tuple[int, str]]] = {}
-    succ: dict[str, dict[str, str]] = {}
-    for k, s in states.items():
-        moves_k = enabled[k] = []
-        succ_k = succ[k] = {}
-        for pid, proc in enumerate(prog.processes):
-            for t in proc.transitions:
-                s2 = fire(prog, s, pid, t)
-                if s2 is not None:
-                    tag = "!" + t.action
-                    moves_k.append((pid, tag))
-                    succ_k[tag] = state_key(s2)
+    succ = reachable_states(prog)
+    pid_of = {"!" + t.action: pid for pid, p in enumerate(prog.processes) for t in p.transitions}
 
     labels: dict[Key, tuple[str, ...]] = {}
 
@@ -279,10 +271,10 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
     # dimension, ``current`` maps each key to its position and ``cubes``
     # holds (base key, last process id, tags) at that position; a cube's
     # faces are the positions its face keys find in ``current``.
-    index: dict[int, dict[Key, int]] = {0: {k: pos for pos, k in enumerate(states)}}
+    index: dict[int, dict[Key, int]] = {0: {k: pos for pos, k in enumerate(succ)}}
     faces: dict[int, list[tuple[int, ...]]] = {}
     current = index[0]
-    cubes: list[tuple[str, int, tuple[str, ...]]] = [(k, -1, ()) for k in states]
+    cubes: list[tuple[str, int, tuple[str, ...]]] = [(k, -1, ()) for k in succ]
 
     n = 1
     while cubes:
@@ -291,7 +283,8 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
         faces_n: list[tuple[int, ...]] = []
         for key, (base, top_pid, tags) in zip(current, cubes):
             succ_base = succ[base]
-            for pid, tag in enabled[base]:
+            for tag in succ_base:
+                pid = pid_of[tag]
                 if pid <= top_pid:
                     continue
                 cand = tags + (tag,)

@@ -1,9 +1,10 @@
 """Coefficient rings for chains and labels: the integers or a prime field.
 
 Everything downstream (chains, exterior labels, homology) is parametrized by a
-``CoefficientRing``.  Only ``Z`` and ``Z/pZ`` for prime ``p`` are supported;
-that is exactly what the homology engine can decompose (Smith normal form over
-``Z``, Gaussian elimination over a field).
+``CoefficientRing``.  Only ``Z`` and ``Z/pZ`` for a prime ``p < 2**31`` are
+supported; that is exactly what the homology engine can decompose (Smith
+normal form over ``Z``, Gaussian elimination over a field), and the bound
+keeps the primality check's trial division below 46,341.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class CoefficientRing:
 
     def __post_init__(self) -> None:
         p = self.characteristic
-        if p != 0 and not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+        if p != 0 and not (p < 2**31 and _is_prime(p)):
+            raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {p}")
 
     @property
     def is_field(self) -> bool:
@@ -100,10 +101,12 @@ def parse_ring(spec: str) -> CoefficientRing:
             p = int(s[3:])
         except ValueError:
             raise ValueError(f"bad ring spec {spec!r}: expected zp:<prime>") from None
+        if p == 0:
+            raise ValueError(f"bad ring spec {spec!r}: use 'z' for the integers")
         return CoefficientRing(p)
     raise ValueError(f"bad ring spec {spec!r}: expected 'z' or 'zp:<prime>'")
 
 
 def ring_spec(ring: CoefficientRing) -> str:
-    """Inverse of parse_ring, used when reports echo the ring back."""
+    """Inverse of parse_ring: the spec that parses back to the ring."""
     return "z" if ring.characteristic == 0 else f"zp:{ring.characteristic}"

@@ -612,13 +612,34 @@ def test_model_and_tensor_encode_the_document_once(command, fmt, workdir, monkey
 SRC = Path(hda_lab.__file__).resolve().parents[1]
 
 
-def _python(*args, cwd=None):
+def _python(*args, cwd=None, timeout=None):
     """A child interpreter that finds this package first."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("zp:0", "bad ring spec 'zp:0': use 'z' for the integers"),
+        # prime: trial division to its square root would run for hours
+        (
+            "zp:1000000000000000003",
+            "characteristic must be 0 or a prime below 2**31, got 1000000000000000003",
+        ),
+    ],
+)
+def test_out_of_range_ring_exits_one_with_a_message(spec, message, workdir):
+    peterson_file = str(workdir / "peterson.json")
+    proc = _python("-m", "hda_lab.cli", "homology", peterson_file, "--ring", spec, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if not line.startswith(("usage", " "))]
+    assert errors == [f"hda-lab homology: error: argument --ring: {message}"]
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from hda_lab.dimap import (
     pushforward_cube,
     validate_dimap,
 )
+from hda_lab import exterior
 from hda_lab.exterior import Alphabet
 from hda_lab.hda import Hda, assert_valid_hda
 from hda_lab.labeling import chain_label, label_cochain
@@ -185,6 +186,16 @@ def test_perm_sign():
     assert perm_sign((2, 1)) == -1
     assert perm_sign((2, 3, 1)) == 1
     assert perm_sign((3, 2, 1)) == -1
+    assert perm_sign is exterior.perm_sign
+
+
+def test_cube_maps_compare_by_their_three_fields():
+    flat = {(0,): (1, "e")}
+    cm = CubeMap((1,), (1,), flat)
+    assert cm == CubeMap((1,), (1,), dict(flat))
+    assert cm != CubeMap((2,), (1,), flat)
+    assert cm != CubeMap((1,), (1,), {(0,): (1, "f")})
+    assert cm.__eq__(((1,), (1,), flat)) is NotImplemented
 
 
 def test_identity_dimap():

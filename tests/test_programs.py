@@ -189,7 +189,11 @@ def test_reachable_states_respects_guards():
                             guard_b=("cmp", "==", "x", 1))
     seen = reachable_states(prog)
     # b can only ever fire after a has bumped x
-    assert set(seen) == {"s,s|0", "t,s|1", "t,t|1"}
+    assert list(seen.items()) == [
+        ("s,s|0", {"!a": "t,s|1"}),
+        ("t,s|1", {"!b": "t,t|1"}),
+        ("t,t|1", {}),
+    ]
 
 
 def test_independent_steps_make_a_square():
@@ -405,3 +409,21 @@ def test_compiled_model_bytes_are_pinned(name):
     order = repr([P.cells(n) for n in P.dims()])
     assert sha256(text.encode()).hexdigest() == GOLDEN_COMPILES[name][0]
     assert sha256(order.encode()).hexdigest() == GOLDEN_COMPILES[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPILES))
+def test_each_move_fires_once_per_compile(name, monkeypatch):
+    import hda_lab.programs
+
+    prog = _golden_programs()[name]
+    calls = []
+
+    def counting(prog, state, pid, t):
+        calls.append((state, pid, t.action))
+        return fire(prog, state, pid, t)
+
+    monkeypatch.setattr(hda_lab.programs, "fire", counting)
+    h = program_to_hda(prog)
+    transitions = sum(len(p.transitions) for p in prog.processes)
+    assert len(calls) == h.complex.size(0) * transitions
+    assert len(set(calls)) == len(calls)

@@ -53,6 +53,10 @@ def test_characteristic_must_be_prime():
     with pytest.raises(ValueError):
         CoefficientRing(1)
     CoefficientRing(97)
+    CoefficientRing(2**31 - 1)
+    # prime, but past the bound that keeps trial division short
+    with pytest.raises(ValueError, match="below 2"):
+        CoefficientRing(2**61 - 1)
 
 
 def test_parse_and_spec_roundtrip():
@@ -67,3 +71,5 @@ def test_parse_and_spec_roundtrip():
         parse_ring("zp:six")
     with pytest.raises(ValueError):
         parse_ring("zp:9")
+    with pytest.raises(ValueError, match="use 'z'"):
+        parse_ring("zp:0")
