@@ -418,9 +418,9 @@ def test_each_move_fires_once_per_compile(name, monkeypatch):
     prog = _golden_programs()[name]
     calls = []
 
-    def counting(prog, state, pid, t):
+    def counting(program, state, pid, t):
         calls.append((state, pid, t.action))
-        return fire(prog, state, pid, t)
+        return fire(program, state, pid, t)
 
     monkeypatch.setattr(hda_lab.programs, "fire", counting)
     h = program_to_hda(prog)
