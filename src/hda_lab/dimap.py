@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .exterior import perm_sign
@@ -46,29 +45,43 @@ from .precubical import (
 from .rings import CoefficientRing, ZZ
 
 
-@dataclass
 class CubeMap:
     """Grid data of one source cube: shape, axis permutation, flattening.
 
     ``axis_perm[m-1]`` is the source direction realized by grid axis m; the
     identity tuple (1, 2, ..., n) means no transposition.  ``flat`` maps
     every cell of ``interval_grid(shape)`` (keyed by its coordinate tuple) to
-    a target cube of the same dimension.
+    a target cube of the same dimension.  Cube maps with the same three
+    fields are equal.
     """
 
-    shape: tuple[int, ...]
-    axis_perm: tuple[int, ...]
-    flat: dict[GridCoord, Cube]
+    def __init__(
+        self, shape: tuple[int, ...], axis_perm: tuple[int, ...], flat: dict[GridCoord, Cube]
+    ) -> None:
+        self.shape = shape
+        self.axis_perm = axis_perm
+        self.flat = flat
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
-@dataclass
 class ElementaryDimap:
     """A subdividing directed map of automata."""
 
-    source: Hda
-    target: Hda
-    vertex_map: dict[Cube, Cube]
-    cube_maps: dict[Cube, CubeMap]
+    def __init__(
+        self,
+        source: Hda,
+        target: Hda,
+        vertex_map: dict[Cube, Cube],
+        cube_maps: dict[Cube, CubeMap],
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.vertex_map = vertex_map
+        self.cube_maps = cube_maps
 
 
 def face_restriction(cm: CubeMap, k: int, i: int) -> CubeMap:

@@ -14,7 +14,6 @@ Words (tuples of letters attached to edge paths) enter the algebra through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import CoefficientRing, ZZ
@@ -115,7 +114,6 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[in
     return tuple(merged), sign
 
 
-@dataclass(frozen=True)
 class ExteriorElement:
     """An element of the exterior algebra: {index tuple: coefficient}.
 
@@ -124,23 +122,32 @@ class ExteriorElement:
     indices, with the empty tuple as the degree-0 unit basis element.
     """
 
-    alphabet: Alphabet
-    ring: CoefficientRing = ZZ
-    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        ring: CoefficientRing = ZZ,
+        terms: Mapping[tuple[int, ...], int] | None = None,
+    ) -> None:
         clean: dict[tuple[int, ...], int] = {}
-        n = len(self.alphabet)
-        for idx, c in self.terms.items():
+        n = len(alphabet)
+        for idx, c in (terms or {}).items():
             idx = tuple(idx)
             if any(not 0 <= i < n for i in idx):
                 raise ValueError(f"index tuple {idx} out of alphabet range")
             if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
-            c = self.ring.normalize(c)
+            c = ring.normalize(c)
             if c:
                 clean[idx] = c
-        object.__setattr__(self, "terms", clean)
+        fields = self.__dict__
+        fields["alphabet"] = alphabet
+        fields["ring"] = ring
+        fields["terms"] = clean
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- constructors ------------------------------------------------------
 

@@ -290,6 +290,8 @@ def json_object(text: str, where: str) -> dict:
         raise FileFormatError(
             f"{where}: line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    except ValueError as e:  # an integer literal past int's digit limit
+        raise FileFormatError(f"{where}: {e}") from e
     except RecursionError as e:
         raise FileFormatError(f"{where}: JSON nested too deeply") from e
     if not isinstance(doc, dict):

@@ -16,7 +16,6 @@ unobservable step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .exterior import Alphabet
@@ -34,7 +33,6 @@ from .precubical import (
 Word = tuple[str, ...]
 
 
-@dataclass
 class Hda:
     """A labeled precubical set.
 
@@ -44,11 +42,19 @@ class Hda:
     membership in the complex.
     """
 
-    complex: PrecubicalSet
-    alphabet: Alphabet
-    labels: dict[Key, Word]
-    initial: frozenset[Cube] = frozenset()
-    final: frozenset[Cube] = frozenset()
+    def __init__(
+        self,
+        complex: PrecubicalSet,
+        alphabet: Alphabet,
+        labels: dict[Key, Word],
+        initial: frozenset[Cube] = frozenset(),
+        final: frozenset[Cube] = frozenset(),
+    ) -> None:
+        self.complex = complex
+        self.alphabet = alphabet
+        self.labels = labels
+        self.initial = initial
+        self.final = final
 
     def edge_word(self, edge: Cube) -> Word:
         if edge[0] != 1:

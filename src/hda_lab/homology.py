@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .precubical import Cube, PrecubicalSet
@@ -129,7 +128,6 @@ def _units(n: int) -> list[Line]:
     return [{i: 1} for i in range(n)]
 
 
-@dataclass
 class SmithNormalForm:
     """A certified decomposition U * M * V = D with U, V unimodular.
 
@@ -145,14 +143,25 @@ class SmithNormalForm:
     and ``v_inv`` exist for verification and tests only.
     """
 
-    rows: int
-    cols: int
-    diagonal: list[int]
-    m_rows: list[Line]
-    u_rows: list[Line]
-    u_inv_cols: list[Line]
-    v_cols: list[Line]
-    v_inv_rows: list[Line]
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        diagonal: list[int],
+        m_rows: list[Line],
+        u_rows: list[Line],
+        u_inv_cols: list[Line],
+        v_cols: list[Line],
+        v_inv_rows: list[Line],
+    ) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.diagonal = diagonal
+        self.m_rows = m_rows
+        self.u_rows = u_rows
+        self.u_inv_cols = u_inv_cols
+        self.v_cols = v_cols
+        self.v_inv_rows = v_inv_rows
 
     @property
     def rank(self) -> int:
@@ -441,22 +450,36 @@ def boundary_violations(P: PrecubicalSet) -> list[Cube]:
 # -- homology groups ---------------------------------------------------------
 
 
-@dataclass
 class HomologyGroup:
     """One homology group with explicit cycle representatives.
 
     Over Z: free part of rank ``free_rank`` plus cyclic torsion summands of
     the listed orders.  Over a field the group is a vector space and torsion
     is empty.  Generators are chains; free ones come first, aligned with
-    ``free_generators``, then torsion ones aligned with ``torsion``.
+    ``free_generators``, then torsion ones aligned with ``torsion``.  Groups
+    with the same fields are equal.
     """
 
-    degree: int
-    ring: CoefficientRing
-    free_rank: int
-    torsion: list[int] = field(default_factory=list)
-    free_generators: list[Chain] = field(default_factory=list)
-    torsion_generators: list[Chain] = field(default_factory=list)
+    def __init__(
+        self,
+        degree: int,
+        ring: CoefficientRing,
+        free_rank: int,
+        torsion: list[int] | None = None,
+        free_generators: list[Chain] | None = None,
+        torsion_generators: list[Chain] | None = None,
+    ) -> None:
+        self.degree = degree
+        self.ring = ring
+        self.free_rank = free_rank
+        self.torsion = [] if torsion is None else torsion
+        self.free_generators = [] if free_generators is None else free_generators
+        self.torsion_generators = [] if torsion_generators is None else torsion_generators
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     @property
     def generators(self) -> list[Chain]:

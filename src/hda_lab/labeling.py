@@ -19,7 +19,6 @@ labels into coefficient columns for rank computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .exterior import Alphabet, ExteriorElement, word_to_vector
@@ -76,20 +75,19 @@ def label_to_column(x: ExteriorElement, n: int, monomials: Sequence[tuple[int, .
     return [terms.get(idx, 0) for idx in monomials]
 
 
-@dataclass
 class LabeledClass:
     """One homology class with its label; order 0 means infinite order."""
 
-    chain: Chain
-    label: ExteriorElement
-    order: int = 0
+    def __init__(self, chain: Chain, label: ExteriorElement, order: int = 0) -> None:
+        self.chain = chain
+        self.label = label
+        self.order = order
 
     @property
     def is_torsion(self) -> bool:
         return self.order != 0
 
 
-@dataclass
 class DegreeLabelReport:
     """Labeled homology in one degree.
 
@@ -101,12 +99,21 @@ class DegreeLabelReport:
     part; their count is ``zero_label_rank``.
     """
 
-    degree: int
-    ring: CoefficientRing
-    group: HomologyGroup
-    classes: list[LabeledClass]
-    label_image_basis: list[ExteriorElement]
-    zero_label_classes: list[Chain]
+    def __init__(
+        self,
+        degree: int,
+        ring: CoefficientRing,
+        group: HomologyGroup,
+        classes: list[LabeledClass],
+        label_image_basis: list[ExteriorElement],
+        zero_label_classes: list[Chain],
+    ) -> None:
+        self.degree = degree
+        self.ring = ring
+        self.group = group
+        self.classes = classes
+        self.label_image_basis = label_image_basis
+        self.zero_label_classes = zero_label_classes
 
     @property
     def label_image_rank(self) -> int:

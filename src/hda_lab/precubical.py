@@ -24,7 +24,6 @@ machinery builds on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -36,19 +35,30 @@ Cube = tuple[int, Key]  # (dimension, key)
 GridCoord = tuple[Any, ...]
 
 
-@dataclass(frozen=True)
 class Violation:
     """One structural defect found by a validator.
 
     ``kind`` is a stable machine-readable tag, ``cube`` the offending cell (if
     any) and ``data`` whatever indices pin the failure down, e.g. the (k, i,
-    l, j) quadruple of a broken cubical identity.
+    l, j) quadruple of a broken cubical identity.  Immutable; violations
+    with the same four fields are equal and hash alike.
     """
 
-    kind: str
-    cube: Cube | None
-    message: str
-    data: tuple = ()
+    def __init__(self, kind: str, cube: Cube | None, message: str, data: tuple = ()) -> None:
+        self.__dict__.update(kind=kind, cube=cube, message=message, data=data)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.cube, self.message, self.data))
 
     def __str__(self) -> str:
         where = f" at {self.cube}" if self.cube is not None else ""
@@ -520,25 +530,21 @@ def tensor(P: PrecubicalSet, Q: PrecubicalSet) -> PrecubicalSet:
 # -- paths ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Path:
     """A directed edge path: consecutive edges share target/source vertices.
 
     ``edges`` is the sequence of 1-cells; ``start`` is the source vertex and
     is required to disambiguate length-0 paths.  Construction checks the
-    gluing condition d[0,1] x_{j+1} == d[1,1] x_j.
+    gluing condition d[0,1] x_{j+1} == d[1,1] x_j.  Immutable; paths over
+    the same complex object with the same edges and start are equal.
     """
 
-    complex: PrecubicalSet = field(repr=False)
-    edges: tuple[Cube, ...]
-    start: Cube
-
-    def __post_init__(self) -> None:
-        P = self.complex
-        if self.start[0] != 0 or self.start not in P:
-            raise ValueError(f"path start {self.start} is not a vertex of the complex")
-        at = self.start
-        for x in self.edges:
+    def __init__(self, complex: PrecubicalSet, edges: tuple[Cube, ...], start: Cube) -> None:
+        P = complex
+        if start[0] != 0 or start not in P:
+            raise ValueError(f"path start {start} is not a vertex of the complex")
+        at = start
+        for x in edges:
             if x[0] != 1 or x not in P:
                 raise ValueError(f"path step {x} is not an edge of the complex")
             if P.face(x, 0, 1) != at:
@@ -546,6 +552,20 @@ class Path:
                     f"path breaks at {x}: starts at {P.face(x, 0, 1)}, expected {at}"
                 )
             at = P.face(x, 1, 1)
+        self.__dict__.update(complex=complex, edges=edges, start=start)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash((self.complex, self.edges, self.start))
 
     @staticmethod
     def from_edges(P: PrecubicalSet, edges: Sequence[Cube]) -> "Path":
@@ -587,13 +607,15 @@ class Path:
 # -- morphisms ------------------------------------------------------------
 
 
-@dataclass
 class PcMorphism:
     """A map of precubical sets: dimension-preserving, face-commuting."""
 
-    source: PrecubicalSet
-    target: PrecubicalSet
-    mapping: dict[Cube, Cube]
+    def __init__(
+        self, source: PrecubicalSet, target: PrecubicalSet, mapping: dict[Cube, Cube]
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def __call__(self, cube: Cube) -> Cube:
         return self.mapping[cube]

@@ -22,7 +22,6 @@ specification never allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .exterior import Alphabet, ExteriorElement
@@ -71,17 +70,26 @@ def _membership(
     return None, cert
 
 
-@dataclass
 class WedgeCheck:
     """One wedge of component class labels tested against the main image."""
 
-    selection: tuple[tuple[int, int, int], ...]
-    degree: int
-    label: ExteriorElement
-    member: bool
-    coefficients: list[int] | None
-    certificate: tuple[list[int], int] | None = None
-    reason: str = ""
+    def __init__(
+        self,
+        selection: tuple[tuple[int, int, int], ...],
+        degree: int,
+        label: ExteriorElement,
+        member: bool,
+        coefficients: list[int] | None,
+        certificate: tuple[list[int], int] | None = None,
+        reason: str = "",
+    ) -> None:
+        self.selection = selection
+        self.degree = degree
+        self.label = label
+        self.member = member
+        self.coefficients = coefficients
+        self.certificate = certificate
+        self.reason = reason
 
     def to_dict(self) -> dict:
         return {
@@ -98,15 +106,22 @@ class WedgeCheck:
         }
 
 
-@dataclass
 class IndependenceReport:
     """Outcome of the component-independence necessary condition."""
 
-    ring: CoefficientRing
-    alphabet: Alphabet
-    part_sizes: list[int]
-    checks: list[WedgeCheck] = field(default_factory=list)
-    skipped_zero: int = 0
+    def __init__(
+        self,
+        ring: CoefficientRing,
+        alphabet: Alphabet,
+        part_sizes: list[int],
+        checks: list[WedgeCheck] | None = None,
+        skipped_zero: int = 0,
+    ) -> None:
+        self.ring = ring
+        self.alphabet = alphabet
+        self.part_sizes = part_sizes
+        self.checks = [] if checks is None else checks
+        self.skipped_zero = skipped_zero
 
     @property
     def verdict(self) -> str:
@@ -215,13 +230,15 @@ def independence_report(
     return report
 
 
-@dataclass
 class ImplementsWitness:
     """A label the implementation realizes but the specification cannot."""
 
-    degree: int
-    label: ExteriorElement
-    certificate: tuple[list[int], int] | None
+    def __init__(
+        self, degree: int, label: ExteriorElement, certificate: tuple[list[int], int] | None
+    ) -> None:
+        self.degree = degree
+        self.label = label
+        self.certificate = certificate
 
     def to_dict(self) -> dict:
         return {
@@ -232,16 +249,24 @@ class ImplementsWitness:
         }
 
 
-@dataclass
 class ImplementsReport:
     """Outcome of the label-image refinement check, degree by degree."""
 
-    ring: CoefficientRing
-    alphabet: Alphabet
-    degrees: list[int]
-    checked: int
-    skipped_zero: int
-    witnesses: list[ImplementsWitness]
+    def __init__(
+        self,
+        ring: CoefficientRing,
+        alphabet: Alphabet,
+        degrees: list[int],
+        checked: int,
+        skipped_zero: int,
+        witnesses: list[ImplementsWitness],
+    ) -> None:
+        self.ring = ring
+        self.alphabet = alphabet
+        self.degrees = degrees
+        self.checked = checked
+        self.skipped_zero = skipped_zero
+        self.witnesses = witnesses
 
     @property
     def verdict(self) -> str:

@@ -9,8 +9,6 @@ keeps the primality check's trial division below 46,341.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
@@ -38,21 +36,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CoefficientRing:
     """Z (characteristic 0) or the field Z/pZ (characteristic p, p prime).
 
     ``characteristic == 0`` means the integers.  Elements are plain Python
     ints; ``normalize`` maps them to the canonical representative (identity
-    over Z, the residue in [0, p) over Z/pZ).
+    over Z, the residue in [0, p) over Z/pZ).  Immutable; rings with the
+    same characteristic are equal and hash alike.
     """
 
-    characteristic: int = 0
-
-    def __post_init__(self) -> None:
-        p = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        p = characteristic
         if p != 0 and not (p < 2**31 and _is_prime(p)):
             raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {p}")
+        self.__dict__["characteristic"] = p
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
 
     @property
     def is_field(self) -> bool:

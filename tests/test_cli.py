@@ -537,6 +537,41 @@ def test_deeply_nested_chain_exits_one_with_a_message(form, dimap_dir, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["validate", "{f}"], "{f}"),
+        (["homology", "{f}"], "{f}"),
+        (["labels", "{f}"], "{f}"),
+        (["tensor", "{f}", "{w}/cb.json"], "{f}"),
+        (["model", "program", "--file", "{p}"], "{p}"),
+        (["dimap-check", "{m}"], "{m}"),
+        (["pushforward", "{d}/map.json", "--chain", "{c}"], "chain"),
+    ],
+)
+def test_an_over_long_integer_literal_exits_one_naming_the_file(
+    argv, where, workdir, dimap_dir, tmp_path, capsys
+):
+    # json.loads refuses an int literal past the interpreter's digit limit
+    # with a plain ValueError, which is not a validation failure.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("this interpreter has no digit limit")
+    big = "9" * (limit + 1)
+    klein = tmp_path / "klein.json"
+    assert run(["model", "klein", "--out", str(klein)]) == 0
+    klein.write_text(klein.read_text().replace('"dim": 0', f'"dim": {big}', 1))
+    names = {"f": klein, "w": workdir, "d": dimap_dir, "c": f'{{"degree": {big}}}'}
+    for key, source in (("p", "peterson.prog.json"), ("m", "map.json")):
+        names[key] = tmp_path / source
+        names[key].write_text(f'{{"big": {big}, ' + (dimap_dir / source).read_text()[1:])
+    assert run([a.format(**names) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"hda-lab: {where.format(**names)}: Exceeds the limit")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
     tmp_path, capsys, monkeypatch
 ):
@@ -697,9 +732,10 @@ def test_report_documents_encode_as_json_dumps(
 
 
 # Prints the exit code, the modules loaded when the command first reads an
-# input file (or at the end, if it reads none), the modules loaded at the end
-# and the top-level modules the run loaded from outside the package and the
-# standard library (the package has no runtime dependencies).
+# input file (or at the end, if it reads none), the modules loaded at the end,
+# the top-level modules the run loaded from outside the package and the
+# standard library (the package has no runtime dependencies), and which of
+# dataclasses and inspect the run loaded (about 10 ms of import between them).
 _LOADED_SCRIPT = """
 import sys
 at_start = set(sys.modules)
@@ -721,7 +757,8 @@ for name in ("load_hda", "load_dimap", "load_program"):
 code = cli.main(sys.argv[1:])
 tops = {m.partition(".")[0] for m in set(sys.modules) - at_start}
 foreign = sorted(tops - set(sys.stdlib_module_names) - {"hda_lab"})
-print(code, *(first[:1] or [loaded()]), loaded(), " ".join(foreign), sep="\\n")
+heavy = sorted({"dataclasses", "inspect"} & (set(sys.modules) - at_start))
+print(code, *(first[:1] or [loaded()]), loaded(), " ".join(foreign), " ".join(heavy), sep="\\n")
 """
 
 
@@ -732,11 +769,15 @@ def test_each_command_loads_only_the_layers_it_runs(command, workdir, dimap_dir,
     argv = command.format(w=workdir, d=dimap_dir).split()
     proc = _python("-c", _LOADED_SCRIPT, *argv, "--out", str(tmp_path / "report"))
     assert proc.stderr == ""
-    code, at_first_read, at_end, foreign = proc.stdout.split("\n")[:4]
+    code, at_first_read, at_end, foreign, heavy = proc.stdout.split("\n")[:5]
     assert code in ("0", "3")
     assert at_end == " ".join(sorted(IMPORTS[command].split()))
     assert at_first_read == at_end
     assert foreign == ""
+    # Only the program compiler keeps dataclasses; a command that does not
+    # compile a program pays for neither import.
+    if "programs" not in at_end.split():
+        assert heavy == ""
 
 
 # -- the cyclic collector and internal errors -----------------------------------------
