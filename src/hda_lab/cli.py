@@ -14,7 +14,11 @@ Exit codes, chosen so scripts can branch on the interesting outcomes:
 
 A command loads the layers it runs when it runs: this module imports only
 file formats, automata and rings, so ``model klein`` never compiles the
-homology code.
+homology code.  Only the program compiler imports ``dataclasses`` (which
+brings in ``inspect``, ``ast`` and ``dis``); it keeps its dataclasses
+because callers derive program variants with ``dataclasses.replace``.
+Every other layer uses plain classes, so a command that compiles no
+program pays for neither.
 """
 
 from __future__ import annotations
