@@ -42,10 +42,10 @@ from .precubical import (
     grid_top_cells,
     interval_grid,
 )
-from .rings import CoefficientRing, ZZ
+from .rings import CoefficientRing, Record, ZZ
 
 
-class CubeMap:
+class CubeMap(Record):
     """Grid data of one source cube: shape, axis permutation, flattening.
 
     ``axis_perm[m-1]`` is the source direction realized by grid axis m; the
@@ -61,11 +61,6 @@ class CubeMap:
         self.shape = shape
         self.axis_perm = axis_perm
         self.flat = flat
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
 
 
 class ElementaryDimap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rings import CoefficientRing, ZZ
+from .rings import CoefficientRing, Frozen, ZZ
 
 
 class Alphabet:
@@ -114,7 +114,7 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[in
     return tuple(merged), sign
 
 
-class ExteriorElement:
+class ExteriorElement(Frozen):
     """An element of the exterior algebra: {index tuple: coefficient}.
 
     Immutable; arithmetic returns new elements.  Zero coefficients are never
@@ -139,15 +139,7 @@ class ExteriorElement:
             c = ring.normalize(c)
             if c:
                 clean[idx] = c
-        fields = self.__dict__
-        fields["alphabet"] = alphabet
-        fields["ring"] = ring
-        fields["terms"] = clean
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
+        self.__dict__.update(alphabet=alphabet, ring=ring, terms=clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -239,16 +231,7 @@ class ExteriorElement:
     def __xor__(self, other: "ExteriorElement") -> "ExteriorElement":
         return self.wedge(other)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExteriorElement):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # ``terms`` is a dict, so Frozen's field-tuple hash fails
         return hash((self.alphabet, self.ring, frozenset(self.terms.items())))
 
     def retag(self, alphabet: Alphabet) -> "ExteriorElement":

@@ -38,7 +38,7 @@ import weakref
 from typing import Iterable, Sequence
 
 from .precubical import Cube, PrecubicalSet
-from .rings import CoefficientRing, ZZ, xgcd
+from .rings import CoefficientRing, Record, ZZ, xgcd
 
 Matrix = list[list[int]]
 Chain = dict[Cube, int]
@@ -450,7 +450,7 @@ def boundary_violations(P: PrecubicalSet) -> list[Cube]:
 # -- homology groups ---------------------------------------------------------
 
 
-class HomologyGroup:
+class HomologyGroup(Record):
     """One homology group with explicit cycle representatives.
 
     Over Z: free part of rank ``free_rank`` plus cyclic torsion summands of
@@ -475,11 +475,6 @@ class HomologyGroup:
         self.torsion = [] if torsion is None else torsion
         self.free_generators = [] if free_generators is None else free_generators
         self.torsion_generators = [] if torsion_generators is None else torsion_generators
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
 
     @property
     def generators(self) -> list[Chain]:

@@ -27,6 +27,8 @@ import itertools
 from itertools import chain
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
+from .rings import Frozen
+
 Key = Hashable
 Cube = tuple[int, Key]  # (dimension, key)
 
@@ -35,7 +37,7 @@ Cube = tuple[int, Key]  # (dimension, key)
 GridCoord = tuple[Any, ...]
 
 
-class Violation:
+class Violation(Frozen):
     """One structural defect found by a validator.
 
     ``kind`` is a stable machine-readable tag, ``cube`` the offending cell (if
@@ -46,19 +48,6 @@ class Violation:
 
     def __init__(self, kind: str, cube: Cube | None, message: str, data: tuple = ()) -> None:
         self.__dict__.update(kind=kind, cube=cube, message=message, data=data)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.cube, self.message, self.data))
 
     def __str__(self) -> str:
         where = f" at {self.cube}" if self.cube is not None else ""
@@ -530,7 +519,7 @@ def tensor(P: PrecubicalSet, Q: PrecubicalSet) -> PrecubicalSet:
 # -- paths ----------------------------------------------------------------
 
 
-class Path:
+class Path(Frozen):
     """A directed edge path: consecutive edges share target/source vertices.
 
     ``edges`` is the sequence of 1-cells; ``start`` is the source vertex and
@@ -553,19 +542,6 @@ class Path:
                 )
             at = P.face(x, 1, 1)
         self.__dict__.update(complex=complex, edges=edges, start=start)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self) -> int:
-        return hash((self.complex, self.edges, self.start))
 
     @staticmethod
     def from_edges(P: PrecubicalSet, edges: Sequence[Cube]) -> "Path":

@@ -36,7 +36,35 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class CoefficientRing:
+class Record:
+    """Equal to an instance of the same class with equal fields (``__dict__``).
+
+    Any other class gets ``NotImplemented``.  Records are unhashable.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+
+class Frozen(Record):
+    """A hashable ``Record`` whose constructor writes fields via ``__dict__``.
+
+    Assigning or deleting an attribute raises ``AttributeError``.  The hash
+    is that of the field tuple, in the order the constructor wrote it.
+    """
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+
+class CoefficientRing(Frozen):
     """Z (characteristic 0) or the field Z/pZ (characteristic p, p prime).
 
     ``characteristic == 0`` means the integers.  Elements are plain Python
@@ -50,19 +78,6 @@ class CoefficientRing:
         if p != 0 and not (p < 2**31 and _is_prime(p)):
             raise ValueError(f"characteristic must be 0 or a prime below 2**31, got {p}")
         self.__dict__["characteristic"] = p
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.characteristic == other.characteristic
-
-    def __hash__(self) -> int:
-        return hash((self.characteristic,))
 
     @property
     def is_field(self) -> bool:
