@@ -321,9 +321,16 @@ def _cmd_dimap_check(args) -> tuple[int, dict, str]:
     return code, doc, "\n".join(lines) + "\n"
 
 
-def _chain_doc(spec: str) -> dict:
-    text = read_text(spec[1:]) if spec.startswith("@") else spec
-    return json_object(text, "chain")
+def _chain(spec: str, h: Hda) -> tuple[int, dict]:
+    """Read ``--chain``: inline JSON, or ``@FILE``, whose errors name the file."""
+    if not spec.startswith("@"):
+        return chain_from_json(json_object(spec, "chain"), h)
+    path = spec[1:]
+    doc = json_object(read_text(path), path)
+    try:
+        return chain_from_json(doc, h)
+    except FileFormatError as e:
+        raise FileFormatError(f"{path}: {e}") from None
 
 
 def _render_chain(chain) -> dict:
@@ -340,7 +347,7 @@ def _cmd_pushforward(args) -> tuple[int, dict, str]:
     violations = validate_dimap(f)
     if violations:
         raise _invalid("pushforward", args.file, "invalid dimap", violations)
-    degree, chain = chain_from_json(_chain_doc(args.chain), f.source)
+    degree, chain = _chain(args.chain, f.source)
     image = pushforward_chain(f, chain, args.ring)
     label = chain_label(f.source, chain, args.ring)
     image_label = chain_label(f.target, image, args.ring)

@@ -533,7 +533,28 @@ def test_deeply_nested_chain_exits_one_with_a_message(form, dimap_dir, tmp_path,
     chain = deep if form == "inline" else f"@{spec}"
     assert run(["pushforward", str(dimap_dir / "map.json"), "--chain", chain]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "hda-lab: chain: JSON nested too deeply\n"
+    where = "chain" if form == "inline" else spec
+    assert captured.err == f"hda-lab: {where}: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"degree": 1\n"coeffs": {}}', "line 2 column 1: Expecting ',' delimiter"),
+        ("[1]", "expected a JSON object"),
+        ('{"degree": 1, "coeffs": {"zz": 1}}', "chain.coeffs: no cube 'zz' in degree 1"),
+    ],
+    ids=["syntax", "not-an-object", "schema"],
+)
+def test_a_broken_chain_file_exits_one_naming_the_file(
+    text, reason, dimap_dir, tmp_path, capsys
+):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    assert run(["pushforward", str(dimap_dir / "map.json"), "--chain", f"@{spec}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"hda-lab: {spec}: {reason}\n"
     assert captured.out == ""
 
 
@@ -547,6 +568,7 @@ def test_deeply_nested_chain_exits_one_with_a_message(form, dimap_dir, tmp_path,
         (["model", "program", "--file", "{p}"], "{p}"),
         (["dimap-check", "{m}"], "{m}"),
         (["pushforward", "{d}/map.json", "--chain", "{c}"], "chain"),
+        (["pushforward", "{d}/map.json", "--chain", "@{cf}"], "{cf}"),
     ],
 )
 def test_an_over_long_integer_literal_exits_one_naming_the_file(
@@ -562,6 +584,8 @@ def test_an_over_long_integer_literal_exits_one_naming_the_file(
     assert run(["model", "klein", "--out", str(klein)]) == 0
     klein.write_text(klein.read_text().replace('"dim": 0', f'"dim": {big}', 1))
     names = {"f": klein, "w": workdir, "d": dimap_dir, "c": f'{{"degree": {big}}}'}
+    names["cf"] = tmp_path / "chain.json"
+    names["cf"].write_text(names["c"])
     for key, source in (("p", "peterson.prog.json"), ("m", "map.json")):
         names[key] = tmp_path / source
         names[key].write_text(f'{{"big": {big}, ' + (dimap_dir / source).read_text()[1:])
