@@ -31,7 +31,7 @@ from .homology import (
     homology,
     smith_normal_form,
 )
-from .precubical import Cube, edge_in_direction
+from .precubical import Cube
 from .rings import CoefficientRing, ZZ
 
 
@@ -40,17 +40,17 @@ def label_cochain(h: Hda, cube: Cube, ring: CoefficientRing = ZZ) -> ExteriorEle
     n = cube[0]
     acc = ExteriorElement.unit(h.alphabet, ring)
     for i in range(1, n + 1):
-        edge = edge_in_direction(h.complex, cube, 0, i)
-        acc = acc.wedge(word_to_vector(h.alphabet, h.edge_word(edge), ring))
+        acc = acc.wedge(word_to_vector(h.alphabet, h.direction_word(cube, i), ring))
     return acc
 
 
 def chain_label(h: Hda, chain: Chain, ring: CoefficientRing = ZZ) -> ExteriorElement:
     """Linear extension of the label cochain to chains."""
-    acc = ExteriorElement.zero(h.alphabet, ring)
+    out: dict[tuple[int, ...], int] = {}
     for cube, c in chain.items():
-        acc = acc + label_cochain(h, cube, ring).scale(c)
-    return acc
+        for idx, k in label_cochain(h, cube, ring).terms.items():
+            out[idx] = out.get(idx, 0) + c * k
+    return ExteriorElement(h.alphabet, ring, out)
 
 
 def path_label(h: Hda, path, ring: CoefficientRing = ZZ) -> ExteriorElement:
@@ -176,11 +176,8 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
     return DegreeLabelReport(n, ring, group, classes, image_basis, zero_classes)
 
 
-def labeled_homology(
-    h: Hda, ring: CoefficientRing = ZZ, top: int | None = None
-) -> dict[int, DegreeLabelReport]:
-    top = h.complex.max_dim if top is None else top
-    return {n: labeled_degree(h, n, ring) for n in range(max(top, 0) + 1)}
+def labeled_homology(h: Hda, ring: CoefficientRing = ZZ) -> dict[int, DegreeLabelReport]:
+    return {n: labeled_degree(h, n, ring) for n in range(max(h.complex.max_dim, 0) + 1)}
 
 
 def _orient_by_label(chain: Chain, label: ExteriorElement) -> tuple[Chain, ExteriorElement]:

@@ -77,6 +77,42 @@ def test_chain_label_linear():
     assert chain_label(h, x) + chain_label(h, y) == both
 
 
+def _folded_chain_label(h, chain, ring):
+    """Reference for chain_label: a running sum, one scaled cube label at a time."""
+    acc = ExteriorElement.zero(h.alphabet, ring)
+    for cube, c in chain.items():
+        acc = acc + label_cochain(h, cube, ring).scale(c)
+    return acc
+
+
+def test_chain_label_equals_the_running_sum_of_cube_labels():
+    from conftest import random_circle, random_torus, suite_rng
+    from hda_lab.programs import program_to_hda
+    from hda_lab.models import lock_spec, peterson
+
+    rng = suite_rng("chain-label")
+    models = [
+        filled_square(), boundary_square(), torus_hda(), klein_hda(), two_phase_torus(),
+        labeled_circle(["a", "b", "a"]), program_to_hda(peterson()), lock_spec(),
+    ]
+    models += [random_circle(rng) for _ in range(4)] + [random_torus(rng) for _ in range(4)]
+    for h in models:
+        P = h.complex
+        for ring in (ZZ, GF2, GF3):
+            for n in range(P.max_dim + 1):
+                cubes = list(P.cubes(n))
+                chains = [{x: rng.randint(-6, 6) for x in rng.sample(cubes, min(5, len(cubes)))}]
+                if n < P.max_dim:
+                    # Boundaries: their terms cancel, so the label is zero.
+                    chains += [
+                        chain_boundary(P, {y: rng.randint(1, 4)}, ring) for y in P.cubes(n + 1)
+                    ]
+                for chain in chains:
+                    got = chain_label(h, chain, ring)
+                    assert got == _folded_chain_label(h, chain, ring), (h, chain, ring)
+                    assert hash(got) == hash(_folded_chain_label(h, chain, ring))
+
+
 def test_path_label():
     h = labeled_circle(["a", "b", "c"])
     p = Path.from_edges(h.complex, [(1, "x0"), (1, "x1"), (1, "x2")])
