@@ -87,8 +87,8 @@ def _folded_chain_label(h, chain, ring):
 
 def test_chain_label_equals_the_running_sum_of_cube_labels():
     from conftest import random_circle, random_torus, suite_rng
-    from hda_lab.programs import program_to_hda
     from hda_lab.models import lock_spec, peterson
+    from hda_lab.programs import program_to_hda
 
     rng = suite_rng("chain-label")
     models = [
@@ -108,9 +108,8 @@ def test_chain_label_equals_the_running_sum_of_cube_labels():
                         chain_boundary(P, {y: rng.randint(1, 4)}, ring) for y in P.cubes(n + 1)
                     ]
                 for chain in chains:
-                    got = chain_label(h, chain, ring)
-                    assert got == _folded_chain_label(h, chain, ring), (h, chain, ring)
-                    assert hash(got) == hash(_folded_chain_label(h, chain, ring))
+                    got, want = chain_label(h, chain, ring), _folded_chain_label(h, chain, ring)
+                    assert got == want and hash(got) == hash(want), (h, chain, ring)
 
 
 def test_path_label():
