@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
+from operator import contains, itemgetter
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
@@ -195,6 +197,8 @@ def _cube_error(entry, where: str, cells: dict) -> None:
     for arr in (_want(entry, "d0", list, where), _want(entry, "d1", list, where)):
         if not all(isinstance(ref, str) for ref in arr):
             raise FileFormatError(f"{where}: face ids must be strings")
+    if not dim and (entry["d0"] or entry["d1"]):
+        raise FileFormatError(f"{where}: a vertex has no faces")
     if "label" in entry:
         if dim != 1:
             raise FileFormatError(f"{where}: label is only allowed on dimension-1 cubes")
@@ -202,12 +206,71 @@ def _cube_error(entry, where: str, cells: dict) -> None:
             raise FileFormatError(f"{where}.label: letters must be strings")
 
 
-def hda_from_json(doc: dict) -> Hda:
-    letters = _want(doc, "alphabet", list, "hda")
+def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
+    """The complex and labels of a cube list read a whole dimension at a
+    time, or None unless ``_read_by_entry`` would take every entry at once
+    and resolve every face: dimensions in non-decreasing order, exact types,
+    no repeated id, n faces on each side of an n-cube, faces that name cells
+    one dimension down, labels only on edges."""
+    if not {dict}.issuperset(map(type, entries)):
+        return None
     try:
-        alphabet = Alphabet(letters)
-    except ValueError as e:
-        raise FileFormatError(f"hda.alphabet: {e}") from None
+        dims = [*map(itemgetter("dim"), entries)]
+    except KeyError:
+        return None
+    if not {int}.issuperset(map(type, dims)) or dims != sorted(dims) or dims and dims[0] < 0:
+        return None
+    cells: dict[int, dict[str, int]] = {}
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    labels: dict[Key, tuple[str, ...]] = {}
+    get_id, get_d0, get_d1, get_label = map(itemgetter, ("id", "d0", "d1", "label"))
+    stop = 0
+    while stop < len(dims):
+        # One dimension's fields at a time, so only its temporaries are alive.
+        n = dims[stop]
+        start, stop = stop, bisect_right(dims, n, stop)
+        chunk = entries[start:stop]
+        try:
+            ids, d0s, d1s = [*map(get_id, chunk)], [*map(get_d0, chunk)], [*map(get_d1, chunk)]
+        except KeyError:
+            return None
+        if not (
+            {str}.issuperset(map(type, ids))
+            and {list}.issuperset(map(type, d0s))
+            and {list}.issuperset(map(type, d1s))
+            and {n}.issuperset(map(len, d0s))  # for n = 0: a vertex has no faces
+            and {n}.issuperset(map(len, d1s))
+        ):
+            return None
+        table = cells[n] = dict(zip(ids, range(len(ids))))
+        if len(table) < len(ids):
+            return None
+        if n:
+            # A face id found in ``below``, whose keys are exact strings,
+            # equals a string, so its type needs no test of its own.
+            below = cells.get(n - 1, {})
+            refs = chain.from_iterable(chain.from_iterable(zip(d0s, d1s)))
+            try:
+                faces[n] = [*zip(*[map(below.__getitem__, refs)] * (2 * n))]
+            except (KeyError, TypeError):  # a face that is no cell, or unhashable
+                return None
+        marked = [*map(contains, chunk, repeat("label"))]
+        if n == 1:
+            words = [*map(get_label, compress(chunk, marked))]
+            if not (
+                {list}.issuperset(map(type, words))
+                and {str}.issuperset(map(type, chain.from_iterable(words)))
+            ):
+                return None
+            labels = dict(zip(compress(ids, marked), map(tuple, words)))
+        elif any(marked):
+            return None
+    return PrecubicalSet.from_positions(cells, faces), labels
+
+
+def _read_by_entry(entries: list) -> tuple[PrecubicalSet, dict]:
+    """The complex and labels of any cube list, entry by entry; raises the
+    first entry's error, in file order."""
     strings = {str}.issuperset
     # Id -> position per dimension.  While the dimensions come in order, as
     # in a canonical file, each face id is resolved through the table of the
@@ -217,7 +280,6 @@ def hda_from_json(doc: dict) -> Hda:
     faces: dict[int, list] = {}
     unresolved: dict[Cube, tuple] = {}
     labels: dict[Key, tuple[str, ...]] = {}
-    entries = _want(doc, "cubes", list, "hda")
     top, ordered = -1, True
     for pos, entry in enumerate(entries):
         # Exact types pass at once; anything else gets the full diagnosis.
@@ -230,6 +292,7 @@ def hda_from_json(doc: dict) -> Hda:
             and type(d0 := entry.get("d0")) is list
             and type(d1 := entry.get("d1")) is list
             and strings(map(type, refs := d0 + d1))
+            and (dim or not refs)
             and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
         ):
             _cube_error(entry, f"hda.cubes[{pos}]", cells)
@@ -252,6 +315,23 @@ def hda_from_json(doc: dict) -> Hda:
                 unresolved[(dim, rid)] = (tuple(d0), tuple(d1))
         if "label" in entry:
             labels[rid] = tuple(entry["label"])
+    if ordered:
+        return PrecubicalSet.from_positions(cells, faces, unresolved), labels
+    return PrecubicalSet(
+        cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
+    ), labels
+
+
+def hda_from_json(doc: dict) -> Hda:
+    letters = _want(doc, "alphabet", list, "hda")
+    try:
+        alphabet = Alphabet(letters)
+    except ValueError as e:
+        raise FileFormatError(f"hda.alphabet: {e}") from None
+    entries = _want(doc, "cubes", list, "hda")
+    # A canonical file takes the first; any other list is read, or refused,
+    # entry by entry from the start.
+    complex, labels = _read_by_dimension(entries) or _read_by_entry(entries)
     marks = {}
     for mark in ("initial", "final"):
         refs = _want(doc, mark, list, "hda")
@@ -259,12 +339,6 @@ def hda_from_json(doc: dict) -> Hda:
             if not isinstance(ref, str):
                 raise FileFormatError(f"hda.{mark}: vertex ids must be strings")
         marks[mark] = frozenset((0, ref) for ref in refs)
-    if ordered:
-        complex = PrecubicalSet.from_positions(cells, faces, unresolved)
-    else:
-        complex = PrecubicalSet(
-            cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
-        )
     return Hda(
         complex=complex,
         alphabet=alphabet,

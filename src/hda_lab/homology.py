@@ -37,7 +37,7 @@ import heapq
 import weakref
 from typing import Iterable, Sequence
 
-from .precubical import Cube, PrecubicalSet
+from .precubical import Cube, Key, PrecubicalSet
 from .rings import CoefficientRing, Record, ZZ, xgcd
 
 Matrix = list[list[int]]
@@ -599,6 +599,16 @@ class Gf2Echelon:
         return None
 
 
+def _gf2_chain(n: int, cells: Sequence[Key], mask: int) -> Chain:
+    """The GF(2) chain on the n-cells of the set bits of mask, lowest first."""
+    chain = {}
+    while mask:  # one step per set bit, not per cell
+        low = mask & -mask
+        chain[(n, cells[low.bit_length() - 1])] = 1
+        mask ^= low
+    return chain
+
+
 # -- general prime field elimination ------------------------------------------
 
 
@@ -704,7 +714,7 @@ def _field_homology(
         if bitsets:
             for mask in kernel:
                 if image.add(mask) is None:
-                    chains.append({(n, cells[j]): 1 for j in range(len(cells)) if mask >> j & 1})
+                    chains.append(_gf2_chain(n, cells, mask))
         else:
             gens = FpEchelon(p)
             for kvec in kernel:

@@ -596,6 +596,25 @@ def test_an_over_long_integer_literal_exits_one_naming_the_file(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["homology"], ["labels"], ["tensor", "{w}/cb.json"]]
+)
+@pytest.mark.parametrize("side", ["d0", "d1"])
+def test_a_vertex_with_faces_exits_one_naming_the_file(argv, side, workdir, tmp_path, capsys):
+    # The writer has no place for a vertex's faces, so the loader refuses
+    # them rather than dropping them.
+    klein = tmp_path / "klein.json"
+    assert run(["model", "klein", "--out", str(klein)]) == 0
+    doc = json.loads(klein.read_text())
+    assert doc["cubes"][0]["dim"] == 0
+    doc["cubes"][0][side] = [doc["cubes"][1]["id"]]
+    klein.write_text(json.dumps(doc))
+    assert run([argv[0], str(klein), *(a.format(w=workdir) for a in argv[1:])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"hda-lab: {klein}: hda.cubes[0]: a vertex has no faces\n"
+    assert captured.out == ""
+
+
 def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
     tmp_path, capsys, monkeypatch
 ):

@@ -229,6 +229,8 @@ HDA_PARSE_ERRORS = [
     (_set(["cubes", 4, "d0", 0], 0), "hda.cubes[4]: face ids must be strings"),
     (_set(["cubes", 5, "d1", 0], None), "hda.cubes[5]: face ids must be strings"),
     (_set(["cubes", 0, "d1"], [["v"]]), "hda.cubes[0]: face ids must be strings"),
+    (_set(["cubes", 0, "d0"], ["w0"]), "hda.cubes[0]: a vertex has no faces"),
+    (_set(["cubes", 2, "d1"], ["v", "w0"]), "hda.cubes[2]: a vertex has no faces"),
     (
         _set(["cubes", 1, "label"], ["x++_0"]),
         "hda.cubes[1]: label is only allowed on dimension-1 cubes",
@@ -302,6 +304,207 @@ def test_hda_loader_keeps_semantic_defects_for_validation():
     square["d1"] = square["d1"][:1]
     kinds = {v.kind for v in validate_hda(hda_from_json(doc))}
     assert "face-arity" in kinds
+
+
+# -- the HDA loader before the whole-dimension pass, as reference ---------------
+
+
+def reference_hda_from_json(doc: dict):
+    """hda_from_json as it was when every document was read entry by entry."""
+    from hda_lab.exterior import Alphabet
+    from hda_lab.fileformats import _cube_error, _str_list, _want
+    from hda_lab.hda import Hda
+    from hda_lab.precubical import PrecubicalSet
+
+    letters = _want(doc, "alphabet", list, "hda")
+    try:
+        alphabet = Alphabet(letters)
+    except ValueError as e:
+        raise FileFormatError(f"hda.alphabet: {e}") from None
+    strings = {str}.issuperset
+    cells, faces, unresolved, labels = {}, {}, {}, {}
+    entries = _want(doc, "cubes", list, "hda")
+    top, ordered = -1, True
+    for pos, entry in enumerate(entries):
+        if not (
+            type(entry) is dict
+            and type(rid := entry.get("id")) is str
+            and type(dim := entry.get("dim")) is int
+            and dim >= 0
+            and rid not in cells.get(dim, ())
+            and type(d0 := entry.get("d0")) is list
+            and type(d1 := entry.get("d1")) is list
+            and strings(map(type, refs := d0 + d1))
+            and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
+        ):
+            _cube_error(entry, f"hda.cubes[{pos}]", cells)
+            rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
+            refs = d0 + d1
+        if dim != top:
+            ordered = ordered and dim > top
+            top = dim
+            table = cells.setdefault(dim, {})
+            below = cells.get(dim - 1, {})
+            flats = faces.setdefault(dim, [])
+        table[rid] = len(table)
+        if dim and ordered:
+            try:
+                flat = tuple(map(below.__getitem__, refs)) if len(d0) == dim == len(d1) else None
+            except KeyError:
+                flat = None
+            flats.append(flat)
+            if flat is None:
+                unresolved[(dim, rid)] = (tuple(d0), tuple(d1))
+        if "label" in entry:
+            labels[rid] = tuple(entry["label"])
+    marks = {}
+    for mark in ("initial", "final"):
+        refs = _want(doc, mark, list, "hda")
+        for ref in refs:
+            if not isinstance(ref, str):
+                raise FileFormatError(f"hda.{mark}: vertex ids must be strings")
+        marks[mark] = frozenset((0, ref) for ref in refs)
+    if ordered:
+        complex = PrecubicalSet.from_positions(cells, faces, unresolved)
+    else:
+        complex = PrecubicalSet(
+            cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
+        )
+    return Hda(complex, alphabet, labels, marks["initial"], marks["final"])
+
+
+def _loaded(load, doc):
+    """What a loader makes of a document, in order where order is kept, or
+    the text of the error it raised."""
+    try:
+        h = load(doc)
+    except FileFormatError as e:
+        return str(e)
+    P = h.complex
+    return (
+        [(n, [*index.items()]) for n, index in P._index.items()],
+        P._faces,
+        P._unresolved,
+        [*h.labels.items()],
+        h.alphabet,
+        h.initial,
+        h.final,
+    )
+
+
+def _hda_documents():
+    """The loader's inputs: documents of every fixture, model stream and
+    damaged model, every parse-error edit, and each of them with its cubes
+    reordered or its faces broken."""
+    from conftest import random_circle, random_torus, suite_rng
+    from test_precubical import damaged_models
+
+    docs = [doc for doc in _fixture_docs().values()] + list(_adversarial_docs().values())
+    rng = suite_rng("loader-reference")
+    docs += [hda_to_json(random_circle(rng)) for _ in range(10)]
+    docs += [hda_to_json(random_torus(rng)) for _ in range(10)]
+    for h in damaged_models():
+        try:
+            docs.append(hda_to_json(h))
+        except (FileFormatError, KeyError):  # ids that do not render, a cell without faces
+            pass
+    good = hda_to_json(lock_spec())
+    for edit, message in HDA_PARSE_ERRORS:
+        doc = json.loads(canonical_json(good))
+        edit(doc)
+        docs.append(doc)
+    out = []
+    for doc in docs:
+        out.append(doc)
+        cubes = doc.get("cubes") if type(doc) is dict else None
+        if type(cubes) is not list or len(cubes) < 2:
+            continue
+        dim = lambda e: e["dim"] if type(e) is dict and type(e.get("dim")) is int else 0
+        for order in (
+            cubes[::-1],
+            rng.sample(cubes, len(cubes)),
+            sorted(cubes, key=lambda e: -dim(e)),
+        ):
+            out.append({**doc, "cubes": order})
+        edges = [
+            pos for pos, e in enumerate(cubes)
+            if type(e) is dict and e.get("dim") == 1 and type(e.get("d0")) is list and e["d0"]
+        ]
+        for change in (
+            lambda e: e["d0"].__setitem__(0, "nowhere"),
+            lambda e: e.__setitem__("d0", []),
+            lambda e: e.__setitem__("d1", e["d1"] * 2),
+            lambda e: e["d0"].__setitem__(0, e["id"]),  # a cell, one dimension too high
+        ):
+            if edges:
+                broken = json.loads(json.dumps(doc))
+                change(broken["cubes"][edges[0]])
+                out.append(broken)
+        # Without its edges, a document's squares name no cells.
+        out.append({**doc, "cubes": [e for e in cubes if dim(e) != 1]})
+    return out
+
+
+def _a_vertex_has_faces(doc) -> bool:
+    cubes = doc.get("cubes") if type(doc) is dict else None
+    return type(cubes) is list and any(
+        type(e) is dict and e.get("dim") == 0 and (e.get("d0") or e.get("d1")) for e in cubes
+    )
+
+
+def test_hda_loader_matches_the_reference():
+    from hda_lab.fileformats import _read_by_dimension
+
+    by_dimension = by_entry = 0
+    for doc in _hda_documents():
+        if _a_vertex_has_faces(doc):  # refused now, read before
+            assert isinstance(_loaded(hda_from_json, doc), str)
+            continue
+        assert _loaded(hda_from_json, doc) == _loaded(reference_hda_from_json, doc)
+        if type(doc) is dict and type(doc.get("cubes")) is list:
+            if _read_by_dimension(doc["cubes"]) is None:
+                by_entry += 1
+            else:
+                by_dimension += 1
+    assert by_dimension > 100 and by_entry > 100, (by_dimension, by_entry)
+
+
+def _canonical_models():
+    """Every kind of HDA the suite writes: fixtures, compiled programs,
+    circles, tensor products and four philosophers."""
+    from conftest import random_circle, random_torus, suite_rng
+    from hda_lab import cli, models
+
+    out = {f"fixture-{name}": build(models) for name, build in cli._FIXTURES.items()}
+    for name, prog in (("peterson", peterson()), ("lock-counter", lock_counter()),
+                       ("phil3", dining_philosophers(3)), ("phil4", dining_philosophers(4))):
+        out[name] = program_to_hda(prog)
+    out["circle"] = labeled_circle(["a1", "a2.b"])
+    out["word-torus"] = directed_torus([("a1",), ("a2",)], [("b",)])
+    out["tensor"] = tensor_hda(models.lock_spec(), models.torus_hda())
+    rng = suite_rng("loader-canonical")
+    for k in range(6):
+        out[f"stream-circle-{k}"] = random_circle(rng)
+        out[f"stream-torus-{k}"] = random_torus(rng)
+    return out
+
+
+def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
+    import hda_lab.fileformats as ff
+
+    def entry_by_entry(entries):
+        raise AssertionError("a canonical file was read entry by entry")
+
+    monkeypatch.setattr(ff, "_read_by_entry", entry_by_entry)
+    for name, h in _canonical_models().items():
+        path = tmp_path / f"{name}.json"
+        save_hda(h, str(path))
+        again = load_hda(str(path))
+        assert _loaded(lambda doc: again, None) == _loaded(
+            reference_hda_from_json, json.loads(path.read_text())
+        ), name
+        save_hda(again, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
 
 
 # -- the HDA writer before the one rendering per cell, as reference -------------

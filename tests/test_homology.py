@@ -626,6 +626,31 @@ def test_field_homology_equals_the_per_degree_reduction(p):
             ], (name, n)
 
 
+def per_cell_scan(n, cells, mask):
+    """The GF(2) read-out before it walked the set bits: one shift per cell."""
+    return {(n, cells[j]): 1 for j in range(len(cells)) if mask >> j & 1}
+
+
+def test_gf2_generators_equal_the_per_cell_scan(monkeypatch):
+    import hda_lab.homology as hom
+
+    rng = random.Random(5)
+    cells = [f"c{j}" for j in range(300)]
+    for mask in [0, 1, 1 << 299, (1 << 300) - 1] + [rng.getrandbits(300) for _ in range(50)]:
+        chain = hom._gf2_chain(2, cells, mask)
+        assert list(chain.items()) == list(per_cell_scan(2, cells, mask).items())
+    complexes = _oracle_complexes()
+    got = {name: hom._field_homology(P, GF2, True) for name, P in complexes.items()}
+    monkeypatch.setattr(hom, "_gf2_chain", per_cell_scan)
+    for name, P in complexes.items():
+        want = hom._field_homology(P, GF2, True)
+        # Chain for chain, cells in the same order.
+        assert [[list(c.items()) for c in g.generators] for g in got[name]] == [
+            [list(c.items()) for c in g.generators] for g in want
+        ], name
+    assert max(len(c) for c in got["phil4"][1].generators) > 1
+
+
 def test_field_homology_is_computed_once_per_complex(monkeypatch):
     import hda_lab.homology as hom
 
