@@ -126,41 +126,41 @@ def canonical_json(doc: dict) -> str:
 
 def hda_to_json(h: Hda) -> dict:
     P = h.complex
-    # key -> rendered id per dimension, each id rendered once; _id_maps only
-    # runs to name the first key that does not render or collides.
+    # The rendered ids per dimension, in basis order, each rendered once;
+    # _id_maps only runs to name the first key that does not render or collides.
     ids = []
     for n in range(P.max_dim + 1):
         keys = P.cells(n)
         try:
-            table = dict(zip(keys, map(render_id, keys)))
+            rids = [*map(render_id, keys)]
         except FileFormatError:
-            table = {}
-        if len(set(table.values())) < len(keys):
+            rids = []
+        if len(set(rids)) < len(keys):
             _id_maps(P)
-        ids.append(table)
+        ids.append(rids)
     cubes = []
-    for n, table in enumerate(ids):
-        # Every table is whole here, so its ids are in basis order.
-        rids_below = [*ids[n - 1].values()] if n else None
-        flats = P.face_positions(n)
-        for pos, (key, rid) in enumerate(table.items()):
+    for n, rids in enumerate(ids):
+        rids_below = ids[n - 1] if n else None
+        faces = P.face_positions(n)
+        for pos, (key, rid) in enumerate(zip(P.cells(n), rids)):
             entry: dict = {"id": rid, "dim": n}
             if not n:
                 entry["d0"] = []
                 entry["d1"] = []
-            elif (flat := flats[pos]) is not None:
+            elif (flat := faces[pos]) is not None:
                 refs = [*map(rids_below.__getitem__, flat)]
                 entry["d0"] = refs[:n]
                 entry["d1"] = refs[n:]
             else:  # faces that are not cells, or not n of them
-                d0, d1 = P.face_keys((n, key))
                 try:
-                    entry["d0"] = [*map(ids[n - 1].__getitem__, d0)]
-                    entry["d1"] = [*map(ids[n - 1].__getitem__, d1)]
-                except (KeyError, TypeError):  # a face that is not a cell
-                    entry["d0"] = [render_id(k) for k in d0]
-                    entry["d1"] = [render_id(k) for k in d1]
+                    d0, d1 = P.face_keys((n, key))
+                except KeyError:
+                    raise FileFormatError(f"dimension {n}: cell {rid!r} has no face entry") from None
+                entry["d0"] = [*map(render_id, d0)]
+                entry["d1"] = [*map(render_id, d1)]
             if n == 1:
+                if key not in h.labels:
+                    raise FileFormatError(f"dimension 1: cell {rid!r} has no label")
                 entry["label"] = list(h.labels[key])
             cubes.append(entry)
     cubes.sort(key=itemgetter("dim", "id"))
@@ -208,8 +208,8 @@ def _cube_error(entry, where: str, cells: dict) -> None:
 
 def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
     """The complex and labels of a cube list read a whole dimension at a
-    time, or None unless ``_read_by_entry`` would take every entry at once
-    and resolve every face: dimensions in non-decreasing order, exact types,
+    time, or None unless every entry is well formed and every face
+    resolves: dimensions in non-decreasing order, exact types,
     no repeated id, n faces on each side of an n-cube, faces that name cells
     one dimension down, labels only on edges."""
     if not {dict}.issuperset(map(type, entries)):
@@ -270,56 +270,20 @@ def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
 
 def _read_by_entry(entries: list) -> tuple[PrecubicalSet, dict]:
     """The complex and labels of any cube list, entry by entry; raises the
-    first entry's error, in file order."""
-    strings = {str}.issuperset
-    # Id -> position per dimension.  While the dimensions come in order, as
-    # in a canonical file, each face id is resolved through the table of the
-    # dimension below when its cube is read; an entry whose faces are not
-    # cells of the right number is kept as given, for the validator.
-    cells: dict[int, dict[str, int]] = {}
-    faces: dict[int, list] = {}
-    unresolved: dict[Cube, tuple] = {}
+    first entry's error, in file order.  The key-based constructor resolves
+    the faces and keeps an entry whose faces are not cells for the validator."""
+    cells: dict[int, dict[str, None]] = {}
+    faces: dict[Cube, tuple[list, list]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
-    top, ordered = -1, True
     for pos, entry in enumerate(entries):
-        # Exact types pass at once; anything else gets the full diagnosis.
-        if not (
-            type(entry) is dict
-            and type(rid := entry.get("id")) is str
-            and type(dim := entry.get("dim")) is int
-            and dim >= 0
-            and rid not in cells.get(dim, ())
-            and type(d0 := entry.get("d0")) is list
-            and type(d1 := entry.get("d1")) is list
-            and strings(map(type, refs := d0 + d1))
-            and (dim or not refs)
-            and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
-        ):
-            _cube_error(entry, f"hda.cubes[{pos}]", cells)
-            rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
-            refs = d0 + d1
-        if dim != top:
-            ordered = ordered and dim > top
-            top = dim
-            table = cells.setdefault(dim, {})
-            below = cells.get(dim - 1, {})
-            flats = faces.setdefault(dim, [])
-        table[rid] = len(table)
-        if dim and ordered:
-            try:
-                flat = tuple(map(below.__getitem__, refs)) if len(d0) == dim == len(d1) else None
-            except KeyError:
-                flat = None
-            flats.append(flat)
-            if flat is None:
-                unresolved[(dim, rid)] = (tuple(d0), tuple(d1))
+        _cube_error(entry, f"hda.cubes[{pos}]", cells)
+        rid, dim = entry["id"], entry["dim"]
+        cells.setdefault(dim, {})[rid] = None
+        if dim:
+            faces[(dim, rid)] = (entry["d0"], entry["d1"])
         if "label" in entry:
             labels[rid] = tuple(entry["label"])
-    if ordered:
-        return PrecubicalSet.from_positions(cells, faces, unresolved), labels
-    return PrecubicalSet(
-        cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
-    ), labels
+    return PrecubicalSet(cells, faces), labels
 
 
 def hda_from_json(doc: dict) -> Hda:

@@ -750,12 +750,9 @@ def homology(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> HomologyGr
     return groups[n] if n < len(groups) else HomologyGroup(n, ring, 0)
 
 
-def all_homology(
-    P: PrecubicalSet, ring: CoefficientRing = ZZ, top: int | None = None
-) -> dict[int, HomologyGroup]:
-    """Homology in all degrees 0..top (default: max dimension of P)."""
-    top = P.max_dim if top is None else top
-    return {n: homology(P, n, ring) for n in range(max(top, 0) + 1)}
+def all_homology(P: PrecubicalSet, ring: CoefficientRing = ZZ) -> dict[int, HomologyGroup]:
+    """Homology in all degrees 0..max dimension of P."""
+    return {n: homology(P, n, ring) for n in range(max(P.max_dim, 0) + 1)}
 
 
 # -- membership in a spanned sublattice / subspace -----------------------------

@@ -72,7 +72,10 @@ class PrecubicalSet:
     stored so (a face that names no cell, a tuple of the wrong length, an
     entry for a cell that does not exist) is kept by cube, as given, in a
     side table for the validator; its cell's positions read None, as do
-    those of a cell with no entry at all.
+    those of a cell with no entry at all.  Builders that resolve every face
+    themselves (the program compiler, the loader's whole-dimension pass) go
+    through ``from_positions``; anything else, a defective file included,
+    comes through this constructor.
     """
 
     __slots__ = ("_cells", "_index", "_faces", "_unresolved", "__weakref__")
@@ -112,22 +115,20 @@ class PrecubicalSet:
     def from_positions(
         cls,
         index: Mapping[int, dict[Key, int]],
-        faces: Mapping[int, list[tuple[int, ...] | None]],
-        unresolved: dict[Cube, tuple[tuple[Key, ...], tuple[Key, ...]]] | None = None,
+        faces: Mapping[int, list[tuple[int, ...]]],
     ) -> "PrecubicalSet":
-        """A set whose builder has already resolved its faces.
+        """A set whose builder has already resolved every face.
 
         ``index[n]`` maps each key of dimension n to its position, in
         position order; ``faces[n]`` lists, per n-cell in that order, what
-        ``face_positions`` returns; ``unresolved`` holds the entries a None
-        stands for, as the constructor keeps them.  The dictionaries are
-        taken over and the positions are trusted.
+        ``face_positions`` returns, never None, so the side table is empty.
+        The dictionaries are taken over and the positions are trusted.
         """
         P = cls.__new__(cls)
         P._index = {n: index[n] for n in sorted(index) if index[n]}
         P._cells = {n: tuple(keys) for n, keys in P._index.items()}
         P._faces = {n: faces[n] for n in P._cells if n}
-        P._unresolved = unresolved or {}
+        P._unresolved = {}
         return P
 
     # -- basic queries ---------------------------------------------------

@@ -59,21 +59,17 @@ def cross_chain(a: Chain, b: Chain, ring: CoefficientRing = ZZ) -> Chain:
 
 
 def check_tensor_label_identity(
-    A: Hda,
-    B: Hda,
-    ring: CoefficientRing = ZZ,
-    T: Hda | None = None,
+    A: Hda, B: Hda, ring: CoefficientRing = ZZ
 ) -> list[Violation]:
     """Compare product labels against wedges of factor labels, cell by cell.
 
     Returns one violation per product cell where the degree-(p+q) label of
     (x, y) differs from label(x) ^ label(y); empty on every valid pair of
-    automata.  ``T`` can be passed in when the caller already built it.
+    automata.
     """
     from .labeling import label_cochain
 
-    if T is None:
-        T = tensor_hda(A, B)
+    T = tensor_hda(A, B)
     out: list[Violation] = []
     for p in A.complex.dims():
         for q in B.complex.dims():
@@ -96,35 +92,23 @@ def check_tensor_label_identity(
 
 
 def kunneth_profile(
-    A: PrecubicalSet,
-    B: PrecubicalSet,
-    ring: CoefficientRing,
-    top: int | None = None,
+    A: PrecubicalSet, B: PrecubicalSet, ring: CoefficientRing
 ) -> tuple[list[int], list[int]]:
     """Betti numbers of the tensor vs the field Kunneth prediction.
 
-    Returns (actual, predicted), each indexed by degree 0..top.  Over a field
-    homology is a vector space, so the predicted dimension in degree n is the
-    convolution sum of the factor dimensions.  Over Z the formula would need
-    torsion correction terms, so this helper requires a field ring.
+    Returns (actual, predicted), each indexed by degree 0..dim A + dim B.
+    Over a field homology is a vector space, so the predicted dimension in
+    degree n is the convolution sum of the factor dimensions.  Over Z the
+    formula would need torsion correction terms, so this helper requires a
+    field ring.
     """
-    from .homology import all_homology
+    from .homology import homology
 
     if not ring.is_field:
         raise ValueError("the rank convolution formula needs field coefficients")
-    T = tensor(A, B)
-    if top is None:
-        top = A.max_dim + B.max_dim
-    ha = all_homology(A, ring, top)
-    hb = all_homology(B, ring, top)
-    ht = all_homology(T, ring, top)
-    actual = [ht[n].free_rank for n in range(top + 1)]
-    predicted = [
-        sum(
-            ha[p].free_rank * hb[n - p].free_rank
-            for p in range(n + 1)
-            if p in ha and (n - p) in hb
-        )
-        for n in range(top + 1)
-    ]
+    degrees = range(A.max_dim + B.max_dim + 1)
+    a, b, actual = (
+        [homology(P, n, ring).free_rank for n in degrees] for P in (A, B, tensor(A, B))
+    )
+    predicted = [sum(a[p] * b[n - p] for p in range(n + 1)) for n in degrees]
     return actual, predicted

@@ -289,14 +289,13 @@ def implements_report(
     impl: Hda,
     spec: Hda,
     ring: CoefficientRing = ZZ,
-    max_degree: int | None = None,
 ) -> ImplementsReport:
     """Check that every realized implementation label is a specification label.
 
     Both models must use the same action letters (order may differ).  Degrees
-    run from 1 through the implementation's top dimension, capped by
-    ``max_degree``; degree 0 carries only the unit and says nothing.  Zero
-    labels are skipped: zero lies in every image.
+    run from 1 through the implementation's top dimension; degree 0 carries
+    only the unit and says nothing.  Zero labels are skipped: zero lies in
+    every image.
     """
     if set(impl.alphabet.letters) != set(spec.alphabet.letters):
         only_impl = sorted(set(impl.alphabet.letters) - set(spec.alphabet.letters))
@@ -306,10 +305,7 @@ def implements_report(
             f" specification-only {only_spec}"
         )
     alphabet = impl.alphabet
-    top = impl.complex.max_dim
-    if max_degree is not None:
-        top = min(top, max_degree)
-    degrees = list(range(1, top + 1))
+    degrees = list(range(1, impl.complex.max_dim + 1))
     witnesses = []
     checked = 0
     skipped = 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import traceback
 
 import pytest
 
@@ -365,7 +366,8 @@ def reference_hda_from_json(doc: dict):
                 raise FileFormatError(f"hda.{mark}: vertex ids must be strings")
         marks[mark] = frozenset((0, ref) for ref in refs)
     if ordered:
-        complex = PrecubicalSet.from_positions(cells, faces, unresolved)
+        complex = PrecubicalSet.from_positions(cells, faces)
+        complex._unresolved = unresolved
     else:
         complex = PrecubicalSet(
             cells, {(e["dim"], e["id"]): (e["d0"], e["d1"]) for e in entries if e["dim"]}
@@ -409,7 +411,7 @@ def _hda_documents():
     for h in damaged_models():
         try:
             docs.append(hda_to_json(h))
-        except KeyError:  # a cell without a face entry cannot be written
+        except FileFormatError:  # a cell without a face entry cannot be written
             pass
     good = hda_to_json(lock_spec())
     for edit, message in HDA_PARSE_ERRORS:
@@ -455,15 +457,25 @@ def _a_vertex_has_faces(doc) -> bool:
     )
 
 
-def test_hda_loader_matches_the_reference():
+def test_hda_loader_matches_the_reference(monkeypatch):
+    import hda_lab.fileformats as ff
     from hda_lab.fileformats import _read_by_dimension
+
+    def entry_by_entry(doc):
+        """The loader with every cube list read by ``_read_by_entry``."""
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_read_by_dimension", lambda entries: None)
+            return hda_from_json(doc)
 
     by_dimension = by_entry = 0
     for doc in _hda_documents():
         if _a_vertex_has_faces(doc):  # refused now, read before
             assert isinstance(_loaded(hda_from_json, doc), str)
+            assert isinstance(_loaded(entry_by_entry, doc), str)
             continue
-        assert _loaded(hda_from_json, doc) == _loaded(reference_hda_from_json, doc)
+        want = _loaded(reference_hda_from_json, doc)
+        assert _loaded(hda_from_json, doc) == want
+        assert _loaded(entry_by_entry, doc) == want
         if type(doc) is dict and type(doc.get("cubes")) is list:
             if _read_by_dimension(doc["cubes"]) is None:
                 by_entry += 1
@@ -505,6 +517,9 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
         again = load_hda(str(path))
         want = reference_hda_from_json(json.loads(path.read_text()))
         assert _summary(again) == _summary(want), name
+        P = again.complex
+        assert not P._unresolved, name
+        assert all(None not in P.face_positions(n) for n in P.dims()), name
         save_hda(again, str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
 
@@ -554,6 +569,19 @@ def _written(to_json, h):
     return doc, [list(entry) for entry in doc["cubes"]]
 
 
+def reference_hda_to_json_naming_cells(h) -> dict:
+    """reference_hda_to_json, with its bare KeyError for a cell without a
+    face entry, or an edge without a label, read as the FileFormatError the
+    writer raises for it."""
+    try:
+        return reference_hda_to_json(h)
+    except KeyError as e:
+        if traceback.extract_tb(e.__traceback__)[-1].name == "face_keys":
+            n, key = e.args[0]
+            raise FileFormatError(f"dimension {n}: cell {render_id(key)!r} has no face entry") from None
+        raise FileFormatError(f"dimension 1: cell {render_id(e.args[0])!r} has no label") from None
+
+
 def _hda(cells, faces, labels, initial=()):
     from hda_lab.exterior import Alphabet
     from hda_lab.hda import Hda
@@ -592,17 +620,31 @@ WRITER_CASES = {
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
 def test_hda_writer_matches_the_reference_on_damaged_automata(name):
     h = WRITER_CASES[name]
-    assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+    assert _written(hda_to_json, h) == _written(reference_hda_to_json_naming_cells, h)
 
 
 def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
     from test_precubical import damaged_models
 
+    missing = 0
     for h in damaged_models():
-        assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+        want = _written(reference_hda_to_json_naming_cells, h)
+        assert _written(hda_to_json, h) == want
+        missing += str(want[1]).endswith(("has no face entry", "has no label"))
+    assert missing == 35
     for build in (lock_spec, lambda: tensor_hda(directed_torus([("a",)], [("b",)]), lock_spec())):
         h = build()
         assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+
+
+def test_saving_a_cell_without_a_face_entry_or_label_names_the_cell(tmp_path):
+    h = _hda({0: ["u"], 1: ["e"], 2: [("s", 1)]}, {(1, "e"): (["u"], ["u"])}, {"e": ("a",)})
+    with pytest.raises(FileFormatError, match=r"^dimension 2: cell '\(s,1\)' has no face entry$"):
+        save_hda(h, str(tmp_path / "h.json"))
+    assert not (tmp_path / "h.json").exists()
+    h = _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {})
+    with pytest.raises(FileFormatError, match=r"^dimension 1: cell 'e' has no label$"):
+        save_hda(h, str(tmp_path / "h.json"))
 
 
 def test_grid_coord_round_trip():
