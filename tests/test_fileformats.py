@@ -411,7 +411,7 @@ def _hda_documents():
     for h in damaged_models():
         try:
             docs.append(hda_to_json(h))
-        except FileFormatError:  # a cell without a face entry cannot be written
+        except FileFormatError:  # a cell without faces or an edge without a label
             pass
     good = hda_to_json(lock_spec())
     for edit, message in HDA_PARSE_ERRORS:
