@@ -170,6 +170,8 @@ def test_kunneth_klein_gf2_vs_gf5_differ():
     gf2_actual, _ = kunneth_profile(klein, circle, GF2)
     gf5_actual, _ = kunneth_profile(klein, circle, GF5)
     assert gf2_actual != gf5_actual
+    # One rank per degree 0..3, the tensor's top degree included.
+    assert (gf2_actual, gf5_actual) == ([1, 3, 3, 1], [1, 2, 1, 0])
 
 
 def test_tensor_homology_matches_integral_expectation():
