@@ -25,7 +25,6 @@ minus its image square.  This is the map the label cochain is natural for.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from typing import Iterator, Sequence
 
 from .exterior import perm_sign
@@ -185,89 +184,89 @@ def _structural_violations(f: ElementaryDimap) -> list[Violation]:
     return out
 
 
-def _face_violations(f: ElementaryDimap) -> list[Violation]:
-    out: list[Violation] = []
+def _well_formed(f: ElementaryDimap) -> Iterator[tuple[Cube, int, CubeMap]]:
+    """Each source cube of dimension n >= 1 with its grid data, in cell order,
+    skipping those without data, with the wrong arity or with an axis
+    permutation that is not one of 1..n (the structural check reports them).
+    """
     P = f.source.complex
     for n in P.dims():
         if n == 0:
             continue
         for x in P.cubes(n):
             cm = f.cube_maps.get(x)
-            if cm is None or len(cm.shape) != n:
-                continue
-            if sorted(cm.axis_perm) != list(range(1, n + 1)):
-                continue
-            for i in range(1, n + 1):
-                for k in (0, 1):
-                    derived = face_restriction(cm, k, i)
-                    face = P.face(x, k, i)
-                    if n == 1:
-                        want = f.vertex_map.get(face)
-                        got = derived.flat.get(())
-                        if want is not None and got != want:
-                            out.append(
-                                Violation(
-                                    "face-vertex",
-                                    x,
-                                    f"end {k} flattens to {got} but the vertex maps to {want}",
-                                    (k, i),
-                                )
-                            )
-                        continue
-                    stored = f.cube_maps.get(face)
-                    if stored is None:
-                        continue
-                    if stored != derived:
+            if cm is not None and len(cm.shape) == n and sorted(cm.axis_perm) == list(
+                range(1, n + 1)
+            ):
+                yield x, n, cm
+
+
+def _face_violations(f: ElementaryDimap) -> list[Violation]:
+    out: list[Violation] = []
+    P = f.source.complex
+    for x, n, cm in _well_formed(f):
+        for i in range(1, n + 1):
+            for k in (0, 1):
+                derived = face_restriction(cm, k, i)
+                face = P.face(x, k, i)
+                if n == 1:
+                    want = f.vertex_map.get(face)
+                    got = derived.flat.get(())
+                    if want is not None and got != want:
                         out.append(
                             Violation(
-                                "face-data",
+                                "face-vertex",
                                 x,
-                                f"face d[{k},{i}] = {face} stores different grid data "
-                                f"than the restriction",
+                                f"end {k} flattens to {got} but the vertex maps to {want}",
                                 (k, i),
                             )
                         )
+                    continue
+                stored = f.cube_maps.get(face)
+                if stored is None:
+                    continue
+                if stored != derived:
+                    out.append(
+                        Violation(
+                            "face-data",
+                            x,
+                            f"face d[{k},{i}] = {face} stores different grid data "
+                            f"than the restriction",
+                            (k, i),
+                        )
+                    )
     return out
 
 
 def _label_violations(f: ElementaryDimap) -> list[Violation]:
     out: list[Violation] = []
-    P = f.source.complex
-    for n in P.dims():
-        if n == 0:
-            continue
-        for x in P.cubes(n):
-            cm = f.cube_maps.get(x)
-            if cm is None or len(cm.shape) != n or sorted(cm.axis_perm) != list(
-                range(1, n + 1)
-            ):
+    for x, n, cm in _well_formed(f):
+        for i in range(1, n + 1):
+            m = cm.axis_perm.index(i) + 1
+            word: list[str] = []
+            ok = True
+            for j in range(cm.shape[m - 1]):
+                coord = tuple(
+                    (j, j + 1) if t == m else 0 for t in range(1, n + 1)
+                )
+                img = cm.flat.get(coord)
+                if img is None or img[0] != 1:
+                    ok = False
+                    break
+                word.extend(f.target.labels.get(img[1], ()))
+            if not ok:
                 continue
-            for i in range(1, n + 1):
-                m = cm.axis_perm.index(i) + 1
-                word: list[str] = []
-                ok = True
-                for j in range(cm.shape[m - 1]):
-                    coord = tuple(
-                        (j, j + 1) if t == m else 0 for t in range(1, n + 1)
+            want = f.source.direction_word(x, i)
+            if tuple(word) != want:
+                out.append(
+                    Violation(
+                        "label-mismatch",
+                        x,
+                        f"direction {i} spells {tuple(word)!r} in the target "
+                        f"but the source word is {want!r}",
+                        (i,),
                     )
-                    img = cm.flat.get(coord)
-                    if img is None or img[0] != 1:
-                        ok = False
-                        break
-                    word.extend(f.target.labels.get(img[1], ()))
-                if not ok:
-                    continue
-                want = f.source.direction_word(x, i)
-                if tuple(word) != want:
-                    out.append(
-                        Violation(
-                            "label-mismatch",
-                            x,
-                            f"direction {i} spells {tuple(word)!r} in the target "
-                            f"but the source word is {want!r}",
-                            (i,),
-                        )
-                    )
+                )
     return out
 
 
@@ -306,12 +305,6 @@ def validate_dimap(f: ElementaryDimap) -> list[Violation]:
     out += _label_violations(f)
     out += _marking_violations(f)
     return out
-
-
-def assert_valid_dimap(f: ElementaryDimap) -> None:
-    bad = validate_dimap(f)
-    if bad:
-        raise ValueError("invalid dimap:\n" + "\n".join(str(v) for v in bad[:10]))
 
 
 # -- induced maps --------------------------------------------------------------
@@ -393,7 +386,7 @@ def check_naturality(f: ElementaryDimap, ring: CoefficientRing = ZZ) -> list[Vio
     return out
 
 
-# -- identity and composition ---------------------------------------------------
+# -- identity ------------------------------------------------------------------
 
 
 def identity_dimap(h: Hda) -> ElementaryDimap:
@@ -411,78 +404,3 @@ def identity_dimap(h: Hda) -> ElementaryDimap:
             }
             cube_maps[x] = CubeMap((1,) * n, tuple(range(1, n + 1)), flat)
     return ElementaryDimap(h, h, vertex_map, cube_maps)
-
-
-def _slot(starts: list[int], pos: int, count: int) -> int:
-    """Which slab a global axis position belongs to.
-
-    A position on an interior slab boundary joins the slab starting there;
-    the global end joins the last slab.  Either choice gives the same image
-    cell when the map is face coherent, so one fixed rule suffices.
-    """
-    return min(bisect_right(starts, pos) - 1, count - 1)
-
-
-def compose_dimaps(f: ElementaryDimap, g: ElementaryDimap) -> ElementaryDimap:
-    """The composite source -> middle -> target as one elementary map.
-
-    Grid axes of the composite follow the axis order of g's data on the
-    image cubes, so axis permutations (and hence pushforward signs) compose.
-    All top cells of a source cube's grid must therefore agree on their g
-    axis permutation; a mix would mean the composite is not expressible as a
-    single grid per cube, and is rejected.
-    """
-    if f.target.complex is not g.source.complex:
-        raise ValueError("dimaps do not compose: middle automata differ")
-    vertex_map = {v: g.vertex_map[img] for v, img in f.vertex_map.items()}
-    cube_maps: dict[Cube, CubeMap] = {}
-    for x, fm in f.cube_maps.items():
-        n = len(fm.shape)
-        tops = grid_top_cells(fm.shape)
-        mids = [fm.flat[t] for t in tops]
-        perms = {g.cube_maps[z].axis_perm for z in mids}
-        if len(perms) != 1:
-            raise ValueError(
-                f"composite of {x} is not elementary: mixed axis permutations {perms}"
-            )
-        tau = perms.pop()
-        # Slab lengths along each f grid axis m, read off representative
-        # slabs with all other axes in their first slot.
-        starts: dict[int, list[int]] = {}
-        for m in range(1, n + 1):
-            acc = [0]
-            for j in range(fm.shape[m - 1]):
-                cell = tuple(
-                    (j, j + 1) if t == m else (0, 1) for t in range(1, n + 1)
-                )
-                z = fm.flat[cell]
-                gz = g.cube_maps[z]
-                a = tau.index(m) + 1
-                acc.append(acc[-1] + gz.shape[a - 1])
-            starts[m] = acc
-        shape = tuple(starts[tau[a - 1]][-1] for a in range(1, n + 1))
-        axis_perm = tuple(fm.axis_perm[tau[a - 1] - 1] for a in range(1, n + 1))
-        flat: dict[GridCoord, Cube] = {}
-        for _, coord in interval_grid(shape).all_cubes():
-            slots = {}
-            locals_by_axis = {}
-            for a in range(1, n + 1):
-                m = tau[a - 1]
-                st = starts[m]
-                comp = coord[a - 1]
-                if isinstance(comp, tuple):
-                    j = _slot(st, comp[0], fm.shape[m - 1])
-                    locals_by_axis[a] = (comp[0] - st[j], comp[1] - st[j])
-                else:
-                    j = _slot(st, comp, fm.shape[m - 1])
-                    locals_by_axis[a] = comp - st[j]
-                slots[m] = j
-            fcell = tuple(
-                (slots[m], slots[m] + 1) for m in range(1, n + 1)
-            )
-            z = fm.flat[fcell]
-            gz = g.cube_maps[z]
-            local = tuple(locals_by_axis[a] for a in range(1, n + 1))
-            flat[coord] = gz.flat[local]
-        cube_maps[x] = CubeMap(shape, axis_perm, flat)
-    return ElementaryDimap(f.source, g.target, vertex_map, cube_maps)

@@ -161,31 +161,6 @@ class ExteriorElement(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degrees = {len(idx) for idx in self.terms}
-        return len(degrees) <= 1
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({len(idx) for idx in self.terms}))
-
-    def degree_component(self, n: int) -> "ExteriorElement":
-        picked = {idx: c for idx, c in self.terms.items() if len(idx) == n}
-        return ExteriorElement(self.alphabet, self.ring, picked)
-
-    def coefficient(self, letters: Sequence[str]) -> int:
-        """Coefficient of the basis monomial given by letters, with sign.
-
-        The letters need not be sorted; the sign of the sorting permutation
-        is applied, and repeated letters give 0.
-        """
-        acc = self.unit(self.alphabet, self.ring)
-        for a in letters:
-            acc = acc.wedge(ExteriorElement.letter(self.alphabet, a, self.ring))
-        if acc.is_zero():
-            return 0
-        ((idx, sign),) = acc.terms.items()
-        return self.ring.normalize(sign * self.terms.get(idx, 0))
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "ExteriorElement") -> None:
@@ -291,13 +266,3 @@ def word_to_vector(
         idx = (alphabet.index(a),)
         counts[idx] = counts.get(idx, 0) + 1
     return ExteriorElement(alphabet, ring, counts)
-
-
-def wedge_all(factors: Sequence[ExteriorElement]) -> ExteriorElement:
-    """Wedge a nonempty sequence left to right."""
-    if not factors:
-        raise ValueError("wedge_all needs at least one factor")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc.wedge(f)
-    return acc

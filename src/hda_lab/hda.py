@@ -16,7 +16,6 @@ unobservable step.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
 
 from .exterior import Alphabet
 from .precubical import (
@@ -171,12 +170,3 @@ def corner_word_violations(h: Hda) -> list[Violation]:
                         )
                     )
     return out
-
-
-def restrict_alphabet(h: Hda, alphabet: Alphabet) -> Hda:
-    """The same automaton presented over a larger or reordered alphabet."""
-    for key, word in h.labels.items():
-        for a in word:
-            if a not in alphabet:
-                raise ValueError(f"letter {a!r} of edge {key!r} missing from alphabet")
-    return Hda(h.complex, alphabet, dict(h.labels), h.initial, h.final)

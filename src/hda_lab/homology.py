@@ -430,11 +430,6 @@ def chain_to_column(P: PrecubicalSet, n: int, chain: Chain) -> list[int]:
     return col
 
 
-def column_to_chain(P: PrecubicalSet, n: int, col: Sequence[int]) -> Chain:
-    cells = P.cells(n)
-    return {(n, cells[i]): x for i, x in enumerate(col) if x}
-
-
 def boundary_violations(P: PrecubicalSet) -> list[Cube]:
     """Cubes whose boundary fails d(d x) = 0 over the integers."""
     bad = []

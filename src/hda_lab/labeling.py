@@ -53,11 +53,6 @@ def chain_label(h: Hda, chain: Chain, ring: CoefficientRing = ZZ) -> ExteriorEle
     return ExteriorElement(h.alphabet, ring, out)
 
 
-def path_label(h: Hda, path, ring: CoefficientRing = ZZ) -> ExteriorElement:
-    """Letter sum of the word a path spells; degree-1 label of the path chain."""
-    return word_to_vector(h.alphabet, h.path_word(path), ring)
-
-
 def degree_monomials(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:
     """The ordered degree-n exterior basis over the alphabet."""
     return list(itertools.combinations(range(len(alphabet)), n))
@@ -82,10 +77,6 @@ class LabeledClass:
         self.chain = chain
         self.label = label
         self.order = order
-
-    @property
-    def is_torsion(self) -> bool:
-        return self.order != 0
 
 
 class DegreeLabelReport:

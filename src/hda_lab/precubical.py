@@ -16,9 +16,9 @@ convention for cubical identities; the k index says which end of direction i
 is taken (0 = lower, 1 = upper).
 
 Besides the plain data structure this module provides the interval and
-interval-grid constructors, tensor products, paths, morphisms, the derived
-"edge in direction i" operator and subcube evaluation, which the labeling
-machinery builds on.
+interval-grid constructors, tensor products, paths, morphisms and subcube
+evaluation, which the labeling machinery builds on; the "edge in direction
+i" of a cube is subcube evaluation at one grid edge.
 """
 
 from __future__ import annotations
@@ -335,47 +335,19 @@ def assert_valid_precubical(P: PrecubicalSet) -> None:
         )
 
 
-# -- vertices reached by iterated faces ----------------------------------
-
-
-def initial_vertex(P: PrecubicalSet, cube: Cube) -> Cube:
-    """The lower corner d[0,1]^n of the cube."""
-    y = cube
-    while y[0] > 0:
-        y = P.face(y, 0, 1)
-    return y
-
-
-def final_vertex(P: PrecubicalSet, cube: Cube) -> Cube:
-    """The upper corner d[1,1]^n of the cube."""
-    y = cube
-    while y[0] > 0:
-        y = P.face(y, 1, 1)
-    return y
-
-
 def edge_in_direction(P: PrecubicalSet, cube: Cube, k: int, i: int) -> Cube:
-    """The direction-i edge e[k,i] of an n-cube, n >= 1.
+    """The direction-i edge e[k,i] of an n-cube, n >= 1: subcube evaluation.
 
-    For n == 1 this is the cube itself.  Otherwise all directions other than
-    i are collapsed to their (1-k) end:
+    It is ``evaluate_subcube`` at the grid edge whose coordinate i is the
+    interval and whose other coordinates sit at their (1-k) end:
 
         e[k,i] x = d[1-k,1] ... d[1-k,i-1] d[1-k,i+1] ... d[1-k,n] x.
 
-    Applying the face operators from the highest index down keeps the
-    remaining direction indices stable, so direction i survives as the final
-    direction 1.  With k = 0 the result is the edge leaving the "all other
-    coordinates finished" corner; with k = 1 the edge at the start corner.
+    For n == 1 this is the cube itself.  With k = 0 the result is the edge
+    leaving the "all other coordinates finished" corner; with k = 1 the edge
+    at the start corner.
     """
-    n = cube[0]
-    if n < 1:
-        raise ValueError("edge operator needs dimension >= 1")
-    y = cube
-    for j in range(n, i, -1):
-        y = P.face(y, 1 - k, j)
-    for j in range(i - 1, 0, -1):
-        y = P.face(y, 1 - k, j)
-    return y
+    return evaluate_subcube(P, cube, (1 - k,) * (i - 1) + ((0, 1),) + (1 - k,) * (cube[0] - i))
 
 
 def evaluate_subcube(P: PrecubicalSet, cube: Cube, coords: GridCoord) -> Cube:
@@ -567,19 +539,6 @@ class Path(Frozen):
             return self.start
         return self.complex.face(self.edges[-1], 1, 1)
 
-    @property
-    def is_loop(self) -> bool:
-        return self.source == self.target
-
-    def concat(self, other: "Path") -> "Path":
-        if other.complex is not self.complex:
-            raise ValueError("cannot concatenate paths over different complexes")
-        if self.target != other.source:
-            raise ValueError(
-                f"paths do not compose: {self.target} != {other.source}"
-            )
-        return Path(self.complex, self.edges + other.edges, self.start)
-
 
 # -- morphisms ------------------------------------------------------------
 
@@ -593,9 +552,6 @@ class PcMorphism:
         self.source = source
         self.target = target
         self.mapping = mapping
-
-    def __call__(self, cube: Cube) -> Cube:
-        return self.mapping[cube]
 
     def violations(self) -> list[Violation]:
         out: list[Violation] = []
@@ -629,10 +585,3 @@ class PcMorphism:
                             )
                         )
         return out
-
-    def is_valid(self) -> bool:
-        return not self.violations()
-
-    def apply_path(self, path: Path) -> Path:
-        edges = tuple(self.mapping[x] for x in path.edges)
-        return Path(self.target, edges, self.mapping[path.start])

@@ -36,9 +36,12 @@ def tensor_hda(A: Hda, B: Hda) -> Hda:
     for key in T.cells(1):
         xk, yk = key
         if xk in a_edges and yk in b_vertices:
-            labels[key] = A.labels[xk]
+            side, edge, word = "left", xk, A.labels.get(xk)
         else:
-            labels[key] = B.labels[yk]
+            side, edge, word = "right", yk, B.labels.get(yk)
+        if word is None:
+            raise ValueError(f"the {side} factor's edge {edge!r} has no label")
+        labels[key] = word
     initial = frozenset(
         (x[0] + y[0], (x[1], y[1])) for x in A.initial for y in B.initial
     )

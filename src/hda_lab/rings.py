@@ -88,26 +88,6 @@ class CoefficientRing(Frozen):
             return c % self.characteristic
         return c
 
-    def neg(self, c: int) -> int:
-        return self.normalize(-c)
-
-    def inverse(self, c: int) -> int:
-        """Multiplicative inverse; only available over a field."""
-        p = self.characteristic
-        if not p:
-            if c in (1, -1):
-                return c
-            raise ZeroDivisionError(f"{c} is not a unit in Z")
-        c %= p
-        if c == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(c, p - 2, p)
-
-    def divides(self, k: int) -> bool:
-        """True iff the characteristic divides k (char 0 divides only 0)."""
-        p = self.characteristic
-        return k == 0 if p == 0 else k % p == 0
-
     def __str__(self) -> str:
         return "Z" if self.characteristic == 0 else f"Z/{self.characteristic}"
 
@@ -130,8 +110,3 @@ def parse_ring(spec: str) -> CoefficientRing:
             raise ValueError(f"bad ring spec {spec!r}: use 'z' for the integers")
         return CoefficientRing(p)
     raise ValueError(f"bad ring spec {spec!r}: expected 'z' or 'zp:<prime>'")
-
-
-def ring_spec(ring: CoefficientRing) -> str:
-    """Inverse of parse_ring: the spec that parses back to the ring."""
-    return "z" if ring.characteristic == 0 else f"zp:{ring.characteristic}"

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import random_circle, sparse_columns, suite_rng
 from test_dimap import (
-    strip_transposition_dimap,
+    subdivide_then_transpose_dimap,
     subdivision_dimap,
     transposition_dimap,
 )
@@ -35,7 +35,6 @@ from test_properties import (
 from hda_lab.dimap import (
     check_chain_map,
     check_naturality,
-    compose_dimaps,
     identity_dimap,
     pushforward_cube,
     validate_dimap,
@@ -271,7 +270,7 @@ def test_c07_dimap_laws_on_the_fixture_family():
         identity_dimap(sub.source),
         sub,
         transposition_dimap(),
-        compose_dimaps(sub, strip_transposition_dimap(sub.target)),
+        subdivide_then_transpose_dimap(),
     ]
     for f in fixtures:
         assert validate_dimap(f) == []

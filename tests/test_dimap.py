@@ -1,14 +1,10 @@
-"""Subdividing directed maps: validation, induced chain maps, composition."""
-
-import pytest
+"""Subdividing directed maps: validation and induced chain maps."""
 
 from hda_lab.dimap import (
     CubeMap,
     ElementaryDimap,
-    assert_valid_dimap,
     check_chain_map,
     check_naturality,
-    compose_dimaps,
     face_restriction,
     identity_dimap,
     path_image,
@@ -141,6 +137,44 @@ def transposition_dimap():
     return ElementaryDimap(src, tgt, vertex_map, cube_maps)
 
 
+def subdivide_then_transpose_dimap():
+    """The coarse square spread over a 1 x 2 grid turned on its side.
+
+    This is subdivision_dimap followed by strip_transposition_dimap, written
+    out as one map: the first direction's two letters run along grid axis 2,
+    and axis_perm records that grid axis 1 realizes the second direction.
+    """
+    src = coarse_square()
+    tgt = grid_hda((1, 2), [["b"], ["a1", "a2"]], (0, 0), (1, 2))
+    vertex_map = {
+        (0, "00"): (0, (0, 0)),
+        (0, "10"): (0, (0, 2)),
+        (0, "01"): (0, (1, 0)),
+        (0, "11"): (0, (1, 2)),
+    }
+    horizontal = lambda x: {
+        (0,): (0, (x, 0)),
+        (1,): (0, (x, 1)),
+        (2,): (0, (x, 2)),
+        ((0, 1),): (1, (x, (0, 1))),
+        ((1, 2),): (1, (x, (1, 2))),
+    }
+    vertical = lambda y: {
+        (0,): (0, (0, y)),
+        (1,): (0, (1, y)),
+        ((0, 1),): (1, ((0, 1), y)),
+    }
+    square_flat = {key: (d, key) for d, key in interval_grid((1, 2)).all_cubes()}
+    cube_maps = {
+        (1, "bottom"): CubeMap((2,), (1,), horizontal(0)),
+        (1, "top"): CubeMap((2,), (1,), horizontal(1)),
+        (1, "left"): CubeMap((1,), (1,), vertical(0)),
+        (1, "right"): CubeMap((1,), (1,), vertical(2)),
+        (2, "s"): CubeMap((1, 2), (2, 1), square_flat),
+    }
+    return ElementaryDimap(src, tgt, vertex_map, cube_maps)
+
+
 def _shift(coord, offsets):
     out = []
     for comp, off in zip(coord, offsets):
@@ -264,21 +298,11 @@ def test_transposition_without_sign_breaks_integral_naturality():
     assert check_naturality(f, GF2) == []
 
 
-def test_compose_with_identity_is_identity():
-    f = subdivision_dimap()
-    left = compose_dimaps(identity_dimap(f.source), f)
-    right = compose_dimaps(f, identity_dimap(f.target))
-    for g in (left, right):
-        assert g.vertex_map == f.vertex_map
-        assert g.cube_maps == f.cube_maps
-
-
 def test_composite_subdivide_then_transpose():
     f = subdivision_dimap()
     g = strip_transposition_dimap(f.target)
     assert validate_dimap(g) == []
-    comp = compose_dimaps(f, g)
-    assert comp.source is f.source and comp.target is g.target
+    comp = subdivide_then_transpose_dimap()
     assert validate_dimap(comp) == []
     assert check_chain_map(comp, ZZ) == []
     assert check_naturality(comp, ZZ) == []
@@ -293,16 +317,8 @@ def test_composite_subdivide_then_transpose():
             chained = pushforward_chain(g, pushforward_cube(f, x, ring), ring)
             assert chained == pushforward_cube(comp, x, ring)
     p = Path(f.source.complex, ((1, "bottom"), (1, "right")), (0, "00"))
-    assert path_image(comp, p) == path_image(g, path_image(f, p))
-
-
-def test_mixed_axis_permutations_do_not_compose():
-    f = subdivision_dimap()
-    g = strip_transposition_dimap(f.target)
-    g.cube_maps[(2, ((0, 1), (0, 1)))].axis_perm = (1, 2)
-    f.cube_maps = {(2, "s"): f.cube_maps[(2, "s")]}
-    with pytest.raises(ValueError, match="mixed axis permutations"):
-        compose_dimaps(f, g)
+    q, r = path_image(comp, p), path_image(g, path_image(f, p))
+    assert (q.start, q.edges) == (r.start, r.edges)
 
 
 def test_no_dimap_from_circle_to_interval():
@@ -402,14 +418,6 @@ def test_validation_families_detect_defects():
         f.cube_maps,
     )
     assert "final-not-preserved" in kinds(f)
-
-
-def test_assert_valid_dimap_raises():
-    f = subdivision_dimap()
-    del f.cube_maps[(2, "s")]
-    with pytest.raises(ValueError, match="invalid dimap"):
-        assert_valid_dimap(f)
-    assert_valid_dimap(subdivision_dimap())
 
 
 def test_a_table_its_grid_outgrows_builds_no_grid():

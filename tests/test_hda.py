@@ -5,7 +5,6 @@ from hda_lab.hda import (
     Hda,
     assert_valid_hda,
     corner_word_violations,
-    restrict_alphabet,
     validate_hda,
 )
 from hda_lab.models import filled_square, labeled_circle, labeled_interval
@@ -99,13 +98,3 @@ def test_corner_words_on_cube_fixture():
     assert validate_hda(h) == []
     assert corner_word_violations(h) == []
     assert h.direction_word((3, ((0, 1),) * 3), 2) == ("b",)
-
-
-def test_restrict_alphabet():
-    h = labeled_circle(["a", "b"])
-    big = Alphabet(["z", "a", "b"])
-    h2 = restrict_alphabet(h, big)
-    assert h2.alphabet == big
-    assert h2.labels == h.labels
-    with pytest.raises(ValueError):
-        restrict_alphabet(h, Alphabet(["a"]))

@@ -10,7 +10,6 @@ from hda_lab.labeling import (
     label_to_column,
     labeled_degree,
     labeled_homology,
-    path_label,
 )
 from hda_lab.models import (
     boundary_square,
@@ -20,7 +19,7 @@ from hda_lab.models import (
     labeled_circle,
     torus_hda,
 )
-from hda_lab.precubical import Path, PrecubicalSet
+from hda_lab.precubical import PrecubicalSet
 from hda_lab.reports import _membership
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
@@ -112,13 +111,6 @@ def test_chain_label_equals_the_running_sum_of_cube_labels():
                     assert got == want and hash(got) == hash(want), (h, chain, ring)
 
 
-def test_path_label():
-    h = labeled_circle(["a", "b", "c"])
-    p = Path.from_edges(h.complex, [(1, "x0"), (1, "x1"), (1, "x2")])
-    assert path_label(h, p) == word_to_vector(h.alphabet, ("a", "b", "c"))
-    assert path_label(h, Path.empty(h.complex, (0, "v0"))).is_zero()
-
-
 def test_monomial_columns_roundtrip():
     A = Alphabet(["a", "b", "c"])
     monos = degree_monomials(A, 2)
@@ -195,7 +187,7 @@ def test_klein_integral_labels():
     assert rep.group.torsion == [2]
     free = rep.classes[0]
     tors = rep.classes[1]
-    assert not free.is_torsion and tors.is_torsion and tors.order == 2
+    assert free.order == 0 and tors.order == 2
     assert free.label == ExteriorElement.letter(h.alphabet, "b")
     assert tors.label.is_zero()
     assert rep.label_image_rank == 1

@@ -59,6 +59,17 @@ def test_tensor_markings():
     assert T.final == {(0, ("v1", "v1"))}
 
 
+def test_tensor_names_a_factor_edge_without_a_label():
+    # Built in memory, so no loader has checked the labels.
+    bare = labeled_interval(["a"])
+    bare.labels = {}
+    other = labeled_circle(["b", "c"])
+    with pytest.raises(ValueError, match="the left factor's edge 'x0' has no label"):
+        tensor_hda(bare, other)
+    with pytest.raises(ValueError, match="the right factor's edge 'x0' has no label"):
+        tensor_hda(other, bare)
+
+
 def test_tensor_of_circles_is_directed_torus():
     A = labeled_circle(["a+", "a-"])
     B = labeled_circle(["b+", "b-"])

@@ -1,0 +1,105 @@
+"""Every module-level function of the package has a reader besides the tests.
+
+A function defined at module level in ``src/hda_lab`` must be named by other
+code of the package (its own body does not count), be named in README.md or
+under ``bench/``, or be listed in ORACLES with the reason it stays.  The
+oracles are the reference implementations, the certificate checker, the
+fixture builders and the tools that the tests rely on: library code that the
+tests compare against, kept in the package beside the code it checks.  Each
+of them must still be used by a test, and one that gains a reader leaves the
+table.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hda_lab"
+
+ORACLES = {
+    # The paper's two theorems and the lemmas under them.
+    "check_tensor_label_identity": "labels are compatible with the tensor product, cell by cell",
+    "kunneth_profile": "product Betti numbers against the field Kunneth formula",
+    "cross_chain": "the cross product of chains, for the product boundary rule",
+    "boundary_violations": "d(d x) = 0 on every cube",
+    "corner_word_violations": "direction words agree at every corner of a cube",
+    # The checker of the certificates the reports publish.
+    "verify_nonmembership": "rechecks a nonmembership functional by dot products",
+    # Fixture builders.
+    "two_phase_torus": "two concurrent two-phase loops, built square by square",
+    "directed_torus": "two concurrent directed loops, built as a tensor product",
+    "labeled_interval": "a chain of edges spelling a word",
+    "labeled_circle": "a directed cycle with one letter per edge",
+    "interval": "the interval [[k, l]]",
+    "standard_cube": "the precubical n-cube",
+    # Tools the tests rely on.
+    "chain_to_column": "a chain as a coefficient column, for membership oracles",
+    "identity_dimap": "the identity as grid data, the unit of the dimap laws",
+    "save_dimap": "writes a dimap file for the CLI tests",
+    "save_hda": "writes an automaton file for the CLI tests",
+    "path_image": "the target path of a source path under a dimap",
+    "assert_valid_precubical": "raises on a structural defect of a fixture",
+}
+
+
+def _functions():
+    """{name: module file} of the package's module-level functions."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[node.name] = path.name
+    return out
+
+
+def _package_readers():
+    """Names read anywhere in the package, outside the body of the function of
+    the same name (so that recursion is no reader)."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    out.add(name)
+    return out
+
+
+def _named_in(texts):
+    return {word for text in texts for word in re.findall(r"\w+", text)}
+
+
+def _outside_readers():
+    # README names code in backticks; its prose may use "interval" as a word.
+    readme = re.findall(r"`[^`]*`", (ROOT / "README.md").read_text())
+    bench = [path.read_text() for path in (ROOT / "bench").glob("*.py")]
+    return _package_readers() | _named_in(readme + bench)
+
+
+def test_every_function_has_a_reader_or_is_an_oracle():
+    readers = _outside_readers()
+    unread = [
+        f"{module}: {name}"
+        for name, module in _functions().items()
+        if name not in readers
+        and name not in ORACLES
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unread == []
+
+
+def test_each_oracle_is_a_package_function_only_the_tests_use():
+    functions = _functions()
+    readers = _outside_readers()
+    here = Path(__file__)
+    tests = _named_in(p.read_text() for p in here.parent.glob("*.py") if p != here)
+    assert [name for name in ORACLES if name not in functions] == []
+    assert [name for name in ORACLES if name not in tests] == []
+    assert [name for name in ORACLES if name in readers] == []
