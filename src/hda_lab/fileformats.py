@@ -4,16 +4,24 @@ Cube keys may be arbitrary hashable values in memory (program models use
 strings, tensor products use nested pairs), so files carry rendered string
 ids: strings stay themselves, integers print in decimal, tuples render as
 "(a,b)" recursively.  Rendering must stay injective per dimension; a
-collision is refused at save time.  Face arrays reference ids one
-dimension down, so ids only need to be unique within each dimension.
+collision is refused at save time, so ids only need to be unique within
+each dimension.
+
+An HDA file names the faces of an n-cube in one of two forms, and the
+JSON type of its face entries says which: integer positions into the
+entries of dimension n - 1 in file order, which the writer emits, or the
+ids of those entries, which the writer emits only for a model with a face
+that does not resolve, so that such a model still round-trips for
+validation.  The loader reads both; a file that mixes them is refused.
 
 Documents are dumped through ``canonical_json``: sorted keys, two-space
 indent, ASCII, trailing newline.  Identical inputs give identical bytes.
 
 Malformed input raises ``FileFormatError`` with a dotted path into the
 document; JSON syntax errors keep their line/column.  Semantic validity
-(face identities, label conditions) is deliberately not checked here;
-callers run ``validate_hda`` and friends on the loaded objects.
+(face identities, label conditions, positions past the end of the
+dimension below) is deliberately not checked here; callers run
+``validate_hda`` and friends on the loaded objects.
 """
 
 from __future__ import annotations
@@ -70,33 +78,45 @@ def _id_maps(P: PrecubicalSet) -> dict[int, dict[str, Key]]:
 
 
 _CUBE_KEYS = ({"d0", "d1", "dim", "id"}, {"d0", "d1", "dim", "id", "label"})
+_PAD, _INNER = "\n      ", "\n        "  # a record's keys, and its lists' items
 
 
-def _str_list(value) -> bool:
-    return type(value) is list and {str}.issuperset(map(type, value))
-
-
-def _strings(items, pad: str) -> str | None:
-    """A list of str as indented JSON whose closing bracket follows ``pad``."""
-    if not _str_list(items):
+def _items(items) -> str | None:
+    """A list of int or of str as ``json.dumps`` indents it in a cube record."""
+    if type(items) is not list:
         return None
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(_encode_str, items)) + pad + "]"
+    kinds = {*map(type, items)}
+    if kinds == {int}:
+        return "[" + _INNER + ("," + _INNER).join(map(int.__repr__, items)) + _PAD + "]"
+    if kinds == {str}:
+        return "[" + _INNER + ("," + _INNER).join(map(_encode_str, items)) + _PAD + "]"
+    return None if items else "[]"
 
 
-def _cube_json(entry) -> str:
-    """A record of a top-level "cubes" list, as ``json.dumps`` indents it there."""
+def _record_layout(sizes: tuple[int, int]) -> str:
+    """The %-format of a cube record whose faces are ``sizes`` ints: their
+    values, the dim, the encoded id and the label's text fill it."""
+    d0, d1 = ("[" + _INNER + ("," + _INNER).join(["%d"] * k) + _PAD + "]" if k else "[]" for k in sizes)
+    return f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": %d,{_PAD}"id": %s%s\n    }}'
+
+
+def _cube_json(entry, layouts: dict) -> str:
+    """A record of a top-level "cubes" list, as ``json.dumps`` indents it
+    there; ``layouts`` keeps the formats of records with int faces by size."""
     if type(entry) is dict and entry.keys() in _CUBE_KEYS:
-        pad = "\n      "
-        rid, dim = entry["id"], entry["dim"]
-        d0, d1 = _strings(entry["d0"], pad), _strings(entry["d1"], pad)
-        label = _strings(entry["label"], pad) if len(entry) == 5 else ""
-        if type(rid) is str and type(dim) is int and None not in (d0, d1, label):
-            label = label and f',{pad}"label": {label}'
-            return (f'{{{pad}"d0": {d0},{pad}"d1": {d1},{pad}"dim": {dim},'
-                    f'{pad}"id": {_encode_str(rid)}{label}\n    }}')
+        rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
+        label = _items(entry["label"]) if len(entry) == 5 else ""
+        if type(rid) is str and type(dim) is int and label is not None:
+            label = label and f',{_PAD}"label": {label}'
+            if type(d0) is list and type(d1) is list and {*map(type, d0), *map(type, d1)} <= {int}:
+                sizes = len(d0), len(d1)
+                if sizes not in layouts:
+                    layouts[sizes] = _record_layout(sizes)
+                return layouts[sizes] % (*d0, *d1, dim, _encode_str(rid), label)
+            d0, d1 = _items(d0), _items(d1)
+            if None not in (d0, d1):
+                return (f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": {dim},'
+                        f'{_PAD}"id": {_encode_str(rid)}{label}\n    }}')
     # JSON text holds no raw newline, so this only indents the record.
     return json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
 
@@ -114,8 +134,9 @@ def canonical_json(doc: dict) -> str:
     rest = json.dumps({**doc, "cubes": [0]}, sort_keys=True, indent=2)
     head, tail = rest.split('\n  "cubes": [\n    0\n  ]', 1)
     parts = [head, '\n  "cubes": [']
+    layouts: dict = {}
     for entry in cubes:
-        parts += (",\n    ", _cube_json(entry))
+        parts += (",\n    ", _cube_json(entry, layouts))
     parts[2] = "\n    "  # no comma before the first record
     parts += ["\n  ]", tail, "\n"]
     return "".join(parts)
@@ -138,6 +159,55 @@ def hda_to_json(h: Hda) -> dict:
         if len(set(rids)) < len(keys):
             _id_maps(P)
         ids.append(rids)
+    if all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1)):
+        cubes = _cubes_by_position(h, ids)
+    else:
+        cubes = _cubes_by_id(h, ids)
+    return {
+        "alphabet": list(h.alphabet.letters),
+        "cubes": cubes,
+        "initial": sorted(render_id(key) for _, key in h.initial),
+        "final": sorted(render_id(key) for _, key in h.final),
+    }
+
+
+def _unlabeled(h: Hda, rids: list[str]) -> FileFormatError:
+    """The error naming the first edge, in basis order, with no label."""
+    missing = next(pos for pos, key in enumerate(h.complex.cells(1)) if key not in h.labels)
+    return FileFormatError(f"dimension 1: cell {rids[missing]!r} has no label")
+
+
+def _cubes_by_position(h: Hda, ids: list[list[str]]) -> list[dict]:
+    """The cube records, sorted by dimension and id, of a complex whose faces
+    all resolve: faces as positions into the records one dimension down."""
+    P, labels = h.complex, h.labels
+    cubes = []
+    rank_below: list[int] = []
+    for n, rids in enumerate(ids):
+        order = sorted(range(len(rids)), key=rids.__getitem__)
+        if n == 1 and not labels.keys() >= set(P.cells(1)):
+            raise _unlabeled(h, rids)
+        keys, flats, at = P.cells(n), P.face_positions(n), rank_below.__getitem__
+        for pos in order:
+            if n:
+                refs = [*map(at, flats[pos])]
+                entry = {"id": rids[pos], "dim": n, "d0": refs[:n], "d1": refs[n:]}
+                if n == 1:
+                    entry["label"] = list(labels[keys[pos]])
+            else:
+                entry = {"id": rids[pos], "dim": 0, "d0": [], "d1": []}
+            cubes.append(entry)
+        rank_below = [0] * len(order)
+        for rank, pos in enumerate(order):
+            rank_below[pos] = rank
+    return cubes
+
+
+def _cubes_by_id(h: Hda, ids: list[list[str]]) -> list[dict]:
+    """The cube records, sorted by dimension and id, with faces as ids: those
+    of a complex with a face that does not resolve, which keep it for
+    ``validate``."""
+    P = h.complex
     cubes = []
     for n, rids in enumerate(ids):
         rids_below = ids[n - 1] if n else None
@@ -160,16 +230,11 @@ def hda_to_json(h: Hda) -> dict:
                 entry["d1"] = [*map(render_id, d1)]
             if n == 1:
                 if key not in h.labels:
-                    raise FileFormatError(f"dimension 1: cell {rid!r} has no label")
+                    raise _unlabeled(h, rids)
                 entry["label"] = list(h.labels[key])
             cubes.append(entry)
     cubes.sort(key=itemgetter("dim", "id"))
-    return {
-        "alphabet": list(h.alphabet.letters),
-        "cubes": cubes,
-        "initial": sorted(render_id(key) for _, key in h.initial),
-        "final": sorted(render_id(key) for _, key in h.final),
-    }
+    return cubes
 
 
 def _want(doc: dict, field: str, kind, where: str):
@@ -184,7 +249,18 @@ def _want(doc: dict, field: str, kind, where: str):
     return value
 
 
-def _cube_error(entry, where: str, cells: dict) -> None:
+def _by_position(entries: list) -> bool:
+    """Whether a cube list names faces by position: its first face entry, in
+    file order, is a number."""
+    for entry in entries:
+        for side in ("d0", "d1"):
+            refs = entry.get(side) if type(entry) is dict else None
+            if type(refs) is list and refs:
+                return type(refs[0]) in (int, float)
+    return False
+
+
+def _cube_error(entry, where: str, cells: dict, by_position: bool) -> None:
     """Raise the error of the first bad field of a cube entry, if any."""
     if not isinstance(entry, dict):
         raise FileFormatError(f"{where}: expected an object")
@@ -195,7 +271,10 @@ def _cube_error(entry, where: str, cells: dict) -> None:
     if rid in cells.get(dim, ()):
         raise FileFormatError(f"{where}: repeated id {rid!r} in dimension {dim}")
     for arr in (_want(entry, "d0", list, where), _want(entry, "d1", list, where)):
-        if not all(isinstance(ref, str) for ref in arr):
+        if by_position:
+            if not all(type(ref) is int and ref >= 0 for ref in arr):
+                raise FileFormatError(f"{where}: face positions must be non-negative integers")
+        elif not all(isinstance(ref, str) for ref in arr):
             raise FileFormatError(f"{where}: face ids must be strings")
     if not dim and (entry["d0"] or entry["d1"]):
         raise FileFormatError(f"{where}: a vertex has no faces")
@@ -211,7 +290,7 @@ def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
     time, or None unless every entry is well formed and every face
     resolves: dimensions in non-decreasing order, exact types,
     no repeated id, n faces on each side of an n-cube, faces that name cells
-    one dimension down, labels only on edges."""
+    one dimension down, all by id or all by position, labels only on edges."""
     if not {dict}.issuperset(map(type, entries)):
         return None
     try:
@@ -224,6 +303,7 @@ def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
     faces: dict[int, list[tuple[int, ...]]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
     get_id, get_d0, get_d1, get_label = map(itemgetter, ("id", "d0", "d1", "label"))
+    form = None  # the type of the faces, int or str, once one dimension has them
     stop = 0
     while stop < len(dims):
         # One dimension's fields at a time, so only its temporaries are alive.
@@ -246,13 +326,24 @@ def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
         if len(table) < len(ids):
             return None
         if n:
-            # A face id found in ``below``, whose keys are exact strings,
-            # equals a string, so its type needs no test of its own.
             below = cells.get(n - 1, {})
             refs = chain.from_iterable(chain.from_iterable(zip(d0s, d1s)))
+            if form is None:
+                form = type(d0s[0][0])
+            if form is int:
+                # A position in range is looked up among ``below``'s own
+                # values, so the model shares one int per position.
+                refs = [*refs]
+                if not {int}.issuperset(map(type, refs)) or min(refs) < 0:
+                    return None
+                at = [*below.values()].__getitem__
+            else:
+                # A face id found in ``below``, whose keys are exact strings,
+                # equals a string, so its type needs no test of its own.
+                at = below.__getitem__
             try:
-                faces[n] = [*zip(*[map(below.__getitem__, refs)] * (2 * n))]
-            except (KeyError, TypeError):  # a face that is no cell, or unhashable
+                faces[n] = [*zip(*[map(at, refs)] * (2 * n))]
+            except (IndexError, KeyError, TypeError):  # no such cell or position, or unhashable
                 return None
         marked = [*map(contains, chunk, repeat("label"))]
         if n == 1:
@@ -270,19 +361,29 @@ def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
 
 def _read_by_entry(entries: list) -> tuple[PrecubicalSet, dict]:
     """The complex and labels of any cube list, entry by entry; raises the
-    first entry's error, in file order.  The key-based constructor resolves
-    the faces and keeps an entry whose faces are not cells for the validator."""
+    first entry's error, in file order.  Positions are read as the ids of
+    the entries one dimension down, in file order, once all are read; one
+    past the end stays a number.  The key-based constructor resolves the
+    faces and keeps an entry whose faces are not cells for the validator."""
     cells: dict[int, dict[str, None]] = {}
     faces: dict[Cube, tuple[list, list]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
+    by_position = _by_position(entries)
     for pos, entry in enumerate(entries):
-        _cube_error(entry, f"hda.cubes[{pos}]", cells)
+        _cube_error(entry, f"hda.cubes[{pos}]", cells, by_position)
         rid, dim = entry["id"], entry["dim"]
         cells.setdefault(dim, {})[rid] = None
         if dim:
             faces[(dim, rid)] = (entry["d0"], entry["d1"])
         if "label" in entry:
             labels[rid] = tuple(entry["label"])
+    if by_position:
+        ids = {n: [*table] for n, table in cells.items()}
+        for (n, rid), sides in faces.items():
+            below = ids.get(n - 1, [])
+            faces[(n, rid)] = tuple(
+                [below[ref] if ref < len(below) else ref for ref in side] for side in sides
+            )
     return PrecubicalSet(cells, faces), labels
 
 

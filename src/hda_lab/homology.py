@@ -475,9 +475,6 @@ class HomologyGroup(Record):
     def generators(self) -> list[Chain]:
         return self.free_generators + self.torsion_generators
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def describe(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -517,12 +517,6 @@ class Path(Frozen):
         self.__dict__.update(complex=complex, edges=edges, start=start)
 
     @staticmethod
-    def from_edges(P: PrecubicalSet, edges: Sequence[Cube]) -> "Path":
-        if not edges:
-            raise ValueError("from_edges needs at least one edge; use an explicit start")
-        return Path(P, tuple(edges), P.face(edges[0], 0, 1))
-
-    @staticmethod
     def empty(P: PrecubicalSet, vertex: Cube) -> "Path":
         return Path(P, (), vertex)
 

@@ -210,7 +210,7 @@ def independence_report(
         for _, _, label in combo:
             wedge = wedge ^ label.retag(main.alphabet)
         degree = sum(n for n, _, _ in combo)
-        if not wedge.terms and not explicit:
+        if wedge.is_zero() and not explicit:
             report.skipped_zero += 1
             continue
         if degree not in image_cache:
@@ -312,14 +312,14 @@ def implements_report(
     for n in degrees:
         impl_rep = labeled_degree(impl, n, ring)
         labels = [c.label for c in impl_rep.classes]
-        if not any(l.terms for l in labels):
-            skipped += sum(1 for l in labels if not l.terms)
+        if all(l.is_zero() for l in labels):
+            skipped += len(labels)
             continue
         spec_basis = [
             b.retag(alphabet) for b in labeled_degree(spec, n, ring).label_image_basis
         ]
         for label in labels:
-            if not label.terms:
+            if label.is_zero():
                 skipped += 1
                 continue
             checked += 1

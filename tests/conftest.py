@@ -6,6 +6,7 @@ to an integer to move all suites onto a different (still reproducible)
 case stream.
 """
 
+import json
 import os
 import random
 
@@ -64,3 +65,37 @@ def raw_faces(P):
                 pass
     faces.update((cube, pair) for cube, pair in P._unresolved.items() if cube not in P)
     return faces
+
+
+def _with_faces(doc, face):
+    """A copy of an HDA document with each face reference of an n-cube
+    replaced by ``face(ref, ids, positions)``: the ids of the entries of
+    dimension n - 1 in file order, and the position of each."""
+    doc = json.loads(json.dumps(doc))
+    ids = {}
+    for entry in doc["cubes"]:
+        ids.setdefault(entry["dim"], []).append(entry["id"])
+    positions = {n: {rid: pos for pos, rid in enumerate(rids)} for n, rids in ids.items()}
+    for entry in doc["cubes"]:
+        n = entry["dim"]
+        for side in ("d0", "d1"):
+            entry[side] = [face(ref, ids.get(n - 1, []), positions.setdefault(n - 1, {})) for ref in entry[side]]
+    return doc
+
+
+def id_form(doc):
+    """An HDA document with its faces as ids: each position read as the id
+    of the entry one dimension down, in file order.  A position past the
+    end, and an id, stay as they are."""
+    return _with_faces(
+        doc, lambda ref, ids, _: ids[ref] if type(ref) is int and ref < len(ids) else ref
+    )
+
+
+def position_form(doc):
+    """An HDA document with its faces as positions: each id of its id form
+    read as the position of its entry one dimension down, in file order.
+    Each id that names no entry becomes a position of its own past the end."""
+    return _with_faces(
+        id_form(doc), lambda ref, ids, positions: positions.setdefault(ref, len(positions))
+    )

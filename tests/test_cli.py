@@ -29,6 +29,7 @@ from hda_lab.labeling import degree_monomials, label_to_column, labeled_degree
 from hda_lab.models import peterson
 from hda_lab.programs import program_to_hda
 
+from conftest import id_form, position_form
 from test_dimap import subdivision_dimap
 
 
@@ -227,6 +228,25 @@ def test_dimap_check_flags_a_relabeled_target(tmp_path, capsys):
     assert run(["dimap-check", str(tmp_path / "map.json"), "--format", "json"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
+
+
+def test_dimap_check_does_not_pass_the_checks_a_broken_map_skips(dimap_dir, tmp_path, capsys):
+    # The square's axis permutation [0, 1] is no permutation of 1..2, so the
+    # structure check fails and the chain-map and naturality checks never run.
+    for name in ("src.json", "tgt.json"):
+        (tmp_path / name).write_bytes((dimap_dir / name).read_bytes())
+    doc = json.loads((dimap_dir / "map.json").read_text())
+    square = next(entry for entry in doc["cubes"] if len(entry["shape"]) == 2)
+    square["sigma"] = [0, 1]
+    (tmp_path / "map.json").write_text(json.dumps(doc))
+    assert run(["dimap-check", str(tmp_path / "map.json")]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("structure: ") and out[0] != "structure: ok"
+    assert out[-2:] == ["chain map: not checked", "naturality: not checked"]
+    assert run(["dimap-check", str(tmp_path / "map.json"), "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["structure"]
+    assert report["chain_map"] is None and report["naturality"] is None
 
 
 def _damaged_map(dimap_dir, tmp_path, change):
@@ -448,7 +468,7 @@ def test_invalid_hda_exits_two_with_diagnosis(workdir, tmp_path, capsys):
 
 
 def test_short_inner_face_tuple_exits_two_without_traceback(workdir, tmp_path, capsys):
-    doc = json.loads((workdir / "peterson.json").read_text())
+    doc = id_form(json.loads((workdir / "peterson.json").read_text()))
     square = next(e for e in doc["cubes"] if e["dim"] == 2)
     edge = next(e for e in doc["cubes"] if e["dim"] == 1 and e["id"] == square["d0"][0])
     edge["d0"] = []
@@ -602,17 +622,115 @@ def test_an_over_long_integer_literal_exits_one_naming_the_file(
 @pytest.mark.parametrize("side", ["d0", "d1"])
 def test_a_vertex_with_faces_exits_one_naming_the_file(argv, side, workdir, tmp_path, capsys):
     # The writer has no place for a vertex's faces, so the loader refuses
-    # them rather than dropping them.
+    # them rather than dropping them, whether they are named by id or by
+    # position.
     klein = tmp_path / "klein.json"
     assert run(["model", "klein", "--out", str(klein)]) == 0
-    doc = json.loads(klein.read_text())
-    assert doc["cubes"][0]["dim"] == 0
-    doc["cubes"][0][side] = [doc["cubes"][1]["id"]]
-    klein.write_text(json.dumps(doc))
-    assert run([argv[0], str(klein), *(a.format(w=workdir) for a in argv[1:])]) == 1
+    written = json.loads(klein.read_text())
+    for doc, face in ((id_form(written), written["cubes"][1]["id"]), (written, 1)):
+        assert doc["cubes"][0]["dim"] == 0
+        doc["cubes"][0][side] = [face]
+        klein.write_text(json.dumps(doc))
+        assert run([argv[0], str(klein), *(a.format(w=workdir) for a in argv[1:])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"hda-lab: {klein}: hda.cubes[0]: a vertex has no faces\n"
+        assert captured.out == ""
+
+
+def _by_id(src, dst):
+    """Copy every file of ``src`` to ``dst``, automata with their faces as ids."""
+    dst.mkdir()
+    for path in src.iterdir():
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            if "cubes" in doc and "alphabet" in doc:
+                doc = id_form(doc)
+            (dst / path.name).write_text(canonical_json(doc))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{w}/peterson.json"],
+        ["validate", "{w}/torus.json"],
+        ["homology", "{w}/peterson.json"],
+        ["homology", "{w}/torus.json", "--ring", "zp:2"],
+        ["labels", "{w}/torus.json"],
+        ["labels", "{w}/peterson.json", "--ring", "zp:3"],
+        ["implements", "{w}/lock.json", "{w}/lock_spec.json"],
+        ["independence", "{w}/torus.json", "{w}/ca.json", "{w}/cb.json"],
+        ["dimap-check", "{d}/map.json"],
+    ],
+)
+def test_analyses_give_the_same_bytes_from_either_face_form(
+    argv, workdir, dimap_dir, tmp_path, capsys
+):
+    _by_id(workdir, tmp_path / "w")
+    _by_id(dimap_dir, tmp_path / "d")
+    assert type(json.loads((workdir / "peterson.json").read_text())["cubes"][-1]["d0"][0]) is int
+    for fmt in ("text", "json"):
+        outputs = []
+        for w, d in ((workdir, dimap_dir), (tmp_path / "w", tmp_path / "d")):
+            code = run([a.format(w=w, d=d) for a in argv] + ["--format", fmt])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] in (0, 3)
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "face,message",
+    [
+        (True, "face positions must be non-negative integers"),
+        (0.0, "face positions must be non-negative integers"),
+        (-1, "face positions must be non-negative integers"),
+        ("v", "face positions must be non-negative integers"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "homology", "labels"])
+def test_a_malformed_position_exits_one_naming_the_file(
+    face, message, command, workdir, tmp_path, capsys
+):
+    doc = json.loads((workdir / "lock_spec.json").read_text())
+    doc["cubes"][-1]["d0"][0] = face
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"hda-lab: {klein}: hda.cubes[0]: a vertex has no faces\n"
+    assert captured.err == f"hda-lab: {path}: hda.cubes[{len(doc['cubes']) - 1}]: {message}\n"
     assert captured.out == ""
+
+
+def test_ids_and_positions_in_one_file_exit_one(workdir, tmp_path, capsys):
+    by_position = json.loads((workdir / "lock_spec.json").read_text())
+    by_id = id_form(by_position)
+    for doc, other, message in (
+        (by_position, by_id, "face positions must be non-negative integers"),
+        (by_id, by_position, "face ids must be strings"),
+    ):
+        mixed = json.loads(json.dumps(doc))
+        mixed["cubes"][-1] = other["cubes"][-1]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(mixed))
+        assert run(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        last = len(mixed["cubes"]) - 1
+        assert captured.err == f"hda-lab: {path}: hda.cubes[{last}]: {message}\n"
+        assert captured.out == ""
+
+
+def test_a_position_past_the_end_is_reported_as_a_dangling_id_is(workdir, tmp_path, capsys):
+    reports = []
+    for form, nowhere in ((id_form, "nowhere"), (position_form, 10**6)):
+        doc = form(json.loads((workdir / "lock.json").read_text()))
+        doc["cubes"][-1]["d0"][0] = nowhere
+        path = tmp_path / "dangling.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out.replace(repr(nowhere), "NOWHERE"))
+    assert "[dangling-face]" in reports[0] and "NOWHERE" in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_report_with_a_lone_surrogate_exits_one_and_writes_nothing(
@@ -757,7 +875,7 @@ IMPORTS = {
 def test_report_documents_encode_as_json_dumps(
     command, workdir, dimap_dir, tmp_path, monkeypatch, capsys
 ):
-    doc = json.loads((workdir / "lock.json").read_text())
+    doc = id_form(json.loads((workdir / "lock.json").read_text()))
     doc["cubes"][-1]["d0"][0] = "nowhere"
     (tmp_path / "dangling.json").write_text(json.dumps(doc))
     docs = []
@@ -913,7 +1031,7 @@ def test_the_cycles_a_command_leaves_do_not_grow_with_its_input(
 def test_main_gives_back_the_callers_collector_state(
     argv, code, collector, workdir, tmp_path, monkeypatch, capsys
 ):
-    doc = json.loads((workdir / "lock.json").read_text())
+    doc = id_form(json.loads((workdir / "lock.json").read_text()))
     doc["cubes"][-1]["d0"][0] = "nowhere"
     (tmp_path / "dangling.json").write_text(json.dumps(doc))
     if argv == ["internal-error"]:

@@ -37,6 +37,7 @@ from hda_lab.models import (
 from hda_lab.products import tensor_hda
 from hda_lab.programs import program_to_hda
 
+from conftest import id_form, position_form
 from test_dimap import subdivision_dimap, transposition_dimap
 
 
@@ -119,7 +120,7 @@ def _fixture_docs():
 
 
 def _adversarial_docs():
-    base = hda_to_json(directed_torus([("a",)], [("b",)]))
+    base = id_form(hda_to_json(directed_torus([("a",)], [("b",)])))
 
     def edited(change):
         doc = json.loads(json.dumps(base))
@@ -136,6 +137,14 @@ def _adversarial_docs():
         def change(doc):
             doc["cubes"][0].update(fields)
         return change
+
+    def by_position(change):
+        """The position form, with ``change`` made to every cube with faces."""
+        doc = hda_to_json(directed_torus([("a",)], [("b",)]))
+        for entry in doc["cubes"]:
+            if entry["dim"]:
+                change(entry)
+        return doc
 
     weird = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u2028", "\x7f", "\u00e9"]
     return {
@@ -164,6 +173,19 @@ def _adversarial_docs():
         "cubes-not-a-list": edited(lambda doc: doc.update(cubes={"a": [1]})),
         "alphabet-tuple": edited(lambda doc: doc.update(alphabet=("a",))),
         "big-dim": edited(first(dim=10**30)),
+        **{
+            f"positions-{name}": by_position(change)
+            for name, change in {
+                "as-written": lambda e: None,
+                "bool": lambda e: e.update(d0=[True] * len(e["d0"])),
+                "float": lambda e: e.update(d1=[1.0] * len(e["d1"])),
+                "negative": lambda e: e.update(d0=[-1] * len(e["d0"])),
+                "huge": lambda e: e.update(d1=[10**30] * len(e["d1"])),
+                "mixed": lambda e: e.update(d0=[*e["d0"], "a"]),
+                "uneven": lambda e: e.update(d0=[*e["d0"], 7], d1=[]),
+                "percent-id": lambda e: e.update(id="%d%s%%"),
+            }.items()
+        },
         "not-hda": {"b": [1, 2.5, "x"], "a": {"c": None, "b": True}, "": []},
         "list": [1, {"b": 2, "a": []}],
     }
@@ -262,7 +284,7 @@ HDA_PARSE_ERRORS = [
 
 
 def test_hda_parse_errors():
-    good = hda_to_json(lock_spec())
+    good = id_form(hda_to_json(lock_spec()))
     assert [e["id"] for e in good["cubes"]] == [
         "v", "w0", "w1", "x++_0", "x++_1", "x--_0", "x--_1"
     ]
@@ -275,7 +297,7 @@ def test_hda_parse_errors():
 def test_hda_loader_keeps_semantic_defects_for_validation():
     # Dangling faces, missing labels and unknown markings parse fine; the
     # validators report them, so a command can show the real diagnosis.
-    good = hda_to_json(program_to_hda(lock_counter()))
+    good = id_form(hda_to_json(program_to_hda(lock_counter())))
 
     doc = json.loads(canonical_json(good))
     edge = next(e for e in doc["cubes"] if e["dim"] == 1)
@@ -313,7 +335,7 @@ def test_hda_loader_keeps_semantic_defects_for_validation():
 def reference_hda_from_json(doc: dict):
     """hda_from_json as it was when every document was read entry by entry."""
     from hda_lab.exterior import Alphabet
-    from hda_lab.fileformats import _cube_error, _str_list, _want
+    from hda_lab.fileformats import _cube_error, _want
     from hda_lab.hda import Hda
     from hda_lab.precubical import PrecubicalSet
 
@@ -336,9 +358,10 @@ def reference_hda_from_json(doc: dict):
             and type(d0 := entry.get("d0")) is list
             and type(d1 := entry.get("d1")) is list
             and strings(map(type, refs := d0 + d1))
-            and ("label" not in entry or dim == 1 and _str_list(entry["label"]))
+            and ("label" not in entry or dim == 1 and type(entry["label"]) is list
+                 and strings(map(type, entry["label"])))
         ):
-            _cube_error(entry, f"hda.cubes[{pos}]", cells)
+            _cube_error(entry, f"hda.cubes[{pos}]", cells, False)
             rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
             refs = d0 + d1
         if dim != top:
@@ -398,22 +421,23 @@ def _summary(h):
 
 
 def _hda_documents():
-    """The loader's inputs: documents of every fixture, model stream and
+    """The loader's inputs, faces by id: documents of every fixture, model stream and
     damaged model, every parse-error edit, and each of them with its cubes
     reordered or its faces broken."""
     from conftest import random_circle, random_torus, suite_rng
     from test_precubical import damaged_models
 
-    docs = [*_fixture_docs().values(), *_adversarial_docs().values()]
+    docs = [id_form(doc) if "cubes" in doc else doc for doc in _fixture_docs().values()]
+    docs += [doc for name, doc in _adversarial_docs().items() if not name.startswith("positions-")]
     rng = suite_rng("loader-reference")
-    docs += [hda_to_json(random_circle(rng)) for _ in range(10)]
-    docs += [hda_to_json(random_torus(rng)) for _ in range(10)]
+    docs += [id_form(hda_to_json(random_circle(rng))) for _ in range(10)]
+    docs += [id_form(hda_to_json(random_torus(rng))) for _ in range(10)]
     for h in damaged_models():
         try:
-            docs.append(hda_to_json(h))
+            docs.append(id_form(hda_to_json(h)))
         except FileFormatError:  # a cell without faces or an edge without a label
             pass
-    good = hda_to_json(lock_spec())
+    good = id_form(hda_to_json(lock_spec()))
     for edit, message in HDA_PARSE_ERRORS:
         doc = json.loads(canonical_json(good))
         edit(doc)
@@ -514,14 +538,124 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
     for name, h in _canonical_models().items():
         path = tmp_path / f"{name}.json"
         save_hda(h, str(path))
+        doc = json.loads(path.read_text())
+        assert all(type(ref) is int for e in doc["cubes"] for ref in e["d0"] + e["d1"]), name
         again = load_hda(str(path))
-        want = reference_hda_from_json(json.loads(path.read_text()))
+        want = reference_hda_from_json(id_form(doc))
         assert _summary(again) == _summary(want), name
+        # A file that names its faces by id, as files written before did.
+        assert _summary(hda_from_json(id_form(doc))) == _summary(want), name
         P = again.complex
         assert not P._unresolved, name
         assert all(None not in P.face_positions(n) for n in P.dims()), name
         save_hda(again, str(tmp_path / "again.json"))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
+
+
+# -- faces by id and by position ------------------------------------------------
+
+
+def _model_zoo():
+    """Every fixture, the conftest streams and the damaged-model stream, and
+    the rest of the model zoo."""
+    from hda_lab import models
+    from test_precubical import _models
+
+    yield from _models()
+    yield models.labeled_interval(["a", "b", "a"])
+    yield models.directed_circle([("a", "b"), ("c",)])
+    yield models.two_phase_torus()
+    yield directed_torus([("a1",), ("a2",)], [("b",)])
+    yield tensor_hda(lock_spec(), models.klein_hda())
+    yield program_to_hda(dining_philosophers(4))
+
+
+def _model_fields(h):
+    """What a loaded automaton holds besides the faces that do not resolve,
+    which keep the id or the position that named them."""
+    cells, faces, _, *rest = _summary(h)
+    return cells, faces, *rest
+
+
+def _read_alike(doc):
+    """Load an HDA document by id and by position; both give one model, or
+    the same error."""
+    refused = _loaded(hda_from_json, id_form(doc))
+    if isinstance(refused, str):
+        assert _loaded(hda_from_json, position_form(doc)) == refused
+        return None
+    by_id, by_position = hda_from_json(id_form(doc)), hda_from_json(position_form(doc))
+    assert _model_fields(by_position) == _model_fields(by_id)
+    report = [(v.kind, v.cube, v.data) for v in validate_hda(by_id)]
+    assert [(v.kind, v.cube, v.data) for v in validate_hda(by_position)] == report
+    return by_id
+
+
+def test_both_face_forms_load_to_the_same_model():
+    written = by_position = 0
+    for h in _model_zoo():
+        try:
+            doc = hda_to_json(h)
+        except FileFormatError:  # a cell without faces or an edge without a label
+            continue
+        loaded = _read_alike(doc)
+        if loaded is None:  # a word no file can hold
+            continue
+        written += 1
+        by_position += doc == position_form(doc)
+        # Read back, the model is written as it was.
+        assert canonical_json(hda_to_json(loaded)) == canonical_json(doc)
+    assert written > 100 and by_position > 60, (written, by_position)
+
+
+def test_both_face_forms_load_alike_in_any_cube_order():
+    read = 0
+    for doc in _hda_documents():
+        if isinstance(_loaded(hda_from_json, doc), str):
+            continue
+        _read_alike(doc)
+        read += 1
+    assert read > 1000, read
+
+
+def _position_doc(edit):
+    doc = hda_to_json(lock_spec())
+    edit(doc)
+    return doc
+
+
+# In the lock-spec document, cubes 0-2 are the vertices and 3-6 the edges.
+POSITION_PARSE_ERRORS = [
+    (_set(["cubes", 4, "d0", 0], True), "hda.cubes[4]: face positions must be non-negative integers"),
+    (_set(["cubes", 4, "d0", 0], 0.0), "hda.cubes[4]: face positions must be non-negative integers"),
+    (_set(["cubes", 4, "d1", 0], -1), "hda.cubes[4]: face positions must be non-negative integers"),
+    (_set(["cubes", 5, "d1", 0], "v"), "hda.cubes[5]: face positions must be non-negative integers"),
+    (_set(["cubes", 6, "d1"], [None]), "hda.cubes[6]: face positions must be non-negative integers"),
+    (_set(["cubes", 3, "d0"], [1.5]), "hda.cubes[3]: face positions must be non-negative integers"),
+    # The first face entry names the form; a later id is out of place in a
+    # file of positions, as a later position is in a file of ids.
+    (_set(["cubes", 3, "d1"], ["w0"]), "hda.cubes[3]: face positions must be non-negative integers"),
+    (_set(["cubes", 3, "d0"], ["v"]), "hda.cubes[3]: face ids must be strings"),
+    (_set(["cubes", 0, "d0"], [1]), "hda.cubes[0]: a vertex has no faces"),
+    (_set(["cubes", 2, "d1"], [0, 1]), "hda.cubes[2]: a vertex has no faces"),
+]
+
+
+@pytest.mark.parametrize("edit,message", POSITION_PARSE_ERRORS)
+def test_hda_position_parse_errors(edit, message):
+    assert _parse_error(_position_doc(edit)) == message
+
+
+def test_a_position_past_the_end_is_a_dangling_face():
+    for pos, (k, i) in ((4, (0, 1)), (6, (1, 1))):
+        doc = hda_to_json(lock_spec())
+        side = ("d0", "d1")[k]
+        doc["cubes"][pos][side][i - 1] = 3  # three vertices
+        report = validate_hda(hda_from_json(doc))
+        assert [(v.kind, v.cube, v.data) for v in report] == [
+            ("dangling-face", (1, doc["cubes"][pos]["id"]), (k, i))
+        ]
+        assert report[0].message == f"d[{k},{i}] refers to missing cell 3 in dim 0"
 
 
 # -- the HDA writer before the one rendering per cell, as reference -------------
@@ -623,18 +757,31 @@ def test_hda_writer_matches_the_reference_on_damaged_automata(name):
     assert _written(hda_to_json, h) == _written(reference_hda_to_json_naming_cells, h)
 
 
+def _faces_as_ids(h) -> dict:
+    """What the writer makes of h, with its faces read back as ids."""
+    return id_form(hda_to_json(h))
+
+
 def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
     from test_precubical import damaged_models
 
-    missing = 0
+    missing = by_position = 0
     for h in damaged_models():
         want = _written(reference_hda_to_json_naming_cells, h)
-        assert _written(hda_to_json, h) == want
+        assert _written(_faces_as_ids, h) == want
         missing += str(want[1]).endswith(("has no face entry", "has no label"))
+        if type(want[0]) is dict:
+            # Positions exactly when every face resolves; ids keep a face that does not.
+            P = h.complex
+            resolved = all(None not in P.face_positions(n) for n in P.dims())
+            refs = [ref for e in hda_to_json(h)["cubes"] for ref in e["d0"] + e["d1"]]
+            assert {type(ref) for ref in refs} == {int if resolved else str}
+            by_position += resolved
     assert missing == 35
+    assert 10 < by_position < 85, by_position
     for build in (lock_spec, lambda: tensor_hda(directed_torus([("a",)], [("b",)]), lock_spec())):
         h = build()
-        assert _written(hda_to_json, h) == _written(reference_hda_to_json, h)
+        assert _written(_faces_as_ids, h) == _written(reference_hda_to_json, h)
 
 
 def test_saving_a_cell_without_a_face_entry_or_label_names_the_cell(tmp_path):

@@ -16,7 +16,7 @@ def test_edge_and_path_words():
     assert h.edge_word((1, "x1")) == ("b",)
     with pytest.raises(ValueError):
         h.edge_word((0, "v0"))
-    p = Path.from_edges(h.complex, [(1, "x0"), (1, "x1"), (1, "x2")])
+    p = Path(h.complex, ((1, "x0"), (1, "x1"), (1, "x2")), (0, "v0"))
     assert h.path_word(p) == ("a", "b", "a")
     assert h.path_word(Path.empty(h.complex, (0, "v1"))) == ()
 
@@ -80,7 +80,7 @@ def test_multi_letter_words():
     P = PrecubicalSet({0: ["u", "v"], 1: ["e"]}, {(1, "e"): (["u"], ["v"])})
     h = Hda(P, Alphabet(["a", "b"]), {"e": ("a", "b", "a")})
     assert validate_hda(h) == []
-    p = Path.from_edges(P, [(1, "e")])
+    p = Path(P, ((1, "e"),), (0, "u"))
     assert h.path_word(p) == ("a", "b", "a")
 
 

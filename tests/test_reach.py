@@ -1,13 +1,14 @@
-"""Every module-level function of the package has a reader besides the tests.
+"""Every function and method of the package has a reader besides the tests.
 
-A function defined at module level in ``src/hda_lab`` must be named by other
-code of the package (its own body does not count), be named in README.md or
-under ``bench/``, or be listed in ORACLES with the reason it stays.  The
-oracles are the reference implementations, the certificate checker, the
+A function defined at module level in ``src/hda_lab``, or a method of a
+class defined there, must be named by other code of the package (its own
+body does not count), be named in README.md or under ``bench/``, or be
+listed in ORACLES (a method as ``Class.method``) with the reason it stays.
+The oracles are the reference implementations, the certificate checker, the
 fixture builders and the tools that the tests rely on: library code that the
 tests compare against, kept in the package beside the code it checks.  Each
 of them must still be used by a test, and one that gains a reader leaves the
-table.
+table.  A method counts as read wherever its name is, whatever the class.
 """
 
 import ast
@@ -40,35 +41,61 @@ ORACLES = {
     "save_hda": "writes an automaton file for the CLI tests",
     "path_image": "the target path of a source path under a dimap",
     "assert_valid_precubical": "raises on a structural defect of a fixture",
+    "Hda.path_word": "the word along a path, for the law that dimaps keep path words",
+    "HomologyGroup.generators": "every representative, free then torsion, for the cycle checks",
 }
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function, each class, and
+    each method defined in a module-level class body."""
+    for top in tree.body:
+        if isinstance(top, (*_DEFS, ast.ClassDef)):
+            yield top.name, top
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, _DEFS):
+                    yield f"{top.name}.{node.name}", node
+
+
 def _functions():
-    """{name: module file} of the package's module-level functions."""
+    """{name: module file} of the package's module-level functions and of
+    its classes' methods, the latter as "Class.method"."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out[node.name] = path.name
+        for name, node in _definitions(ast.parse(path.read_text())):
+            if isinstance(node, _DEFS):
+                out[name] = path.name
     return out
 
 
+def _bare(name):
+    return name.rpartition(".")[2]
+
+
 def _package_readers():
-    """Names read anywhere in the package, outside the body of the function of
-    the same name (so that recursion is no reader)."""
+    """Names read anywhere in the package, outside the body of the function or
+    method of the same name (so that recursion is no reader)."""
     out = set()
     for path in PACKAGE.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    out.add(name)
+        tree = ast.parse(path.read_text())
+        # Each node's innermost definition; ast.walk visits outer ones first.
+        owner = {}
+        for name, node in _definitions(tree):
+            for inner in ast.walk(node):
+                owner[inner] = _bare(name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != owner.get(node):
+                out.add(name)
     return out
 
 
@@ -88,9 +115,9 @@ def test_every_function_has_a_reader_or_is_an_oracle():
     unread = [
         f"{module}: {name}"
         for name, module in _functions().items()
-        if name not in readers
+        if _bare(name) not in readers
         and name not in ORACLES
-        and not (name.startswith("__") and name.endswith("__"))
+        and not (_bare(name).startswith("__") and _bare(name).endswith("__"))
     ]
     assert unread == []
 
@@ -101,5 +128,5 @@ def test_each_oracle_is_a_package_function_only_the_tests_use():
     here = Path(__file__)
     tests = _named_in(p.read_text() for p in here.parent.glob("*.py") if p != here)
     assert [name for name in ORACLES if name not in functions] == []
-    assert [name for name in ORACLES if name not in tests] == []
-    assert [name for name in ORACLES if name in readers] == []
+    assert [name for name in ORACLES if _bare(name) not in tests] == []
+    assert [name for name in ORACLES if _bare(name) in readers] == []

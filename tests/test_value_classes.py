@@ -182,7 +182,7 @@ def test_equality_of_the_other_compared_classes():
         hash(CUBE_MAP)
     assert GROUP == HomologyGroup(1, ZZ, 1, [], [{(1, (0, 1)): 1}])
     assert GROUP != HomologyGroup(1, GF2, 1, [], [{(1, (0, 1)): 1}])
-    path = Path.from_edges(P, [(1, (0, 1)), (1, (1, 2))])
+    path = Path(P, ((1, (0, 1)), (1, (1, 2))), (0, 0))
     assert path == Path(P, ((1, (0, 1)), (1, (1, 2))), (0, 0))
     assert path != Path(interval(0, 2), ((1, (0, 1)), (1, (1, 2))), (0, 0))
     assert hash(path) == hash(Path(P, path.edges, path.start))
