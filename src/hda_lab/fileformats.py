@@ -81,16 +81,13 @@ _CUBE_KEYS = ({"d0", "d1", "dim", "id"}, {"d0", "d1", "dim", "id", "label"})
 _PAD, _INNER = "\n      ", "\n        "  # a record's keys, and its lists' items
 
 
-def _items(items) -> str | None:
-    """A list of int or of str as ``json.dumps`` indents it in a cube record."""
-    if type(items) is not list:
+def _strings(items) -> str | None:
+    """A list of str as ``json.dumps`` indents it in a cube record."""
+    if type(items) is not list or not {str}.issuperset(map(type, items)):
         return None
-    kinds = {*map(type, items)}
-    if kinds == {int}:
-        return "[" + _INNER + ("," + _INNER).join(map(int.__repr__, items)) + _PAD + "]"
-    if kinds == {str}:
-        return "[" + _INNER + ("," + _INNER).join(map(_encode_str, items)) + _PAD + "]"
-    return None if items else "[]"
+    if not items:
+        return "[]"
+    return "[" + _INNER + ("," + _INNER).join(map(_encode_str, items)) + _PAD + "]"
 
 
 def _record_layout(sizes: tuple[int, int]) -> str:
@@ -105,7 +102,7 @@ def _cube_json(entry, layouts: dict) -> str:
     there; ``layouts`` keeps the formats of records with int faces by size."""
     if type(entry) is dict and entry.keys() in _CUBE_KEYS:
         rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
-        label = _items(entry["label"]) if len(entry) == 5 else ""
+        label = _strings(entry["label"]) if len(entry) == 5 else ""
         if type(rid) is str and type(dim) is int and label is not None:
             label = label and f',{_PAD}"label": {label}'
             if type(d0) is list and type(d1) is list and {*map(type, d0), *map(type, d1)} <= {int}:
@@ -113,7 +110,7 @@ def _cube_json(entry, layouts: dict) -> str:
                 if sizes not in layouts:
                     layouts[sizes] = _record_layout(sizes)
                 return layouts[sizes] % (*d0, *d1, dim, _encode_str(rid), label)
-            d0, d1 = _items(d0), _items(d1)
+            d0, d1 = _strings(d0), _strings(d1)
             if None not in (d0, d1):
                 return (f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": {dim},'
                         f'{_PAD}"id": {_encode_str(rid)}{label}\n    }}')
