@@ -156,82 +156,45 @@ def hda_to_json(h: Hda) -> dict:
         if len(set(rids)) < len(keys):
             _id_maps(P)
         ids.append(rids)
-    if all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1)):
-        cubes = _cubes_by_position(h, ids)
-    else:
-        cubes = _cubes_by_id(h, ids)
+    # Faces are named by their position among the records one dimension
+    # down, in file order, unless one does not resolve: then by id, so that
+    # a damaged model still reaches validation.
+    by_position = all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1))
+    cubes = []
+    below: list = []  # per basis position one dimension down: the file's name for it
+    for n, rids in enumerate(ids):
+        faces = P.face_positions(n)
+        records = []
+        for pos, (key, rid) in enumerate(zip(P.cells(n), rids)):
+            if not n:
+                entry = {"id": rid, "dim": 0, "d0": [], "d1": []}
+            elif (flat := faces[pos]) is not None:
+                refs = [*map(below.__getitem__, flat)]
+                entry = {"id": rid, "dim": n, "d0": refs[:n], "d1": refs[n:]}
+            else:  # faces that are not cells, or not n of them
+                try:
+                    d0, d1 = P.face_keys((n, key))
+                except KeyError:
+                    raise FileFormatError(f"dimension {n}: cell {rid!r} has no face entry") from None
+                entry = {"id": rid, "dim": n, "d0": [*map(render_id, d0)], "d1": [*map(render_id, d1)]}
+            if n == 1:
+                if key not in h.labels:
+                    raise FileFormatError(f"dimension 1: cell {rid!r} has no label")
+                entry["label"] = list(h.labels[key])
+            records.append(entry)
+        order = sorted(range(len(rids)), key=rids.__getitem__)
+        cubes += map(records.__getitem__, order)
+        below = rids
+        if by_position:
+            below = [0] * len(order)
+            for rank, pos in enumerate(order):
+                below[pos] = rank
     return {
         "alphabet": list(h.alphabet.letters),
         "cubes": cubes,
         "initial": sorted(render_id(key) for _, key in h.initial),
         "final": sorted(render_id(key) for _, key in h.final),
     }
-
-
-def _unlabeled(h: Hda, rids: list[str]) -> FileFormatError:
-    """The error naming the first edge, in basis order, with no label."""
-    missing = next(pos for pos, key in enumerate(h.complex.cells(1)) if key not in h.labels)
-    return FileFormatError(f"dimension 1: cell {rids[missing]!r} has no label")
-
-
-def _cubes_by_position(h: Hda, ids: list[list[str]]) -> list[dict]:
-    """The cube records, sorted by dimension and id, of a complex whose faces
-    all resolve: faces as positions into the records one dimension down."""
-    P, labels = h.complex, h.labels
-    cubes = []
-    rank_below: list[int] = []
-    for n, rids in enumerate(ids):
-        order = sorted(range(len(rids)), key=rids.__getitem__)
-        if n == 1 and not labels.keys() >= set(P.cells(1)):
-            raise _unlabeled(h, rids)
-        keys, flats, at = P.cells(n), P.face_positions(n), rank_below.__getitem__
-        for pos in order:
-            if n:
-                refs = [*map(at, flats[pos])]
-                entry = {"id": rids[pos], "dim": n, "d0": refs[:n], "d1": refs[n:]}
-                if n == 1:
-                    entry["label"] = list(labels[keys[pos]])
-            else:
-                entry = {"id": rids[pos], "dim": 0, "d0": [], "d1": []}
-            cubes.append(entry)
-        rank_below = [0] * len(order)
-        for rank, pos in enumerate(order):
-            rank_below[pos] = rank
-    return cubes
-
-
-def _cubes_by_id(h: Hda, ids: list[list[str]]) -> list[dict]:
-    """The cube records, sorted by dimension and id, with faces as ids: those
-    of a complex with a face that does not resolve, which keep it for
-    ``validate``."""
-    P = h.complex
-    cubes = []
-    for n, rids in enumerate(ids):
-        rids_below = ids[n - 1] if n else None
-        faces = P.face_positions(n)
-        for pos, (key, rid) in enumerate(zip(P.cells(n), rids)):
-            entry: dict = {"id": rid, "dim": n}
-            if not n:
-                entry["d0"] = []
-                entry["d1"] = []
-            elif (flat := faces[pos]) is not None:
-                refs = [*map(rids_below.__getitem__, flat)]
-                entry["d0"] = refs[:n]
-                entry["d1"] = refs[n:]
-            else:  # faces that are not cells, or not n of them
-                try:
-                    d0, d1 = P.face_keys((n, key))
-                except KeyError:
-                    raise FileFormatError(f"dimension {n}: cell {rid!r} has no face entry") from None
-                entry["d0"] = [*map(render_id, d0)]
-                entry["d1"] = [*map(render_id, d1)]
-            if n == 1:
-                if key not in h.labels:
-                    raise _unlabeled(h, rids)
-                entry["label"] = list(h.labels[key])
-            cubes.append(entry)
-    cubes.sort(key=itemgetter("dim", "id"))
-    return cubes
 
 
 def _want(doc: dict, field: str, kind, where: str):
