@@ -93,7 +93,9 @@ def _strings(items) -> str | None:
 def _record_layout(sizes: tuple[int, int]) -> str:
     """The %-format of a cube record whose faces are ``sizes`` ints: their
     values, the dim, the encoded id and the label's text fill it."""
-    d0, d1 = ("[" + _INNER + ("," + _INNER).join(["%d"] * k) + _PAD + "]" if k else "[]" for k in sizes)
+    d0, d1 = (
+        "[" + _INNER + ("," + _INNER).join(["%d"] * k) + _PAD + "]" if k else "[]" for k in sizes
+    )
     return f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": %d,{_PAD}"id": %s%s\n    }}'
 
 
@@ -176,7 +178,8 @@ def hda_to_json(h: Hda) -> dict:
                     d0, d1 = P.face_keys((n, key))
                 except KeyError:
                     raise FileFormatError(f"dimension {n}: cell {rid!r} has no face entry") from None
-                entry = {"id": rid, "dim": n, "d0": [*map(render_id, d0)], "d1": [*map(render_id, d1)]}
+                d0, d1 = [*map(render_id, d0)], [*map(render_id, d1)]
+                entry = {"id": rid, "dim": n, "d0": d0, "d1": d1}
             if n == 1:
                 if key not in h.labels:
                     raise FileFormatError(f"dimension 1: cell {rid!r} has no label")

@@ -82,7 +82,7 @@ def _package_readers():
     out = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
-        # Each node's innermost definition; ast.walk visits outer ones first.
+        # Each node's innermost definition: a class comes before its methods.
         owner = {}
         for name, node in _definitions(tree):
             for inner in ast.walk(node):
