@@ -7,20 +7,25 @@ ids: strings stay themselves, integers print in decimal, tuples render as
 collision is refused at save time, so ids only need to be unique within
 each dimension.
 
-An HDA file names the faces of an n-cube in one of two forms, and the
-JSON type of its face entries says which: integer positions into the
-entries of dimension n - 1 in file order, which the writer emits, or the
-ids of those entries, which the writer emits only for a model with a face
-that does not resolve, so that such a model still round-trips for
-validation.  The loader reads both; a file that mixes them is refused.
+An HDA file holds its cells in one of three forms.  The writer emits a
+top-level "dims" list whenever every face resolves: entry n holds the
+dimension's sorted ``ids``, its ``faces`` (each cell's 2n face positions
+into ``dims[n-1].ids``, d0_1..d0_n then d1_1..d1_n, concatenated in file
+order) and, on dimension 1, its ``labels``, one word per edge; the loader
+reads it a column at a time and refuses any face it cannot resolve.  A
+model with a face that does not resolve is written as a "cubes" list with
+one record per cube, faces by id, so that it still reaches validation.
+The loader reads that record form, and the older one with faces as
+positions among the records one dimension down, entry by entry; the type
+of the first face says which, and a file that mixes them is refused.
 
 Documents are dumped through ``canonical_json``: sorted keys, two-space
 indent, ASCII, trailing newline.  Identical inputs give identical bytes.
 
 Malformed input raises ``FileFormatError`` with a dotted path into the
 document; JSON syntax errors keep their line/column.  Semantic validity
-(face identities, label conditions, positions past the end of the
-dimension below) is deliberately not checked here; callers run
+(face identities, label conditions, markings, and in the record forms
+faces that name no cell) is deliberately not checked here; callers run
 ``validate_hda`` and friends on the loaded objects.
 """
 
@@ -28,10 +33,9 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import contains, itemgetter
+from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
@@ -77,71 +81,75 @@ def _id_maps(P: PrecubicalSet) -> dict[int, dict[str, Key]]:
     return out
 
 
-_CUBE_KEYS = ({"d0", "d1", "dim", "id"}, {"d0", "d1", "dim", "id", "label"})
-_PAD, _INNER = "\n      ", "\n        "  # a record's keys, and its lists' items
+_PAD = "\n      "  # a dimension's fields
 
 
-def _strings(items) -> str | None:
-    """A list of str as ``json.dumps`` indents it in a cube record."""
-    if type(items) is not list or not {str}.issuperset(map(type, items)):
+def _list_json(items, pad: str) -> str | None:
+    """A list of exact ints, of exact strs, or of lists of exact strs, as
+    ``json.dumps`` indents it with its closing bracket after ``pad``; None
+    for anything else."""
+    if type(items) is not list:
         return None
     if not items:
         return "[]"
-    return "[" + _INNER + ("," + _INNER).join(map(_encode_str, items)) + _PAD + "]"
+    kinds, inner = {*map(type, items)}, pad + "  "
+    if kinds <= {int, str}:
+        # Without an indent json.dumps encodes in C; only the separator differs.
+        text = json.dumps(items, separators=("," + inner, ": "))[1:-1]
+    elif kinds == {list} and {str}.issuperset(map(type, chain.from_iterable(items))):
+        # Words repeat, so each distinct one is laid out once.
+        words = [*map(tuple, items)]
+        laid = {word: _list_json([*word], inner) for word in {*words}}
+        text = ("," + inner).join(map(laid.__getitem__, words))
+    else:
+        return None
+    return "[" + inner + text + pad + "]"
 
 
-def _record_layout(sizes: tuple[int, int]) -> str:
-    """The %-format of a cube record whose faces are ``sizes`` ints: their
-    values, the dim, the encoded id and the label's text fill it."""
-    d0, d1 = (
-        "[" + _INNER + ("," + _INNER).join(["%d"] * k) + _PAD + "]" if k else "[]" for k in sizes
-    )
-    return f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": %d,{_PAD}"id": %s%s\n    }}'
-
-
-def _cube_json(entry, layouts: dict) -> str:
-    """A record of a top-level "cubes" list, as ``json.dumps`` indents it
-    there; ``layouts`` keeps the formats of records with int faces by size."""
-    if type(entry) is dict and entry.keys() in _CUBE_KEYS:
-        rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
-        label = _strings(entry["label"]) if len(entry) == 5 else ""
-        if type(rid) is str and type(dim) is int and label is not None:
-            label = label and f',{_PAD}"label": {label}'
-            if type(d0) is list and type(d1) is list and {*map(type, d0), *map(type, d1)} <= {int}:
-                sizes = len(d0), len(d1)
-                if sizes not in layouts:
-                    layouts[sizes] = _record_layout(sizes)
-                return layouts[sizes] % (*d0, *d1, dim, _encode_str(rid), label)
-            d0, d1 = _strings(d0), _strings(d1)
-            if None not in (d0, d1):
-                return (f'{{{_PAD}"d0": {d0},{_PAD}"d1": {d1},{_PAD}"dim": {dim},'
-                        f'{_PAD}"id": {_encode_str(rid)}{label}\n    }}')
-    # JSON text holds no raw newline, so this only indents the record.
+def _dim_json(entry) -> str:
+    """An entry of a top-level "dims" list, as ``json.dumps`` indents it there."""
+    if type(entry) is dict and entry and {str}.issuperset(map(type, entry)):
+        fields = [(key, _list_json(entry[key], _PAD)) for key in sorted(entry)]
+        if None not in {text for _, text in fields}:
+            text = ",".join(f"{_PAD}{_encode_str(key)}: {text}" for key, text in fields)
+            return "{" + text + "\n    }"
+    # JSON text holds no raw newline, so this only indents the entry.
     return json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 def canonical_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    ``json.dumps`` encodes in pure Python when indenting, so the records of a
-    top-level "cubes" list, an HDA file's bulk, are laid out here instead.
+    ``json.dumps`` encodes in pure Python when indenting, so the lists of a
+    top-level "dims" list, an HDA file's bulk, are laid out here instead,
+    each with one ``join``.
     """
-    cubes = doc.get("cubes") if type(doc) is dict else None
-    if type(cubes) is not list or not cubes:
+    dims = doc.get("dims") if type(doc) is dict else None
+    if type(dims) is not list or not dims:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     # A top-level key is the only line that starts with two spaces and a quote.
-    rest = json.dumps({**doc, "cubes": [0]}, sort_keys=True, indent=2)
-    head, tail = rest.split('\n  "cubes": [\n    0\n  ]', 1)
-    parts = [head, '\n  "cubes": [']
-    layouts: dict = {}
-    for entry in cubes:
-        parts += (",\n    ", _cube_json(entry, layouts))
-    parts[2] = "\n    "  # no comma before the first record
-    parts += ["\n  ]", tail, "\n"]
-    return "".join(parts)
+    rest = json.dumps({**doc, "dims": [0]}, sort_keys=True, indent=2)
+    head, tail = rest.split('\n  "dims": [\n    0\n  ]', 1)
+    body = ",\n    ".join(map(_dim_json, dims))
+    return f'{head}\n  "dims": [\n    {body}\n  ]{tail}\n'
 
 
 # -- HDA files --------------------------------------------------------------
+
+
+def _word(h: Hda, key: Key, rid: str) -> list:
+    """The word of an edge as a file holds it; refuses an edge with no word,
+    or with a word that is not a sequence of letters."""
+    if key not in h.labels:
+        raise FileFormatError(f"dimension 1: cell {rid!r} has no label")
+    word = h.labels[key]
+    try:
+        letters = [*word]
+    except TypeError:
+        letters = [word]
+    if not {str}.issuperset(map(type, letters)):
+        raise FileFormatError(f"dimension 1: cell {rid!r} has a word that is not letters: {word!r}")
+    return letters
 
 
 def hda_to_json(h: Hda) -> dict:
@@ -152,49 +160,49 @@ def hda_to_json(h: Hda) -> dict:
     for n in range(P.max_dim + 1):
         keys = P.cells(n)
         try:
-            rids = [*map(render_id, keys)]
+            rids = [*keys] if {str}.issuperset(map(type, keys)) else [*map(render_id, keys)]
         except FileFormatError:
             rids = []
         if len(set(rids)) < len(keys):
             _id_maps(P)
         ids.append(rids)
-    # Faces are named by their position among the records one dimension
-    # down, in file order, unless one does not resolve: then by id, so that
-    # a damaged model still reaches validation.
-    by_position = all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1))
-    cubes = []
-    below: list = []  # per basis position one dimension down: the file's name for it
-    for n, rids in enumerate(ids):
-        faces = P.face_positions(n)
-        records = []
-        for pos, (key, rid) in enumerate(zip(P.cells(n), rids)):
-            if not n:
-                entry = {"id": rid, "dim": 0, "d0": [], "d1": []}
-            elif (flat := faces[pos]) is not None:
-                refs = [*map(below.__getitem__, flat)]
-                entry = {"id": rid, "dim": n, "d0": refs[:n], "d1": refs[n:]}
-            else:  # faces that are not cells, or not n of them
-                try:
-                    d0, d1 = P.face_keys((n, key))
-                except KeyError:
-                    raise FileFormatError(f"dimension {n}: cell {rid!r} has no face entry") from None
-                d0, d1 = [*map(render_id, d0)], [*map(render_id, d1)]
-                entry = {"id": rid, "dim": n, "d0": d0, "d1": d1}
-            if n == 1:
-                if key not in h.labels:
-                    raise FileFormatError(f"dimension 1: cell {rid!r} has no label")
-                entry["label"] = list(h.labels[key])
-            records.append(entry)
-        order = sorted(range(len(rids)), key=rids.__getitem__)
-        cubes += map(records.__getitem__, order)
-        below = rids
-        if by_position:
-            below = [0] * len(order)
-            for rank, pos in enumerate(order):
-                below[pos] = rank
+    if all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1)):
+        # One entry per dimension: the ids sorted, and the cells' face
+        # positions concatenated in that order, each a position among the
+        # sorted ids one dimension down.
+        field, body = "dims", []
+        rank: list[int] = []  # per basis position one dimension down: the file's position
+        for n, rids in enumerate(ids):
+            order = sorted(range(len(rids)), key=rids.__getitem__)
+            flats = chain.from_iterable(map(P.face_positions(n).__getitem__, order) if n else ())
+            entry = {"ids": [*map(rids.__getitem__, order)], "faces": [*map(rank.__getitem__, flats)]}
+            if n == 1:  # checked in basis order, so that the first bad edge is named
+                words = [*map(_word, repeat(h), P.cells(1), rids)]
+                entry["labels"] = [*map(words.__getitem__, order)]
+            body.append(entry)
+            rank = sorted(range(len(order)), key=order.__getitem__)
+    else:
+        # A face that does not resolve is written by id, in one record per
+        # cell, so that a damaged model still reaches validation.
+        field, body = "cubes", []
+        for n, rids in enumerate(ids):
+            records = []
+            for key, rid in zip(P.cells(n), rids):
+                d0 = d1 = []
+                if n:
+                    try:
+                        d0, d1 = P.face_keys((n, key))
+                    except KeyError:
+                        msg = f"dimension {n}: cell {rid!r} has no face entry"
+                        raise FileFormatError(msg) from None
+                    d0, d1 = [*map(render_id, d0)], [*map(render_id, d1)]
+                records.append({"id": rid, "dim": n, "d0": d0, "d1": d1})
+                if n == 1:
+                    records[-1]["label"] = _word(h, key, rid)
+            body += sorted(records, key=itemgetter("id"))
     return {
         "alphabet": list(h.alphabet.letters),
-        "cubes": cubes,
+        field: body,
         "initial": sorted(render_id(key) for _, key in h.initial),
         "final": sorted(render_id(key) for _, key in h.final),
     }
@@ -210,6 +218,61 @@ def _want(doc: dict, field: str, kind, where: str):
         )
         raise FileFormatError(f"{where}.{field}: expected {names}")
     return value
+
+
+def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
+    """The complex and labels of a "dims" list, a column at a time; raises
+    the first defect, dimension by dimension.  Every face must name a cell,
+    so that the faces are resolved as they are read."""
+    cells: dict[int, dict[str, int]] = {}
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    labels: dict[Key, tuple[str, ...]] = {}
+    below: list[int] = []  # the positions of dimension n - 1, which the model shares
+    for n, entry in enumerate(dims):
+        where = f"hda.dims[{n}]"
+        if type(entry) is not dict:
+            raise FileFormatError(f"{where}: expected an object")
+        ids, flat = _want(entry, "ids", list, where), _want(entry, "faces", list, where)
+        extra = entry.keys() - {"ids", "faces", "labels"}
+        if extra:
+            raise FileFormatError(f"{where}: unexpected field {min(map(repr, extra))}")
+        if "labels" in entry and n != 1:
+            raise FileFormatError(f"{where}: labels are only allowed on dimension 1")
+        if not {str}.issuperset(map(type, ids)):
+            raise FileFormatError(f"{where}.ids: ids must be strings")
+        table = cells[n] = dict(zip(ids, range(len(ids))))
+        if len(table) < len(ids):
+            rid = next(rid for pos, rid in enumerate(ids) if table[rid] != pos)
+            raise FileFormatError(f"{where}.ids: repeated id {rid!r}")
+        if len(flat) != 2 * n * len(ids):
+            raise FileFormatError(
+                f"{where}.faces: expected {2 * n} positions per cell, "
+                f"got {len(flat)} for {len(ids)} cells"
+            )
+        if flat:
+            if not {int}.issuperset(map(type, flat)) or min(flat) < 0:
+                msg = "face positions must be non-negative integers"
+                raise FileFormatError(f"{where}.faces: {msg}")
+            if max(flat) >= len(below):
+                raise FileFormatError(
+                    f"{where}.faces: position {max(flat)} is past the end of dimension {n - 1}"
+                )
+        if n:
+            faces[n] = [*zip(*[map(below.__getitem__, flat)] * (2 * n))]
+        below = [*table.values()]
+        if "labels" in entry:
+            words = _want(entry, "labels", list, where)
+            if len(words) != len(ids):
+                raise FileFormatError(
+                    f"{where}.labels: expected one word per edge, "
+                    f"got {len(words)} for {len(ids)} edges"
+                )
+            if not {list}.issuperset(map(type, words)):
+                raise FileFormatError(f"{where}.labels: expected a list per word")
+            if not {str}.issuperset(map(type, chain.from_iterable(words))):
+                raise FileFormatError(f"{where}.labels: letters must be strings")
+            labels = dict(zip(ids, map(tuple, words)))
+    return PrecubicalSet.from_positions(cells, faces), labels
 
 
 def _by_position(entries: list) -> bool:
@@ -248,80 +311,6 @@ def _cube_error(entry, where: str, cells: dict, by_position: bool) -> None:
             raise FileFormatError(f"{where}.label: letters must be strings")
 
 
-def _read_by_dimension(entries: list) -> tuple[PrecubicalSet, dict] | None:
-    """The complex and labels of a cube list read a whole dimension at a
-    time, or None unless every entry is well formed and every face
-    resolves: dimensions in non-decreasing order, exact types,
-    no repeated id, n faces on each side of an n-cube, faces that name cells
-    one dimension down, all by id or all by position, labels only on edges."""
-    if not {dict}.issuperset(map(type, entries)):
-        return None
-    try:
-        dims = [*map(itemgetter("dim"), entries)]
-    except KeyError:
-        return None
-    if not {int}.issuperset(map(type, dims)) or dims != sorted(dims) or dims and dims[0] < 0:
-        return None
-    cells: dict[int, dict[str, int]] = {}
-    faces: dict[int, list[tuple[int, ...]]] = {}
-    labels: dict[Key, tuple[str, ...]] = {}
-    get_id, get_d0, get_d1, get_label = map(itemgetter, ("id", "d0", "d1", "label"))
-    form = None  # the type of the faces, int or str, once one dimension has them
-    stop = 0
-    while stop < len(dims):
-        # One dimension's fields at a time, so only its temporaries are alive.
-        n = dims[stop]
-        start, stop = stop, bisect_right(dims, n, stop)
-        chunk = entries[start:stop]
-        try:
-            ids, d0s, d1s = [*map(get_id, chunk)], [*map(get_d0, chunk)], [*map(get_d1, chunk)]
-        except KeyError:
-            return None
-        if not (
-            {str}.issuperset(map(type, ids))
-            and {list}.issuperset(map(type, d0s))
-            and {list}.issuperset(map(type, d1s))
-            and {n}.issuperset(map(len, d0s))  # for n = 0: a vertex has no faces
-            and {n}.issuperset(map(len, d1s))
-        ):
-            return None
-        table = cells[n] = dict(zip(ids, range(len(ids))))
-        if len(table) < len(ids):
-            return None
-        if n:
-            below = cells.get(n - 1, {})
-            refs = chain.from_iterable(chain.from_iterable(zip(d0s, d1s)))
-            if form is None:
-                form = type(d0s[0][0])
-            if form is int:
-                # A position in range is looked up among ``below``'s own
-                # values, so the model shares one int per position.
-                refs = [*refs]
-                if not {int}.issuperset(map(type, refs)) or min(refs) < 0:
-                    return None
-                at = [*below.values()].__getitem__
-            else:
-                # A face id found in ``below``, whose keys are exact strings,
-                # equals a string, so its type needs no test of its own.
-                at = below.__getitem__
-            try:
-                faces[n] = [*zip(*[map(at, refs)] * (2 * n))]
-            except (IndexError, KeyError, TypeError):  # no such cell or position, or unhashable
-                return None
-        marked = [*map(contains, chunk, repeat("label"))]
-        if n == 1:
-            words = [*map(get_label, compress(chunk, marked))]
-            if not (
-                {list}.issuperset(map(type, words))
-                and {str}.issuperset(map(type, chain.from_iterable(words)))
-            ):
-                return None
-            labels = dict(zip(compress(ids, marked), map(tuple, words)))
-        elif any(marked):
-            return None
-    return PrecubicalSet.from_positions(cells, faces), labels
-
-
 def _read_by_entry(entries: list) -> tuple[PrecubicalSet, dict]:
     """The complex and labels of any cube list, entry by entry; raises the
     first entry's error, in file order.  Positions are read as the ids of
@@ -356,10 +345,12 @@ def hda_from_json(doc: dict) -> Hda:
         alphabet = Alphabet(letters)
     except ValueError as e:
         raise FileFormatError(f"hda.alphabet: {e}") from None
-    entries = _want(doc, "cubes", list, "hda")
-    # A canonical file takes the first; any other list is read, or refused,
-    # entry by entry from the start.
-    complex, labels = _read_by_dimension(entries) or _read_by_entry(entries)
+    if "cubes" not in doc:
+        complex, labels = _read_dims(_want(doc, "dims", list, "hda"))
+    elif "dims" in doc:
+        raise FileFormatError("hda: both 'dims' and 'cubes'; a file holds one of them")
+    else:
+        complex, labels = _read_by_entry(_want(doc, "cubes", list, "hda"))
     marks = {}
     for mark in ("initial", "final"):
         refs = _want(doc, mark, list, "hda")

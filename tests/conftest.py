@@ -67,11 +67,30 @@ def raw_faces(P):
     return faces
 
 
-def _with_faces(doc, face):
-    """A copy of an HDA document with each face reference of an n-cube
-    replaced by ``face(ref, ids, positions)``: the ids of the entries of
-    dimension n - 1 in file order, and the position of each."""
+def records(doc):
+    """A copy of an HDA document in a record form: a "dims" list becomes
+    the "cubes" records of the position form, one per cell, in file order;
+    a document with "cubes" is copied as it is."""
     doc = json.loads(json.dumps(doc))
+    if "dims" not in doc:
+        return doc
+    cubes = []
+    for n, entry in enumerate(doc["dims"]):
+        flat, words = entry["faces"], entry.get("labels")
+        for k, rid in enumerate(entry["ids"]):
+            faces = flat[2 * n * k : 2 * n * (k + 1)]
+            cubes.append({"id": rid, "dim": n, "d0": faces[:n], "d1": faces[n:]})
+            if words is not None:
+                cubes[-1]["label"] = words[k]
+    return {("cubes" if key == "dims" else key): cubes if key == "dims" else value
+            for key, value in doc.items()}
+
+
+def _with_faces(doc, face):
+    """A record-form copy of an HDA document with each face reference of an
+    n-cube replaced by ``face(ref, ids, positions)``: the ids of the entries
+    of dimension n - 1 in file order, and the position of each."""
+    doc = records(doc)
     ids = {}
     for entry in doc["cubes"]:
         ids.setdefault(entry["dim"], []).append(entry["id"])
@@ -84,7 +103,7 @@ def _with_faces(doc, face):
 
 
 def id_form(doc):
-    """An HDA document with its faces as ids: each position read as the id
+    """An HDA document in the record id form: each position read as the id
     of the entry one dimension down, in file order.  A position past the
     end, and an id, stay as they are."""
     return _with_faces(
@@ -93,9 +112,38 @@ def id_form(doc):
 
 
 def position_form(doc):
-    """An HDA document with its faces as positions: each id of its id form
+    """An HDA document in the record position form: each id of its id form
     read as the position of its entry one dimension down, in file order.
     Each id that names no entry becomes a position of its own past the end."""
     return _with_faces(
         id_form(doc), lambda ref, ids, positions: positions.setdefault(ref, len(positions))
     )
+
+
+def dims_form(doc):
+    """An HDA document in the dims form, the cells of each dimension in file
+    order; None for a document the form cannot hold: a face that names no
+    entry one dimension down, a cube with the wrong number of faces, or
+    labels on some edges only."""
+    doc = id_form(doc)
+    groups = {}
+    for entry in doc["cubes"]:
+        groups.setdefault(entry["dim"], []).append(entry)
+    dims, below = [], {}
+    for n in range(max(groups, default=-1) + 1):
+        entries = groups.get(n, [])
+        faces = []
+        for entry in entries:
+            refs = entry["d0"] + entry["d1"]
+            if len(entry["d0"]) != n or len(entry["d1"]) != n or not set(refs) <= below.keys():
+                return None
+            faces += [below[ref] for ref in refs]
+        dims.append({"ids": [entry["id"] for entry in entries], "faces": faces})
+        labeled = ["label" in entry for entry in entries]
+        if any(labeled):
+            if not all(labeled):
+                return None
+            dims[-1]["labels"] = [entry["label"] for entry in entries]
+        below = {entry["id"]: pos for pos, entry in enumerate(entries)}
+    return {("dims" if key == "cubes" else key): dims if key == "cubes" else value
+            for key, value in doc.items()}

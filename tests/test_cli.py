@@ -31,6 +31,7 @@ from hda_lab.programs import program_to_hda
 
 from conftest import id_form, position_form
 from test_dimap import subdivision_dimap
+from test_fileformats import _drop, _set
 
 
 def run(argv):
@@ -218,9 +219,8 @@ def test_dimap_check_flags_a_relabeled_target(tmp_path, capsys):
     save_hda(f.source, str(tmp_path / "src.json"))
     doc = hda_to_json(f.target)
     swap = {("a1",): ["a2"], ("a2",): ["a1"]}
-    for entry in doc["cubes"]:
-        if entry["dim"] == 1 and tuple(entry["label"]) in swap:
-            entry["label"] = swap[tuple(entry["label"])]
+    words = doc["dims"][1]["labels"]
+    doc["dims"][1]["labels"] = [swap.get(tuple(word), word) for word in words]
     (tmp_path / "tgt.json").write_text(canonical_json(doc))
     assert run(["validate", str(tmp_path / "tgt.json")]) == 0
     capsys.readouterr()
@@ -452,11 +452,11 @@ def test_separator_free_program_compiles_all_states(tmp_path):
     out = tmp_path / "separators.json"
     assert run(["model", "program", "--file", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert [sum(e["dim"] == n for e in doc["cubes"]) for n in range(3)] == [4, 4, 1]
+    assert [len(entry["ids"]) for entry in doc["dims"]] == [4, 4, 1]
 
 
 def test_invalid_hda_exits_two_with_diagnosis(workdir, tmp_path, capsys):
-    doc = json.loads((workdir / "peterson.json").read_text())
+    doc = position_form(json.loads((workdir / "peterson.json").read_text()))
     edge = next(e for e in doc["cubes"] if e["dim"] == 1)
     del edge["label"]
     path = tmp_path / "unlabeled.json"
@@ -497,7 +497,7 @@ def test_console_script_entry_point(workdir):
 
 
 def test_vertex_moved_to_a_high_dimension_exits_two(workdir, tmp_path, capsys):
-    doc = json.loads((workdir / "lock_spec.json").read_text())
+    doc = position_form(json.loads((workdir / "lock_spec.json").read_text()))
     vertex = next(e for e in doc["cubes"] if e["dim"] == 0)
     vertex["dim"] = 300
     path = tmp_path / "high_vertex.json"
@@ -602,7 +602,7 @@ def test_an_over_long_integer_literal_exits_one_naming_the_file(
     big = "9" * (limit + 1)
     klein = tmp_path / "klein.json"
     assert run(["model", "klein", "--out", str(klein)]) == 0
-    klein.write_text(klein.read_text().replace('"dim": 0', f'"dim": {big}', 1))
+    klein.write_text(klein.read_text().replace('"faces": []', f'"faces": [{big}]', 1))
     names = {"f": klein, "w": workdir, "d": dimap_dir, "c": f'{{"degree": {big}}}'}
     names["cf"] = tmp_path / "chain.json"
     names["cf"].write_text(names["c"])
@@ -626,7 +626,7 @@ def test_a_vertex_with_faces_exits_one_naming_the_file(argv, side, workdir, tmp_
     # position.
     klein = tmp_path / "klein.json"
     assert run(["model", "klein", "--out", str(klein)]) == 0
-    written = json.loads(klein.read_text())
+    written = position_form(json.loads(klein.read_text()))
     for doc, face in ((id_form(written), written["cubes"][1]["id"]), (written, 1)):
         assert doc["cubes"][0]["dim"] == 0
         doc["cubes"][0][side] = [face]
@@ -637,14 +637,14 @@ def test_a_vertex_with_faces_exits_one_naming_the_file(argv, side, workdir, tmp_
         assert captured.out == ""
 
 
-def _by_id(src, dst):
-    """Copy every file of ``src`` to ``dst``, automata with their faces as ids."""
+def _in_form(src, dst, form):
+    """Copy every file of ``src`` to ``dst``, automata translated by ``form``."""
     dst.mkdir()
     for path in src.iterdir():
         if path.suffix == ".json":
             doc = json.loads(path.read_text())
-            if "cubes" in doc and "alphabet" in doc:
-                doc = id_form(doc)
+            if "dims" in doc and "alphabet" in doc:
+                doc = form(doc)
             (dst / path.name).write_text(canonical_json(doc))
 
 
@@ -665,16 +665,20 @@ def _by_id(src, dst):
 def test_analyses_give_the_same_bytes_from_either_face_form(
     argv, workdir, dimap_dir, tmp_path, capsys
 ):
-    _by_id(workdir, tmp_path / "w")
-    _by_id(dimap_dir, tmp_path / "d")
-    assert type(json.loads((workdir / "peterson.json").read_text())["cubes"][-1]["d0"][0]) is int
+    # The files as written, in the dims form, then in both record forms.
+    dirs = [(workdir, dimap_dir)]
+    for form in (position_form, id_form):
+        dirs.append((tmp_path / f"w-{form.__name__}", tmp_path / f"d-{form.__name__}"))
+        _in_form(workdir, dirs[-1][0], form)
+        _in_form(dimap_dir, dirs[-1][1], form)
+    assert "dims" in json.loads((workdir / "peterson.json").read_text())
     for fmt in ("text", "json"):
         outputs = []
-        for w, d in ((workdir, dimap_dir), (tmp_path / "w", tmp_path / "d")):
+        for w, d in dirs:
             code = run([a.format(w=w, d=d) for a in argv] + ["--format", fmt])
             outputs.append((code, capsys.readouterr()))
         assert outputs[0][0] in (0, 3)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize(
@@ -690,7 +694,7 @@ def test_analyses_give_the_same_bytes_from_either_face_form(
 def test_a_malformed_position_exits_one_naming_the_file(
     face, message, command, workdir, tmp_path, capsys
 ):
-    doc = json.loads((workdir / "lock_spec.json").read_text())
+    doc = position_form(json.loads((workdir / "lock_spec.json").read_text()))
     doc["cubes"][-1]["d0"][0] = face
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -701,7 +705,7 @@ def test_a_malformed_position_exits_one_naming_the_file(
 
 
 def test_ids_and_positions_in_one_file_exit_one(workdir, tmp_path, capsys):
-    by_position = json.loads((workdir / "lock_spec.json").read_text())
+    by_position = position_form(json.loads((workdir / "lock_spec.json").read_text()))
     by_id = id_form(by_position)
     for doc, other, message in (
         (by_position, by_id, "face positions must be non-negative integers"),
@@ -716,6 +720,90 @@ def test_ids_and_positions_in_one_file_exit_one(workdir, tmp_path, capsys):
         last = len(mixed["cubes"]) - 1
         assert captured.err == f"hda-lab: {path}: hda.cubes[{last}]: {message}\n"
         assert captured.out == ""
+
+
+# Each refused with exit 1 and one line; lock_spec.json has three vertices
+# and four one-letter edges.
+DIMS_REFUSALS = {
+    "extra-key": (_set(["dims", 0, "note"], "x"), "hda.dims[0]: unexpected field 'note'"),
+    "missing-key": (_drop(["dims", 1, "faces"]), "hda.dims[1]: missing field 'faces'"),
+    "labels-off-dimension-one": (
+        _set(["dims", 0, "labels"], []), "hda.dims[0]: labels are only allowed on dimension 1"
+    ),
+    "not-an-object": (_set(["dims", 1], []), "hda.dims[1]: expected an object"),
+    "int-id": (_set(["dims", 0, "ids", 2], 2), "hda.dims[0].ids: ids must be strings"),
+    "repeated-id": (_set(["dims", 0, "ids", 2], "v"), "hda.dims[0].ids: repeated id 'v'"),
+    "short-faces": (
+        _drop(["dims", 1, "faces", 7]),
+        "hda.dims[1].faces: expected 2 positions per cell, got 7 for 4 cells",
+    ),
+    "vertex-faces": (
+        _set(["dims", 0, "faces"], [0] * 6),
+        "hda.dims[0].faces: expected 0 positions per cell, got 6 for 3 cells",
+    ),
+    **{
+        f"{name}-face": (
+            _set(["dims", 1, "faces", 5], face),
+            "hda.dims[1].faces: face positions must be non-negative integers",
+        )
+        for name, face in (("bool", True), ("float", 1.0), ("negative", -1), ("string", "v"))
+    },
+    "past-the-end": (
+        _set(["dims", 1, "faces", 5], 3),
+        "hda.dims[1].faces: position 3 is past the end of dimension 0",
+    ),
+    "missing-word": (
+        _drop(["dims", 1, "labels", 3]),
+        "hda.dims[1].labels: expected one word per edge, got 3 for 4 edges",
+    ),
+    "word-not-a-list": (
+        _set(["dims", 1, "labels", 0], "x++_0"), "hda.dims[1].labels: expected a list per word"
+    ),
+    "int-letter": (_set(["dims", 1, "labels", 0], [3]), "hda.dims[1].labels: letters must be strings"),
+    "dims-not-a-list": (lambda doc: doc.update(dims={}), "hda.dims: expected list"),
+    "both": (
+        lambda doc: doc.update(cubes=position_form(doc)["cubes"]),
+        "hda: both 'dims' and 'cubes'; a file holds one of them",
+    ),
+    "neither": (lambda doc: doc.pop("dims"), "hda: missing field 'dims'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIMS_REFUSALS))
+def test_a_malformed_dims_entry_exits_one_naming_the_file(case, workdir, tmp_path, capsys):
+    edit, message = DIMS_REFUSALS[case]
+    doc = json.loads((workdir / "lock_spec.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "homology"):
+        assert run([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"hda-lab: {path}: {message}\n"
+        assert captured.out == ""
+
+
+# Each loads and is reported by validate with exit 2; torus.json has two
+# vertices, edges b, b, a1, a2 and two squares.
+DIMS_SEMANTIC_DEFECTS = {
+    "unlabeled-edge": _drop(["dims", 1, "labels"]),
+    "unknown-letter": _set(["dims", 1, "labels"], [["zz"], ["zz"], ["a1"], ["a2"]]),
+    "cubical-identity": _set(["dims", 1, "faces", 0], 1),
+    "square-condition": _set(["dims", 1, "labels", 0], ["a1"]),
+    "initial-not-in-complex": lambda doc: doc.update(initial=["nowhere"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIMS_SEMANTIC_DEFECTS))
+def test_a_semantic_defect_in_the_dims_form_reaches_validate(kind, workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "torus.json").read_text())
+    DIMS_SEMANTIC_DEFECTS[kind](doc)
+    path = tmp_path / "defect.json"
+    path.write_text(json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert {line.split("]")[0][1:] for line in captured.out.splitlines()[:-1]} == {kind}
 
 
 def test_a_position_past_the_end_is_reported_as_a_dangling_id_is(workdir, tmp_path, capsys):

@@ -37,7 +37,7 @@ from hda_lab.models import (
 from hda_lab.products import tensor_hda
 from hda_lab.programs import program_to_hda
 
-from conftest import id_form, position_form
+from conftest import dims_form, id_form, position_form
 from test_dimap import subdivision_dimap, transposition_dimap
 
 
@@ -140,13 +140,19 @@ def _adversarial_docs():
 
     def by_position(change):
         """The position form, with ``change`` made to every cube with faces."""
-        doc = hda_to_json(directed_torus([("a",)], [("b",)]))
+        doc = position_form(hda_to_json(directed_torus([("a",)], [("b",)])))
         for entry in doc["cubes"]:
             if entry["dim"]:
                 change(entry)
         return doc
 
     weird = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u2028", "\x7f", "\u00e9"]
+
+    def dims(change):
+        """The dims form, with ``change`` made to its "dims" list."""
+        doc = hda_to_json(directed_torus([("a",)], [("b",)]))
+        change(doc["dims"])
+        return doc
     return {
         "non-ascii-letters": edited(letters(["\u00e9", "\u65e5\u672c", "\U0001F600"])),
         "lone-surrogates": edited(letters(["\ud800", "x\udfff", "\udbff\udc00"])),
@@ -186,6 +192,28 @@ def _adversarial_docs():
                 "percent-id": lambda e: e.update(id="%d%s%%"),
             }.items()
         },
+        **{
+            f"dims-{name}": dims(change)
+            for name, change in {
+                "as-written": lambda d: None,
+                "bool-faces": lambda d: d[1].update(faces=[True, False] * 4),
+                "float-face": lambda d: d[2]["faces"].__setitem__(0, 1.5),
+                "big-ints": lambda d: d[1].update(faces=[10**30, -(10**40), 0, 2**63, -1]),
+                "int-and-str": lambda d: d[1].update(faces=[1, "a", 2]),
+                "empty-lists": lambda d: d.append({"ids": [], "faces": [], "labels": []}),
+                "escaped-ids": lambda d: d[0].update(ids=weird),
+                "non-ascii-ids": lambda d: d[2].update(ids=["\u00e9", "\u65e5\u672c", "\U0001F600", "\ud800"]),
+                "words-not-lists": lambda d: d[1].update(labels=["a", 3, None, ["b"], ("c",)]),
+                "word-with-int": lambda d: d[1].update(labels=[["a", 1], []]),
+                "nested-words": lambda d: d[1].update(labels=[[["a"]], [[]]]),
+                "empty-words": lambda d: d[1].update(labels=[[], [], ["a"]]),
+                "extra-keys": lambda d: d[0].update(note={"x": [1, 2]}, zeta=None, alpha=[]),
+                "int-key": lambda d: d.append({1: [2]}),
+                "not-objects": lambda d: d.extend([[1, "x"], "s", None, {}]),
+            }.items()
+        },
+        "dims-empty": {"alphabet": [], "dims": [], "final": [], "initial": []},
+        "dims-not-a-list": {"alphabet": [], "dims": {"a": [1]}, "final": []},
         "not-hda": {"b": [1, 2.5, "x"], "a": {"c": None, "b": True}, "": []},
         "list": [1, {"b": 2, "a": []}],
     }
@@ -233,7 +261,7 @@ HDA_PARSE_ERRORS = [
     (_set(["alphabet", 1], 3), "hda.alphabet: letters must be nonempty strings, got 3"),
     (_set(["alphabet", 1], "x++_0"), "hda.alphabet: alphabet letters must be distinct"),
     (_set(["alphabet", 1], "x\udc00"), "hda.alphabet: letter 'x\\udc00' holds a lone surrogate"),
-    (_drop(["cubes"]), "hda: missing field 'cubes'"),
+    (_drop(["cubes"]), "hda: missing field 'dims'"),
     (_set(["cubes"], {}), "hda.cubes: expected list"),
     (_set(["cubes", 1], 5), "hda.cubes[1]: expected an object"),
     (_set(["cubes", 1], ["id", "dim"]), "hda.cubes[1]: expected an object"),
@@ -333,9 +361,11 @@ def test_hda_loader_keeps_semantic_defects_for_validation():
 
 
 def reference_hda_from_json(doc: dict):
-    """hda_from_json as it was when every document was read entry by entry."""
+    """hda_from_json as it was when every document was read entry by entry,
+    for documents that name faces by id; the first face in file order still
+    says which form an entry's bad faces are judged in."""
     from hda_lab.exterior import Alphabet
-    from hda_lab.fileformats import _cube_error, _want
+    from hda_lab.fileformats import _by_position, _cube_error, _want
     from hda_lab.hda import Hda
     from hda_lab.precubical import PrecubicalSet
 
@@ -347,9 +377,10 @@ def reference_hda_from_json(doc: dict):
     strings = {str}.issuperset
     cells, faces, unresolved, labels = {}, {}, {}, {}
     entries = _want(doc, "cubes", list, "hda")
+    by_position = _by_position(entries)
     top, ordered = -1, True
     for pos, entry in enumerate(entries):
-        if not (
+        if by_position or not (
             type(entry) is dict
             and type(rid := entry.get("id")) is str
             and type(dim := entry.get("dim")) is int
@@ -361,7 +392,7 @@ def reference_hda_from_json(doc: dict):
             and ("label" not in entry or dim == 1 and type(entry["label"]) is list
                  and strings(map(type, entry["label"])))
         ):
-            _cube_error(entry, f"hda.cubes[{pos}]", cells, False)
+            _cube_error(entry, f"hda.cubes[{pos}]", cells, by_position)
             rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
             refs = d0 + d1
         if dim != top:
@@ -427,8 +458,10 @@ def _hda_documents():
     from conftest import random_circle, random_torus, suite_rng
     from test_precubical import damaged_models
 
-    docs = [id_form(doc) if "cubes" in doc else doc for doc in _fixture_docs().values()]
-    docs += [doc for name, doc in _adversarial_docs().items() if not name.startswith("positions-")]
+    docs = [id_form(doc) if "dims" in doc else doc for doc in _fixture_docs().values()]
+    docs += [
+        doc for name, doc in _adversarial_docs().items() if not name.startswith(("positions-", "dims-"))
+    ]
     rng = suite_rng("loader-reference")
     docs += [id_form(hda_to_json(random_circle(rng))) for _ in range(10)]
     docs += [id_form(hda_to_json(random_torus(rng))) for _ in range(10)]
@@ -481,30 +514,23 @@ def _a_vertex_has_faces(doc) -> bool:
     )
 
 
-def test_hda_loader_matches_the_reference(monkeypatch):
-    import hda_lab.fileformats as ff
-    from hda_lab.fileformats import _read_by_dimension
-
-    def entry_by_entry(doc):
-        """The loader with every cube list read by ``_read_by_entry``."""
-        with monkeypatch.context() as m:
-            m.setattr(ff, "_read_by_dimension", lambda entries: None)
-            return hda_from_json(doc)
-
+def test_hda_loader_matches_the_reference():
     by_dimension = by_entry = 0
     for doc in _hda_documents():
         if _a_vertex_has_faces(doc):  # refused now, read before
             assert isinstance(_loaded(hda_from_json, doc), str)
-            assert isinstance(_loaded(entry_by_entry, doc), str)
             continue
         want = _loaded(reference_hda_from_json, doc)
+        if want == "hda: missing field 'cubes'":  # named by the form the writer emits
+            want = "hda: missing field 'dims'"
         assert _loaded(hda_from_json, doc) == want
-        assert _loaded(entry_by_entry, doc) == want
-        if type(doc) is dict and type(doc.get("cubes")) is list:
-            if _read_by_dimension(doc["cubes"]) is None:
-                by_entry += 1
-            else:
-                by_dimension += 1
+        # The same document with one entry per dimension, where it can be.
+        dims = None if isinstance(want, str) else dims_form(doc)
+        if dims is None:
+            by_entry += 1
+        else:
+            assert _loaded(hda_from_json, dims) == want
+            by_dimension += 1
     assert by_dimension > 100 and by_entry > 100, (by_dimension, by_entry)
 
 
@@ -534,17 +560,20 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
     def entry_by_entry(entries):
         raise AssertionError("a canonical file was read entry by entry")
 
-    monkeypatch.setattr(ff, "_read_by_entry", entry_by_entry)
     for name, h in _canonical_models().items():
         path = tmp_path / f"{name}.json"
         save_hda(h, str(path))
         doc = json.loads(path.read_text())
-        assert all(type(ref) is int for e in doc["cubes"] for ref in e["d0"] + e["d1"]), name
-        again = load_hda(str(path))
+        assert "cubes" not in doc and {type(ref) for e in doc["dims"] for ref in e["faces"]} <= {int}, name
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_read_by_entry", entry_by_entry)
+            again = load_hda(str(path))
         want = reference_hda_from_json(id_form(doc))
         assert _summary(again) == _summary(want), name
-        # A file that names its faces by id, as files written before did.
+        # Files that name their faces by id or by position, one record per
+        # cube, as files written before did.
         assert _summary(hda_from_json(id_form(doc))) == _summary(want), name
+        assert _summary(hda_from_json(position_form(doc))) == _summary(want), name
         P = again.complex
         assert not P._unresolved, name
         assert all(None not in P.face_positions(n) for n in P.dims()), name
@@ -578,34 +607,38 @@ def _model_fields(h):
 
 
 def _read_alike(doc):
-    """Load an HDA document by id and by position; both give one model, or
-    the same error."""
+    """Load an HDA document in each form it can take: records by id and by
+    position, and one entry per dimension; all give one model, or the record
+    forms the same error."""
     refused = _loaded(hda_from_json, id_form(doc))
     if isinstance(refused, str):
         assert _loaded(hda_from_json, position_form(doc)) == refused
         return None
-    by_id, by_position = hda_from_json(id_form(doc)), hda_from_json(position_form(doc))
-    assert _model_fields(by_position) == _model_fields(by_id)
+    by_id = hda_from_json(id_form(doc))
     report = [(v.kind, v.cube, v.data) for v in validate_hda(by_id)]
-    assert [(v.kind, v.cube, v.data) for v in validate_hda(by_position)] == report
+    others = [position_form(doc)] + ([dims_form(doc)] if dims_form(doc) else [])
+    for other in map(hda_from_json, others):
+        assert _model_fields(other) == _model_fields(by_id)
+        assert [(v.kind, v.cube, v.data) for v in validate_hda(other)] == report
     return by_id
 
 
 def test_both_face_forms_load_to_the_same_model():
-    written = by_position = 0
+    written = by_dimension = 0
     for h in _model_zoo():
         try:
             doc = hda_to_json(h)
-        except FileFormatError:  # a cell without faces or an edge without a label
+        except FileFormatError:  # a cell without faces, or an edge without a word of letters
             continue
         loaded = _read_alike(doc)
-        if loaded is None:  # a word no file can hold
-            continue
+        assert loaded is not None
         written += 1
-        by_position += doc == position_form(doc)
+        if "dims" in doc:
+            by_dimension += 1
+            assert dims_form(doc) == doc
         # Read back, the model is written as it was.
         assert canonical_json(hda_to_json(loaded)) == canonical_json(doc)
-    assert written > 100 and by_position > 60, (written, by_position)
+    assert written > 100 and by_dimension > 60, (written, by_dimension)
 
 
 def test_both_face_forms_load_alike_in_any_cube_order():
@@ -619,7 +652,7 @@ def test_both_face_forms_load_alike_in_any_cube_order():
 
 
 def _position_doc(edit):
-    doc = hda_to_json(lock_spec())
+    doc = position_form(hda_to_json(lock_spec()))
     edit(doc)
     return doc
 
@@ -648,7 +681,7 @@ def test_hda_position_parse_errors(edit, message):
 
 def test_a_position_past_the_end_is_a_dangling_face():
     for pos, (k, i) in ((4, (0, 1)), (6, (1, 1))):
-        doc = hda_to_json(lock_spec())
+        doc = position_form(hda_to_json(lock_spec()))
         side = ("d0", "d1")[k]
         doc["cubes"][pos][side][i - 1] = 3  # three vertices
         report = validate_hda(hda_from_json(doc))
@@ -662,7 +695,9 @@ def test_a_position_past_the_end_is_a_dangling_face():
 
 
 def reference_hda_to_json(h) -> dict:
-    """hda_to_json as it was when every face reference was rendered again."""
+    """hda_to_json as it was when every face reference was rendered again,
+    one record per cube, with the writer's refusal of a word that holds a
+    letter that is not a string."""
     P = h.complex
     for n in range(P.max_dim + 1):
         table = {}
@@ -684,6 +719,11 @@ def reference_hda_to_json(h) -> dict:
                 entry["d1"] = []
             if n == 1:
                 entry["label"] = list(h.labels[key])
+                if not all(isinstance(a, str) for a in entry["label"]):
+                    raise FileFormatError(
+                        f"dimension 1: cell {render_id(key)!r} has a word that is not letters: "
+                        f"{h.labels[key]!r}"
+                    )
             cubes.append(entry)
     cubes.sort(key=lambda e: (e["dim"], e["id"]))
     return {
@@ -748,36 +788,48 @@ WRITER_CASES = {
     "missing-face-entry": _hda({0: ["u"], 1: ["e"]}, {}, {"e": ("a",)}),
     "unlabeled-edge": _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {}),
     "unknown-mark": _hda({0: ["u"]}, {}, {}, [(0, "nowhere"), (3, ("p", 4))]),
+    "int-letter": _hda({0: ["u"], 1: ["e", "f"]}, {(1, "e"): (["u"], ["u"]), (1, "f"): (["u"], ["u"])},
+                       {"e": ("a",), "f": (3,)}),
+    "none-letter-dangling-face": _hda(
+        {0: ["u"], 1: ["e", "f"]}, {(1, "e"): (["u"], ["nowhere"]), (1, "f"): (["u"], ["u"])},
+        {"e": ("a",), "f": (None, "x")},
+    ),
 }
+
+
+def _faces_as_ids(h) -> dict:
+    """What the writer makes of h, as records with its faces read back as ids."""
+    return id_form(hda_to_json(h))
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
 def test_hda_writer_matches_the_reference_on_damaged_automata(name):
     h = WRITER_CASES[name]
-    assert _written(hda_to_json, h) == _written(reference_hda_to_json_naming_cells, h)
-
-
-def _faces_as_ids(h) -> dict:
-    """What the writer makes of h, with its faces read back as ids."""
-    return id_form(hda_to_json(h))
+    assert _written(_faces_as_ids, h) == _written(reference_hda_to_json_naming_cells, h)
 
 
 def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
     from test_precubical import damaged_models
 
-    missing = by_position = 0
+    missing = by_position = bad_words = 0
     for h in damaged_models():
         want = _written(reference_hda_to_json_naming_cells, h)
         assert _written(_faces_as_ids, h) == want
         missing += str(want[1]).endswith(("has no face entry", "has no label"))
+        bad_words += "has a word that is not letters" in str(want[1])
         if type(want[0]) is dict:
-            # Positions exactly when every face resolves; ids keep a face that does not.
+            # One entry per dimension exactly when every face resolves;
+            # records by id keep a face that does not.
             P = h.complex
             resolved = all(None not in P.face_positions(n) for n in P.dims())
-            refs = [ref for e in hda_to_json(h)["cubes"] for ref in e["d0"] + e["d1"]]
-            assert {type(ref) for ref in refs} == {int if resolved else str}
+            doc = hda_to_json(h)
+            assert ("dims" in doc) == resolved != ("cubes" in doc)
+            refs = [ref for e in doc.get("cubes", ()) for ref in e["d0"] + e["d1"]]
+            assert {type(ref) for ref in refs} <= {str}
             by_position += resolved
-    assert missing == 35
+    # Seven of the eight bad words were written at the parent, and one came
+    # before an unlabeled edge in basis order.
+    assert missing == 34 and bad_words == 8
     assert 10 < by_position < 85, by_position
     for build in (lock_spec, lambda: tensor_hda(directed_torus([("a",)], [("b",)]), lock_spec())):
         h = build()
@@ -792,6 +844,27 @@ def test_saving_a_cell_without_a_face_entry_or_label_names_the_cell(tmp_path):
     h = _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {})
     with pytest.raises(FileFormatError, match=r"^dimension 1: cell 'e' has no label$"):
         save_hda(h, str(tmp_path / "h.json"))
+    h = _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {"e": 3})
+    with pytest.raises(FileFormatError, match=r"^dimension 1: cell 'e' has a word that is not letters: 3$"):
+        save_hda(h, str(tmp_path / "h.json"))
+
+
+def test_every_damaged_model_the_writer_accepts_loads(tmp_path):
+    # A word with a letter that is not a string is refused when written, in
+    # both forms, not when read back.
+    from test_precubical import damaged_models
+
+    path = tmp_path / "h.json"
+    loaded = refused = 0
+    for h in damaged_models():
+        try:
+            save_hda(h, str(path))
+        except FileFormatError as e:
+            refused += "has a word that is not letters" in str(e)
+            continue
+        assert isinstance(load_hda(str(path)), type(h))
+        loaded += 1
+    assert (loaded, refused) == (78, 8)
 
 
 def test_grid_coord_round_trip():
