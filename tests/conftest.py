@@ -82,8 +82,9 @@ def records(doc):
             cubes.append({"id": rid, "dim": n, "d0": faces[:n], "d1": faces[n:]})
             if words is not None:
                 cubes[-1]["label"] = words[k]
-    return {("cubes" if key == "dims" else key): cubes if key == "dims" else value
-            for key, value in doc.items()}
+    del doc["dims"]
+    doc["cubes"] = cubes
+    return doc
 
 
 def _with_faces(doc, face):
@@ -145,5 +146,6 @@ def dims_form(doc):
                 return None
             dims[-1]["labels"] = [entry["label"] for entry in entries]
         below = {entry["id"]: pos for pos, entry in enumerate(entries)}
-    return {("dims" if key == "cubes" else key): dims if key == "cubes" else value
-            for key, value in doc.items()}
+    del doc["cubes"]
+    doc["dims"] = dims
+    return doc

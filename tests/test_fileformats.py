@@ -146,13 +146,13 @@ def _adversarial_docs():
                 change(entry)
         return doc
 
-    weird = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u2028", "\x7f", "\u00e9"]
-
     def dims(change):
         """The dims form, with ``change`` made to its "dims" list."""
         doc = hda_to_json(directed_torus([("a",)], [("b",)]))
         change(doc["dims"])
         return doc
+
+    weird = ['q"uote', "back\\slash", "ctl\x00\x1f\n\t", "\u2028", "\x7f", "\u00e9"]
     return {
         "non-ascii-letters": edited(letters(["\u00e9", "\u65e5\u672c", "\U0001F600"])),
         "lone-surrogates": edited(letters(["\ud800", "x\udfff", "\udbff\udc00"])),
@@ -616,7 +616,8 @@ def _read_alike(doc):
         return None
     by_id = hda_from_json(id_form(doc))
     report = [(v.kind, v.cube, v.data) for v in validate_hda(by_id)]
-    others = [position_form(doc)] + ([dims_form(doc)] if dims_form(doc) else [])
+    dims = dims_form(doc)
+    others = [position_form(doc)] + ([dims] if dims else [])
     for other in map(hda_from_json, others):
         assert _model_fields(other) == _model_fields(by_id)
         assert [(v.kind, v.cube, v.data) for v in validate_hda(other)] == report
@@ -788,8 +789,10 @@ WRITER_CASES = {
     "missing-face-entry": _hda({0: ["u"], 1: ["e"]}, {}, {"e": ("a",)}),
     "unlabeled-edge": _hda({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], ["u"])}, {}),
     "unknown-mark": _hda({0: ["u"]}, {}, {}, [(0, "nowhere"), (3, ("p", 4))]),
-    "int-letter": _hda({0: ["u"], 1: ["e", "f"]}, {(1, "e"): (["u"], ["u"]), (1, "f"): (["u"], ["u"])},
-                       {"e": ("a",), "f": (3,)}),
+    "int-letter": _hda(
+        {0: ["u"], 1: ["e", "f"]}, {(1, "e"): (["u"], ["u"]), (1, "f"): (["u"], ["u"])},
+        {"e": ("a",), "f": (3,)},
+    ),
     "none-letter-dangling-face": _hda(
         {0: ["u"], 1: ["e", "f"]}, {(1, "e"): (["u"], ["nowhere"]), (1, "f"): (["u"], ["u"])},
         {"e": ("a",), "f": (None, "x")},
@@ -811,7 +814,7 @@ def test_hda_writer_matches_the_reference_on_damaged_automata(name):
 def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
     from test_precubical import damaged_models
 
-    missing = by_position = bad_words = 0
+    missing = by_dimension = bad_words = 0
     for h in damaged_models():
         want = _written(reference_hda_to_json_naming_cells, h)
         assert _written(_faces_as_ids, h) == want
@@ -826,11 +829,11 @@ def test_hda_writer_matches_the_reference_on_the_damaged_model_stream():
             assert ("dims" in doc) == resolved != ("cubes" in doc)
             refs = [ref for e in doc.get("cubes", ()) for ref in e["d0"] + e["d1"]]
             assert {type(ref) for ref in refs} <= {str}
-            by_position += resolved
+            by_dimension += resolved
     # Seven of the eight bad words were written at the parent, and one came
     # before an unlabeled edge in basis order.
     assert missing == 34 and bad_words == 8
-    assert 10 < by_position < 85, by_position
+    assert 10 < by_dimension < 85, by_dimension
     for build in (lock_spec, lambda: tensor_hda(directed_torus([("a",)], [("b",)]), lock_spec())):
         h = build()
         assert _written(_faces_as_ids, h) == _written(reference_hda_to_json, h)
