@@ -85,7 +85,7 @@ _PAD = "\n      "  # a dimension's fields
 
 
 def _list_json(items, pad: str) -> str | None:
-    """A list of exact ints, of exact strs, or of lists of exact strs, as
+    """A list of exact ints and strs, or of lists of exact strs, as
     ``json.dumps`` indents it with its closing bracket after ``pad``; None
     for anything else."""
     if type(items) is not list:
@@ -122,7 +122,7 @@ def canonical_json(doc: dict) -> str:
 
     ``json.dumps`` encodes in pure Python when indenting, so the lists of a
     top-level "dims" list, an HDA file's bulk, are laid out here instead,
-    each with one ``join``.
+    each in one call.
     """
     dims = doc.get("dims") if type(doc) is dict else None
     if type(dims) is not list or not dims:
