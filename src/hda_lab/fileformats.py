@@ -160,7 +160,7 @@ def hda_to_json(h: Hda) -> dict:
     for n in range(P.max_dim + 1):
         keys = P.cells(n)
         try:
-            rids = [*keys] if {str}.issuperset(map(type, keys)) else [*map(render_id, keys)]
+            rids = [*map(render_id, keys)]
         except FileFormatError:
             rids = []
         if len(set(rids)) < len(keys):
