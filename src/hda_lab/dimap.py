@@ -20,27 +20,24 @@ failure separately.
 The induced chain map sends a cube to the signed sum of its grid's top cells,
 the sign being that of the axis permutation; a transposed square pushes to
 minus its image square.  This is the map the label cochain is natural for.
+
+The documents of map files and of chains are encoded at the end of this
+module, so that only the commands that read them compile the codec.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Sequence
 
+from .constructions import Path, PcMorphism, grid_top_cells, interval_grid
 from .exterior import perm_sign
+from .fileformats import FileFormatError, _id_maps, _want, render_id
 from .hda import Hda
 from .homology import Chain, chain_boundary
 from .labeling import chain_label, label_cochain
-from .precubical import (
-    Cube,
-    GridCoord,
-    Path,
-    PcMorphism,
-    Violation,
-    evaluate_subcube,
-    grid_top_cells,
-    interval_grid,
-)
+from .precubical import Cube, GridCoord, Key, Violation, evaluate_subcube
 from .rings import CoefficientRing, Record, ZZ
 
 
@@ -404,3 +401,114 @@ def identity_dimap(h: Hda) -> ElementaryDimap:
             }
             cube_maps[x] = CubeMap((1,) * n, tuple(range(1, n + 1)), flat)
     return ElementaryDimap(h, h, vertex_map, cube_maps)
+
+
+# -- files -----------------------------------------------------------------------
+# The documents of map files and ``--chain`` arguments; ``fileformats`` reads
+# and writes the files.
+
+
+_COORD_PART = re.compile(r"\[(\d+),(\d+)\]|(-?\d+)")
+
+
+def render_grid_coord(coord: GridCoord) -> str:
+    parts = []
+    for c in coord:
+        if isinstance(c, tuple):
+            parts.append(f"[{c[0]},{c[1]}]")
+        else:
+            parts.append(str(c))
+    return "(" + ",".join(parts) + ")"
+
+
+def parse_grid_coord(text: str) -> GridCoord:
+    if not (text.startswith("(") and text.endswith(")")):
+        raise FileFormatError(f"bad grid coordinate {text!r}")
+    inside = text[1:-1]
+    if not inside:
+        return ()
+    out: list = []
+    for m in _COORD_PART.finditer(inside):
+        if m.group(3) is not None:
+            out.append(int(m.group(3)))
+        else:
+            out.append((int(m.group(1)), int(m.group(2))))
+    coord = tuple(out)
+    if render_grid_coord(coord) != text:
+        raise FileFormatError(f"bad grid coordinate {text!r}")
+    return coord
+
+
+def dimap_to_json(f: ElementaryDimap, source_ref: str, target_ref: str) -> dict:
+    _id_maps(f.source.complex)
+    _id_maps(f.target.complex)
+    f0 = {
+        render_id(v[1]): render_id(w[1]) for v, w in sorted(
+            f.vertex_map.items(), key=lambda kv: render_id(kv[0][1])
+        )
+    }
+    cubes = []
+    for cube, cm in f.cube_maps.items():
+        flat = {
+            render_grid_coord(gc): render_id(tgt[1])
+            for gc, tgt in cm.flat.items()
+        }
+        cubes.append(
+            {
+                "id": render_id(cube[1]),
+                "shape": list(cm.shape),
+                "sigma": list(cm.axis_perm),
+                "flat": dict(sorted(flat.items())),
+            }
+        )
+    cubes.sort(key=lambda e: (len(e["shape"]), e["id"]))
+    return {"source": source_ref, "target": target_ref, "f0": f0, "cubes": cubes}
+
+
+def dimap_from_json(doc: dict, source: Hda, target: Hda) -> ElementaryDimap:
+    src_ids = _id_maps(source.complex)
+    tgt_ids = _id_maps(target.complex)
+
+    def resolve(table: dict[int, dict[str, Key]], dim: int, rid, where: str) -> Cube:
+        if not isinstance(rid, str) or rid not in table.get(dim, ()):
+            raise FileFormatError(f"{where}: no cube {rid!r} in dimension {dim}")
+        return (dim, table[dim][rid])
+
+    vertex_map = {}
+    for rid, tid in _want(doc, "f0", dict, "dimap").items():
+        vertex_map[resolve(src_ids, 0, rid, "dimap.f0")] = resolve(
+            tgt_ids, 0, tid, "dimap.f0"
+        )
+    cube_maps = {}
+    for pos, entry in enumerate(_want(doc, "cubes", list, "dimap")):
+        where = f"dimap.cubes[{pos}]"
+        shape = _want(entry, "shape", list, where)
+        sigma = _want(entry, "sigma", list, where)
+        for name, values in (("shape", shape), ("sigma", sigma)):
+            if not {int}.issuperset(map(type, values)):
+                raise FileFormatError(f"{where}.{name}: expected list of int")
+        n = len(shape)
+        cube = resolve(src_ids, n, _want(entry, "id", str, where), where)
+        flat = {}
+        for text, tid in _want(entry, "flat", dict, where).items():
+            gc = parse_grid_coord(text)
+            d = sum(1 for c in gc if isinstance(c, tuple))
+            flat[gc] = resolve(tgt_ids, d, tid, f"{where}.flat[{text}]")
+        cube_maps[cube] = CubeMap(tuple(shape), tuple(sigma), flat)
+    return ElementaryDimap(source, target, vertex_map, cube_maps)
+
+
+def chain_from_json(doc: dict, h: Hda) -> tuple[int, Chain]:
+    degree = _want(doc, "degree", int, "chain")
+    if degree < 0:
+        raise FileFormatError("chain.degree: expected a dimension")
+    ids = _id_maps(h.complex).get(degree, {})
+    chain: Chain = {}
+    for rid, c in _want(doc, "coeffs", dict, "chain").items():
+        if rid not in ids:
+            raise FileFormatError(f"chain.coeffs: no cube {rid!r} in degree {degree}")
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise FileFormatError(f"chain.coeffs[{rid}]: expected an integer")
+        if c:
+            chain[(degree, ids[rid])] = c
+    return degree, chain

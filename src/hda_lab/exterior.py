@@ -14,66 +14,12 @@ Words (tuples of letters attached to edge paths) enter the algebra through
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .rings import CoefficientRing, Frozen, ZZ
 
-
-class Alphabet:
-    """An ordered set of action letters; order fixes the basis order.
-
-    Letters are strings.  The positions define the index tuples used as
-    exterior basis keys, so two elements are only compatible when built over
-    the same alphabet.
-    """
-
-    __slots__ = ("_letters", "_pos")
-
-    def __init__(self, letters: Iterable[str]) -> None:
-        self._letters = tuple(letters)
-        for a in self._letters:
-            if not isinstance(a, str) or not a:
-                raise ValueError(f"letters must be nonempty strings, got {a!r}")
-            # A lone surrogate (a JSON escape such as "\ud800", or argv bytes
-            # that are not UTF-8) makes a letter no report can print.
-            if not a.isascii() and any("\ud800" <= c <= "\udfff" for c in a):
-                raise ValueError(f"letter {a!r} holds a lone surrogate")
-        self._pos = {a: i for i, a in enumerate(self._letters)}
-        if len(self._pos) != len(self._letters):
-            raise ValueError("alphabet letters must be distinct")
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return self._letters
-
-    def __len__(self) -> int:
-        return len(self._letters)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._letters)
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self._pos
-
-    def index(self, letter: str) -> int:
-        try:
-            return self._pos[letter]
-        except KeyError:
-            raise KeyError(f"letter {letter!r} not in alphabet") from None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self._letters == other._letters
-
-    def __hash__(self) -> int:
-        return hash(self._letters)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({list(self._letters)!r})"
-
-    def union(self, other: "Alphabet") -> "Alphabet":
-        """Stable union: self's letters in order, then other's new letters."""
-        extra = [a for a in other if a not in self]
-        return Alphabet(self._letters + tuple(extra))
+if TYPE_CHECKING:
+    from .hda import Alphabet
 
 
 def perm_sign(perm: Sequence[int]) -> int:

@@ -19,6 +19,11 @@ The loader reads that record form, and the older one with faces as
 positions among the records one dimension down, entry by entry; the type
 of the first face says which, and a file that mixes them is refused.
 
+Directed maps, chains and programs are encoded by ``dimap`` and
+``programs``, beside their objects, so that only the commands that read
+them compile their codecs; their files are read and written here, as
+UTF-8 whatever the locale, like every file.
+
 Documents are dumped through ``canonical_json``: sorted keys, two-space
 indent, ASCII, trailing newline.  Identical inputs give identical bytes.
 
@@ -32,21 +37,18 @@ faces that name no cell) is deliberately not checked here; callers run
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
-from .hda import Hda
-from .precubical import Cube, GridCoord, Key, PrecubicalSet
-from .exterior import Alphabet
+from .hda import Alphabet, Hda
+from .precubical import Cube, Key, PrecubicalSet
 
 if TYPE_CHECKING:
     from .dimap import ElementaryDimap
-    from .homology import Chain
-    from .programs import Guard, SharedVariableProgram
+    from .programs import SharedVariableProgram
 
 
 class FileFormatError(ValueError):
@@ -369,7 +371,7 @@ def hda_from_json(doc: dict) -> Hda:
 
 def read_text(path: str) -> str:
     try:
-        return FsPath(path).read_text()
+        return FsPath(path).read_text(encoding="utf-8")
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
@@ -401,105 +403,17 @@ def load_hda(path: str) -> Hda:
 
 
 def save_hda(h: Hda, path: str) -> None:
-    FsPath(path).write_text(canonical_json(hda_to_json(h)))
+    FsPath(path).write_text(canonical_json(hda_to_json(h)), encoding="utf-8")
 
 
-# -- dimap files -------------------------------------------------------------
-
-
-_COORD_PART = re.compile(r"\[(\d+),(\d+)\]|(-?\d+)")
-
-
-def render_grid_coord(coord: GridCoord) -> str:
-    parts = []
-    for c in coord:
-        if isinstance(c, tuple):
-            parts.append(f"[{c[0]},{c[1]}]")
-        else:
-            parts.append(str(c))
-    return "(" + ",".join(parts) + ")"
-
-
-def parse_grid_coord(text: str) -> GridCoord:
-    if not (text.startswith("(") and text.endswith(")")):
-        raise FileFormatError(f"bad grid coordinate {text!r}")
-    inside = text[1:-1]
-    if not inside:
-        return ()
-    out: list = []
-    for m in _COORD_PART.finditer(inside):
-        if m.group(3) is not None:
-            out.append(int(m.group(3)))
-        else:
-            out.append((int(m.group(1)), int(m.group(2))))
-    coord = tuple(out)
-    if render_grid_coord(coord) != text:
-        raise FileFormatError(f"bad grid coordinate {text!r}")
-    return coord
-
-
-def dimap_to_json(f: ElementaryDimap, source_ref: str, target_ref: str) -> dict:
-    _id_maps(f.source.complex)
-    _id_maps(f.target.complex)
-    f0 = {
-        render_id(v[1]): render_id(w[1]) for v, w in sorted(
-            f.vertex_map.items(), key=lambda kv: render_id(kv[0][1])
-        )
-    }
-    cubes = []
-    for cube, cm in f.cube_maps.items():
-        flat = {
-            render_grid_coord(gc): render_id(tgt[1])
-            for gc, tgt in cm.flat.items()
-        }
-        cubes.append(
-            {
-                "id": render_id(cube[1]),
-                "shape": list(cm.shape),
-                "sigma": list(cm.axis_perm),
-                "flat": dict(sorted(flat.items())),
-            }
-        )
-    cubes.sort(key=lambda e: (len(e["shape"]), e["id"]))
-    return {"source": source_ref, "target": target_ref, "f0": f0, "cubes": cubes}
-
-
-def dimap_from_json(doc: dict, source: Hda, target: Hda) -> ElementaryDimap:
-    from .dimap import CubeMap, ElementaryDimap
-
-    src_ids = _id_maps(source.complex)
-    tgt_ids = _id_maps(target.complex)
-
-    def resolve(table: dict[int, dict[str, Key]], dim: int, rid, where: str) -> Cube:
-        if not isinstance(rid, str) or rid not in table.get(dim, ()):
-            raise FileFormatError(f"{where}: no cube {rid!r} in dimension {dim}")
-        return (dim, table[dim][rid])
-
-    vertex_map = {}
-    for rid, tid in _want(doc, "f0", dict, "dimap").items():
-        vertex_map[resolve(src_ids, 0, rid, "dimap.f0")] = resolve(
-            tgt_ids, 0, tid, "dimap.f0"
-        )
-    cube_maps = {}
-    for pos, entry in enumerate(_want(doc, "cubes", list, "dimap")):
-        where = f"dimap.cubes[{pos}]"
-        shape = _want(entry, "shape", list, where)
-        sigma = _want(entry, "sigma", list, where)
-        for name, values in (("shape", shape), ("sigma", sigma)):
-            if not {int}.issuperset(map(type, values)):
-                raise FileFormatError(f"{where}.{name}: expected list of int")
-        n = len(shape)
-        cube = resolve(src_ids, n, _want(entry, "id", str, where), where)
-        flat = {}
-        for text, tid in _want(entry, "flat", dict, where).items():
-            gc = parse_grid_coord(text)
-            d = sum(1 for c in gc if isinstance(c, tuple))
-            flat[gc] = resolve(tgt_ids, d, tid, f"{where}.flat[{text}]")
-        cube_maps[cube] = CubeMap(tuple(shape), tuple(sigma), flat)
-    return ElementaryDimap(source, target, vertex_map, cube_maps)
+# -- dimap and program files ---------------------------------------------------
+# Their codecs live beside the objects, in ``dimap`` and ``programs``, and
+# load with them: few commands read these files.
 
 
 def load_dimap(path: str) -> ElementaryDimap:
+    from .dimap import dimap_from_json
+
     doc = json_object(read_text(path), path)
     base = FsPath(path).parent
     source = load_hda(str(base / _want(doc, "source", str, "dimap")))
@@ -510,149 +424,19 @@ def load_dimap(path: str) -> ElementaryDimap:
 def save_dimap(
     f: ElementaryDimap, path: str, source_ref: str, target_ref: str
 ) -> None:
-    FsPath(path).write_text(
-        canonical_json(dimap_to_json(f, source_ref, target_ref))
-    )
+    from .dimap import dimap_to_json
 
-
-# -- program files -----------------------------------------------------------
-
-
-def _guard_to_json(guard: Guard):
-    tag = guard[0]
-    if tag == "true":
-        return ["true"]
-    if tag == "cmp":
-        return ["cmp", guard[1], guard[2], guard[3]]
-    if tag in ("and", "or"):
-        return [tag, [_guard_to_json(g) for g in guard[1]]]
-    if tag == "not":
-        return ["not", _guard_to_json(guard[1])]
-    raise FileFormatError(f"cannot render guard {guard!r}")
-
-
-def _guard_from_json(node, where: str) -> Guard:
-    if not isinstance(node, list) or not node or not isinstance(node[0], str):
-        raise FileFormatError(f"{where}: bad guard {node!r}")
-    tag = node[0]
-    if tag == "true":
-        return ("true",)
-    if tag == "cmp":
-        if len(node) != 4:
-            raise FileFormatError(f"{where}: cmp guard needs op, variable, value")
-        return ("cmp", node[1], node[2], node[3])
-    if tag in ("and", "or"):
-        if len(node) != 2 or not isinstance(node[1], list):
-            raise FileFormatError(f"{where}: {tag} guard needs a list")
-        return (tag, [_guard_from_json(g, where) for g in node[1]])
-    if tag == "not":
-        if len(node) != 2:
-            raise FileFormatError(f"{where}: not guard needs one operand")
-        return ("not", _guard_from_json(node[1], where))
-    raise FileFormatError(f"{where}: unknown guard tag {tag!r}")
-
-
-def program_to_json(prog: SharedVariableProgram) -> dict:
-    return {
-        "name": prog.name,
-        "variables": [
-            {"name": v.name, "domain": list(v.domain), "initial": list(v.initial)}
-            for v in prog.variables
-        ],
-        "processes": [
-            {
-                "name": p.name,
-                "states": list(p.states),
-                "start": p.start,
-                "transitions": [
-                    {
-                        "from": t.source,
-                        "to": t.target,
-                        "action": t.action,
-                        "guard": _guard_to_json(t.guard),
-                        "effects": [list(e) for e in t.effects],
-                    }
-                    for t in p.transitions
-                ],
-            }
-            for p in prog.processes
-        ],
-    }
-
-
-def program_from_json(doc: dict) -> SharedVariableProgram:
-    from .programs import Process, SharedVariable, SharedVariableProgram, Transition
-
-    name = _want(doc, "name", str, "program")
-    variables = []
-    for pos, v in enumerate(_want(doc, "variables", list, "program")):
-        where = f"program.variables[{pos}]"
-        initial = _want(v, "initial", (int, list), where)
-        if isinstance(initial, int):
-            initial = [initial]
-        variables.append(
-            SharedVariable(
-                _want(v, "name", str, where),
-                tuple(_want(v, "domain", list, where)),
-                tuple(initial),
-            )
-        )
-    processes = []
-    for pos, p in enumerate(_want(doc, "processes", list, "program")):
-        where = f"program.processes[{pos}]"
-        transitions = []
-        for tpos, t in enumerate(_want(p, "transitions", list, where)):
-            twhere = f"{where}.transitions[{tpos}]"
-            guard = ("true",)
-            if "guard" in t:
-                guard = _guard_from_json(t["guard"], twhere)
-            effects = []
-            for e in t.get("effects", []):
-                if not (isinstance(e, list) and len(e) == 3):
-                    raise FileFormatError(f"{twhere}: bad effect {e!r}")
-                effects.append((e[0], e[1], e[2]))
-            transitions.append(
-                Transition(
-                    _want(t, "from", str, twhere),
-                    _want(t, "to", str, twhere),
-                    _want(t, "action", str, twhere),
-                    guard,
-                    tuple(effects),
-                )
-            )
-        processes.append(
-            Process(
-                _want(p, "name", str, where),
-                tuple(_want(p, "states", list, where)),
-                _want(p, "start", str, where),
-                tuple(transitions),
-            )
-        )
-    return SharedVariableProgram(name, tuple(variables), tuple(processes))
+    text = canonical_json(dimap_to_json(f, source_ref, target_ref))
+    FsPath(path).write_text(text, encoding="utf-8")
 
 
 def load_program(path: str) -> SharedVariableProgram:
+    from .programs import program_from_json
+
     return program_from_json(json_object(read_text(path), path))
 
 
 def save_program(prog: SharedVariableProgram, path: str) -> None:
-    FsPath(path).write_text(canonical_json(program_to_json(prog)))
+    from .programs import program_to_json
 
-
-# -- chain documents ----------------------------------------------------------
-
-
-def chain_from_json(doc: dict, h: Hda) -> tuple[int, Chain]:
-    degree = _want(doc, "degree", int, "chain")
-    if degree < 0:
-        raise FileFormatError("chain.degree: expected a dimension")
-    ids = _id_maps(h.complex).get(degree, {})
-    chain: Chain = {}
-    for rid, c in _want(doc, "coeffs", dict, "chain").items():
-        if rid not in ids:
-            raise FileFormatError(f"chain.coeffs: no cube {rid!r} in degree {degree}")
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise FileFormatError(f"chain.coeffs[{rid}]: expected an integer")
-        if c:
-            chain[(degree, ids[rid])] = c
-    return degree, chain
+    FsPath(path).write_text(canonical_json(program_to_json(prog)), encoding="utf-8")

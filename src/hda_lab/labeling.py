@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .exterior import Alphabet, ExteriorElement, word_to_vector
-from .hda import Hda
+from .exterior import ExteriorElement, word_to_vector
+from .hda import Alphabet, Hda
 from .homology import (
     Chain,
     FpEchelon,

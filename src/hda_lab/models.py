@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .exterior import Alphabet
-from .hda import Hda, assert_valid_hda
+from .hda import Alphabet, Hda, assert_valid_hda
 from .precubical import PrecubicalSet
 
 if TYPE_CHECKING:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .constructions import tensor
 from .hda import Hda
-from .precubical import PrecubicalSet, Violation, tensor
+from .precubical import PrecubicalSet, Violation
 from .rings import CoefficientRing, ZZ
 
 if TYPE_CHECKING:

@@ -18,6 +18,9 @@ Guards are nested tuples:
 Effects are ("set", var, value) or ("add", var, delta), applied in parallel
 against the old values; a step whose update leaves any variable outside its
 domain is simply not enabled, which is how bounded counters saturate.
+
+The documents of program files are encoded at the end of this module, so
+that only the commands that read or compile programs compile the codec.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .exterior import Alphabet
-from .hda import Hda
+from .fileformats import FileFormatError, _want
+from .hda import Alphabet, Hda
 from .precubical import Key, PrecubicalSet
 
 Guard = tuple
@@ -330,3 +333,118 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
         initial=start,
         final=start,
     )
+
+
+# -- program files ---------------------------------------------------------------
+# The documents of program files; ``fileformats`` reads and writes the files.
+
+
+def _guard_to_json(guard: Guard):
+    tag = guard[0]
+    if tag == "true":
+        return ["true"]
+    if tag == "cmp":
+        return ["cmp", guard[1], guard[2], guard[3]]
+    if tag in ("and", "or"):
+        return [tag, [_guard_to_json(g) for g in guard[1]]]
+    if tag == "not":
+        return ["not", _guard_to_json(guard[1])]
+    raise FileFormatError(f"cannot render guard {guard!r}")
+
+
+def _guard_from_json(node, where: str) -> Guard:
+    if not isinstance(node, list) or not node or not isinstance(node[0], str):
+        raise FileFormatError(f"{where}: bad guard {node!r}")
+    tag = node[0]
+    if tag == "true":
+        return ("true",)
+    if tag == "cmp":
+        if len(node) != 4:
+            raise FileFormatError(f"{where}: cmp guard needs op, variable, value")
+        return ("cmp", node[1], node[2], node[3])
+    if tag in ("and", "or"):
+        if len(node) != 2 or not isinstance(node[1], list):
+            raise FileFormatError(f"{where}: {tag} guard needs a list")
+        return (tag, [_guard_from_json(g, where) for g in node[1]])
+    if tag == "not":
+        if len(node) != 2:
+            raise FileFormatError(f"{where}: not guard needs one operand")
+        return ("not", _guard_from_json(node[1], where))
+    raise FileFormatError(f"{where}: unknown guard tag {tag!r}")
+
+
+def program_to_json(prog: SharedVariableProgram) -> dict:
+    return {
+        "name": prog.name,
+        "variables": [
+            {"name": v.name, "domain": list(v.domain), "initial": list(v.initial)}
+            for v in prog.variables
+        ],
+        "processes": [
+            {
+                "name": p.name,
+                "states": list(p.states),
+                "start": p.start,
+                "transitions": [
+                    {
+                        "from": t.source,
+                        "to": t.target,
+                        "action": t.action,
+                        "guard": _guard_to_json(t.guard),
+                        "effects": [list(e) for e in t.effects],
+                    }
+                    for t in p.transitions
+                ],
+            }
+            for p in prog.processes
+        ],
+    }
+
+
+def program_from_json(doc: dict) -> SharedVariableProgram:
+    name = _want(doc, "name", str, "program")
+    variables = []
+    for pos, v in enumerate(_want(doc, "variables", list, "program")):
+        where = f"program.variables[{pos}]"
+        initial = _want(v, "initial", (int, list), where)
+        if isinstance(initial, int):
+            initial = [initial]
+        variables.append(
+            SharedVariable(
+                _want(v, "name", str, where),
+                tuple(_want(v, "domain", list, where)),
+                tuple(initial),
+            )
+        )
+    processes = []
+    for pos, p in enumerate(_want(doc, "processes", list, "program")):
+        where = f"program.processes[{pos}]"
+        transitions = []
+        for tpos, t in enumerate(_want(p, "transitions", list, where)):
+            twhere = f"{where}.transitions[{tpos}]"
+            guard = ("true",)
+            if "guard" in t:
+                guard = _guard_from_json(t["guard"], twhere)
+            effects = []
+            for e in t.get("effects", []):
+                if not (isinstance(e, list) and len(e) == 3):
+                    raise FileFormatError(f"{twhere}: bad effect {e!r}")
+                effects.append((e[0], e[1], e[2]))
+            transitions.append(
+                Transition(
+                    _want(t, "from", str, twhere),
+                    _want(t, "to", str, twhere),
+                    _want(t, "action", str, twhere),
+                    guard,
+                    tuple(effects),
+                )
+            )
+        processes.append(
+            Process(
+                _want(p, "name", str, where),
+                tuple(_want(p, "states", list, where)),
+                _want(p, "start", str, where),
+                tuple(transitions),
+            )
+        )
+    return SharedVariableProgram(name, tuple(variables), tuple(processes))

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .exterior import Alphabet, ExteriorElement
-from .hda import Hda
+from .exterior import ExteriorElement
+from .hda import Alphabet, Hda
 from .homology import lattice_membership, nonmembership_certificate
 from .labeling import DegreeLabelReport, degree_monomials, label_to_column, labeled_degree
 from .rings import CoefficientRing, ZZ

@@ -18,7 +18,6 @@ from hda_lab.fileformats import (
     canonical_json,
     hda_to_json,
     load_hda,
-    program_to_json,
     render_id,
     save_dimap,
     save_hda,
@@ -27,7 +26,7 @@ from hda_lab.fileformats import (
 from hda_lab.homology import ZZ, verify_nonmembership
 from hda_lab.labeling import degree_monomials, label_to_column, labeled_degree
 from hda_lab.models import peterson
-from hda_lab.programs import program_to_hda
+from hda_lab.programs import program_to_hda, program_to_json
 
 from conftest import id_form, position_form
 from test_dimap import subdivision_dimap
@@ -896,12 +895,13 @@ def test_model_and_tensor_encode_the_document_once(command, fmt, workdir, monkey
 SRC = Path(hda_lab.__file__).resolve().parents[1]
 
 
-def _python(*args, cwd=None, timeout=None):
-    """A child interpreter that finds this package first."""
+def _python(*args, cwd=None, timeout=None, env=None, text=True):
+    """A child interpreter that finds this package first; ``env`` replaces
+    this process's environment, and ``text=False`` keeps the output bytes."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(env or os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        [sys.executable, *args], capture_output=True, text=text, env=env, cwd=cwd,
         timeout=timeout,
     )
 
@@ -939,23 +939,26 @@ def dimap_dir(tmp_path_factory):
     return d
 
 
-_BASE = "cli exterior fileformats hda precubical rings"
+_BASE = "cli fileformats hda precubical rings"
+_LABELS = " exterior homology labeling"
 
 # Command line (files relative to the work directories) -> the package's
-# modules loaded once it has run, besides hda_lab itself.
+# modules loaded once it has run, besides hda_lab itself.  Only commands
+# that read labels compile the exterior algebra; only products and maps
+# compile the cube constructions.
 IMPORTS = {
     "validate {w}/peterson.json": _BASE,
     "model klein": _BASE + " models",
     "model peterson": _BASE + " models programs",
     "model circle --labels a.b,c": _BASE + " models",
     "model program --file {d}/peterson.prog.json": _BASE + " programs",
-    "tensor {w}/ca.json {w}/cb.json": _BASE + " products",
+    "tensor {w}/ca.json {w}/cb.json": _BASE + " constructions products",
     "homology {w}/peterson.json": _BASE + " homology",
-    "labels {w}/peterson.json": _BASE + " homology labeling",
-    "implements {w}/lock.json {w}/lock_spec.json": _BASE + " homology labeling reports",
-    "independence {w}/torus.json {w}/ca.json {w}/cb.json": _BASE + " homology labeling reports",
-    "dimap-check {d}/map.json": _BASE + " dimap homology labeling",
-    "pushforward {d}/map.json --chain @{d}/chain.json": _BASE + " dimap homology labeling",
+    "labels {w}/peterson.json": _BASE + _LABELS,
+    "implements {w}/lock.json {w}/lock_spec.json": _BASE + _LABELS + " reports",
+    "independence {w}/torus.json {w}/ca.json {w}/cb.json": _BASE + _LABELS + " reports",
+    "dimap-check {d}/map.json": _BASE + _LABELS + " constructions dimap",
+    "pushforward {d}/map.json --chain @{d}/chain.json": _BASE + _LABELS + " constructions dimap",
 }
 
 
@@ -1130,6 +1133,8 @@ def test_main_gives_back_the_callers_collector_state(
     try:
         assert run([a.format(w=workdir, t=tmp_path) for a in argv]) == code
         assert gc.isenabled() is collector
+        # Only the process entry freezes the heap, never a call of main.
+        assert gc.get_freeze_count() == 0
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
@@ -1243,3 +1248,64 @@ def test_declared_entry_point_runs_a_command(workdir):
     proc = _python("-c", script, "homology", str(workdir / "peterson.json"))
     assert proc.returncode == 0
     assert "H_1 = Z^5" in proc.stdout
+
+
+# -- child processes: the exit path and the locale ---------------------------------
+
+
+def _child(argv, script, env=None):
+    """(exit code, stdout bytes, stderr bytes) of a child that runs ``script``
+    with ``argv``."""
+    proc = _python(*script, *argv, env=env, text=False, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_BY_MAIN = "import sys\nfrom hda_lab.cli import main\nsys.exit(main())\n"
+# The entry function must also have frozen the heap once it returns.
+_BY_SCRIPT = (
+    "import gc, sys\nfrom hda_lab.cli import script\n"
+    "code = script()\nassert gc.get_freeze_count() > 0\nsys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["homology", "{w}/peterson.json"], 0),
+        (["validate", "{t}/dangling.json"], 2),
+        (["implements", "{w}/lock.json", "{w}/lock_spec.json"], 3),
+        (["homology"], 1),
+    ],
+)
+def test_the_process_entry_gives_the_bytes_and_code_of_main(argv, code, workdir, tmp_path):
+    doc = id_form(json.loads((workdir / "lock.json").read_text()))
+    doc["cubes"][-1]["d0"][0] = "nowhere"
+    (tmp_path / "dangling.json").write_text(json.dumps(doc))
+    argv = [a.format(w=workdir, t=tmp_path) for a in argv]
+    want = _child(argv, ["-c", _BY_MAIN])
+    assert want[0] == code
+    assert _child(argv, ["-c", _BY_SCRIPT]) == want
+    assert _child(argv, ["-m", "hda_lab.cli"]) == want
+
+
+def test_files_and_reports_are_utf8_whatever_the_locale(tmp_path, capsys):
+    # A locale whose encoding is ASCII, and no UTF-8 mode.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0")
+    ascii_file = tmp_path / "ec.json"
+    assert run(["model", "circle", "--labels", "é,b", "--out", str(ascii_file)]) == 0
+    # The same model with the letter written raw, as UTF-8.
+    raw_file = tmp_path / "raw.json"
+    text = json.dumps(json.loads(ascii_file.read_text()), ensure_ascii=False)
+    raw_file.write_bytes(text.encode())
+    assert "é" in text
+    for model in (ascii_file, raw_file):
+        for argv in (["validate", str(model)], ["labels", str(model)]):
+            assert run(argv) == 0
+            report = capsys.readouterr().out.encode()
+            assert _child(argv, ["-m", "hda_lab.cli"], env) == (0, report, b"")
+            out = tmp_path / "report"
+            assert _child([*argv, "--out", str(out)], ["-m", "hda_lab.cli"], env) == (0, b"", b"")
+            assert out.read_bytes() == report
+    assert "alphabet: é b" in report.decode()
+

@@ -14,11 +14,11 @@ from hda_lab.dimap import (
     validate_dimap,
 )
 from hda_lab import exterior
-from hda_lab.exterior import Alphabet
-from hda_lab.hda import Hda, assert_valid_hda
+from hda_lab.hda import Alphabet, Hda, assert_valid_hda
 from hda_lab.labeling import chain_label, label_cochain
 from hda_lab.models import filled_square, labeled_circle, labeled_interval, torus_hda
-from hda_lab.precubical import Path, PrecubicalSet, interval_grid
+from hda_lab.constructions import Path, interval_grid
+from hda_lab.precubical import PrecubicalSet
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 GF3 = CoefficientRing(3)

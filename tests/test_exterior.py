@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hda_lab.exterior import Alphabet, ExteriorElement, word_to_vector
+from hda_lab.exterior import ExteriorElement, word_to_vector
+from hda_lab.hda import Alphabet
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 AB = Alphabet(["a", "b", "c", "d"])

@@ -4,22 +4,23 @@ import traceback
 
 import pytest
 
-from hda_lab.dimap import pushforward_cube, validate_dimap
-from hda_lab.fileformats import (
-    FileFormatError,
-    canonical_json,
+from hda_lab.dimap import (
     chain_from_json,
     dimap_from_json,
     dimap_to_json,
+    parse_grid_coord,
+    pushforward_cube,
+    render_grid_coord,
+    validate_dimap,
+)
+from hda_lab.fileformats import (
+    FileFormatError,
+    canonical_json,
     hda_from_json,
     hda_to_json,
     load_dimap,
     load_hda,
     load_program,
-    parse_grid_coord,
-    program_from_json,
-    program_to_json,
-    render_grid_coord,
     render_id,
     save_hda,
     save_program,
@@ -35,7 +36,7 @@ from hda_lab.models import (
     peterson,
 )
 from hda_lab.products import tensor_hda
-from hda_lab.programs import program_to_hda
+from hda_lab.programs import program_from_json, program_to_hda, program_to_json
 
 from conftest import dims_form, id_form, position_form
 from test_dimap import subdivision_dimap, transposition_dimap
@@ -364,7 +365,7 @@ def reference_hda_from_json(doc: dict):
     """hda_from_json as it was when every document was read entry by entry,
     for documents that name faces by id; the first face in file order still
     says which form an entry's bad faces are judged in."""
-    from hda_lab.exterior import Alphabet
+    from hda_lab.hda import Alphabet
     from hda_lab.fileformats import _cube_error, _want
     from hda_lab.hda import Hda
     from hda_lab.precubical import PrecubicalSet
@@ -763,7 +764,7 @@ def reference_hda_to_json_naming_cells(h) -> dict:
 
 
 def _hda(cells, faces, labels, initial=()):
-    from hda_lab.exterior import Alphabet
+    from hda_lab.hda import Alphabet
     from hda_lab.hda import Hda
     from hda_lab.precubical import PrecubicalSet
 

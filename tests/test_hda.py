@@ -1,14 +1,15 @@
 import pytest
 
-from hda_lab.exterior import Alphabet
+from hda_lab.constructions import Path
 from hda_lab.hda import (
+    Alphabet,
     Hda,
     assert_valid_hda,
     corner_word_violations,
     validate_hda,
 )
 from hda_lab.models import filled_square, labeled_circle, labeled_interval
-from hda_lab.precubical import Path, PrecubicalSet
+from hda_lab.precubical import PrecubicalSet
 
 
 def test_edge_and_path_words():
@@ -86,7 +87,7 @@ def test_multi_letter_words():
 
 def test_corner_words_on_cube_fixture():
     # A 3-cube made of grid cells keeps all corner reads consistent.
-    from hda_lab.precubical import standard_cube
+    from hda_lab.constructions import standard_cube
 
     G = standard_cube(3)
     letters = {1: "a", 2: "b", 3: "c"}

@@ -22,7 +22,8 @@ from hda_lab.homology import (
     smith_normal_form,
     _field_homology,
 )
-from hda_lab.precubical import PrecubicalSet, interval_grid, standard_cube, tensor
+from hda_lab.constructions import interval_grid, standard_cube, tensor
+from hda_lab.precubical import PrecubicalSet
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 GF5 = CoefficientRing(5)

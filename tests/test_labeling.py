@@ -1,7 +1,7 @@
 import pytest
 
-from hda_lab.exterior import Alphabet, ExteriorElement, word_to_vector
-from hda_lab.hda import Hda
+from hda_lab.exterior import ExteriorElement, word_to_vector
+from hda_lab.hda import Alphabet, Hda
 from hda_lab.homology import chain_boundary
 from hda_lab.labeling import (
     chain_label,

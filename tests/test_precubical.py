@@ -4,19 +4,21 @@ import tracemalloc
 import pytest
 
 from conftest import raw_faces
-from hda_lab.precubical import (
+from hda_lab.constructions import (
     Path,
     PcMorphism,
-    PrecubicalSet,
-    assert_valid_precubical,
-    edge_in_direction,
-    evaluate_subcube,
     grid_top_cells,
     interval,
     interval_grid,
     standard_cube,
-    Violation,
     tensor,
+)
+from hda_lab.precubical import (
+    PrecubicalSet,
+    assert_valid_precubical,
+    edge_in_direction,
+    evaluate_subcube,
+    Violation,
     validate_precubical,
 )
 from hda_lab.hda import Hda, validate_hda

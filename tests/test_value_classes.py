@@ -8,12 +8,13 @@ on the immutable ones, and the checks their constructors run.
 
 import pytest
 
+from hda_lab.constructions import Path, PcMorphism, interval
 from hda_lab.dimap import CubeMap, ElementaryDimap
-from hda_lab.exterior import Alphabet, ExteriorElement
-from hda_lab.hda import Hda
+from hda_lab.exterior import ExteriorElement
+from hda_lab.hda import Alphabet, Hda
 from hda_lab.homology import HomologyGroup, SmithNormalForm
 from hda_lab.labeling import DegreeLabelReport, LabeledClass
-from hda_lab.precubical import Path, PcMorphism, Violation, interval
+from hda_lab.precubical import Violation
 from hda_lab.reports import (
     ImplementsReport,
     ImplementsWitness,
