@@ -27,6 +27,7 @@ import argparse
 import gc
 import importlib
 import json
+import os
 import sys
 from pathlib import Path as FsPath
 from typing import Sequence
@@ -538,7 +539,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(_build_parser().parse_args(argv))
+        args = _build_parser().parse_args(argv)
+        if argv is None:
+            _text_as_utf8(args)
+        return _run(args)
     except Exception as e:
         # A fault of the program, not of its input: one line, and the report
         # is not written, since that comes last.
@@ -548,6 +552,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if enabled:
             gc.enable()
+
+
+def _text_as_utf8(args) -> None:
+    """Read ``--labels`` and an inline ``--chain`` as UTF-8, as files are,
+    whatever the locale; paths stay as the locale decodes them, so that
+    they name the same files."""
+    for name in ("labels", "chain"):
+        text = getattr(args, name, None)
+        if text and not (name == "chain" and text.startswith("@")):
+            setattr(args, name, os.fsencode(text).decode("utf-8", "surrogateescape"))
 
 
 def _run(args) -> int:

@@ -7,17 +7,18 @@ ids: strings stay themselves, integers print in decimal, tuples render as
 collision is refused at save time, so ids only need to be unique within
 each dimension.
 
-An HDA file holds its cells in one of three forms.  The writer emits a
+An HDA file holds its cells in one of two forms.  The writer emits a
 top-level "dims" list whenever every face resolves: entry n holds the
 dimension's sorted ``ids``, its ``faces`` (each cell's 2n face positions
 into ``dims[n-1].ids``, d0_1..d0_n then d1_1..d1_n, concatenated in file
 order) and, on dimension 1, its ``labels``, one word per edge; the loader
 reads it a column at a time and refuses any face it cannot resolve.  A
 model with a face that does not resolve is written as a "cubes" list with
-one record per cube, faces by id, so that it still reaches validation.
-The loader reads that record form, and the older one with faces as
-positions among the records one dimension down, entry by entry; the type
-of the first face says which, and a file that mixes them is refused.
+one record per cube, faces by id, so that it still reaches validation; the
+loader reads that record form entry by entry.  Records that name their
+faces by position, which one earlier writer made, are refused ("face ids
+must be strings"); running ``model`` or ``tensor`` again writes the model
+in the "dims" form.
 
 Directed maps, chains and programs are encoded by ``dimap`` and
 ``programs``, beside their objects, so that only the commands that read
@@ -29,8 +30,8 @@ indent, ASCII, trailing newline.  Identical inputs give identical bytes.
 
 Malformed input raises ``FileFormatError`` with a dotted path into the
 document; JSON syntax errors keep their line/column.  Semantic validity
-(face identities, label conditions, markings, and in the record forms
-faces that name no cell) is deliberately not checked here; callers run
+(face identities, label conditions, markings, and in the record form faces
+that name no cell) is deliberately not checked here; callers run
 ``validate_hda`` and friends on the loaded objects.
 """
 
@@ -277,18 +278,7 @@ def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
     return PrecubicalSet.from_positions(cells, faces), labels
 
 
-def _by_position(entries: list) -> bool:
-    """Whether a cube list names faces by position: its first face entry, in
-    file order, is a number."""
-    for entry in entries:
-        for side in ("d0", "d1"):
-            refs = entry.get(side) if type(entry) is dict else None
-            if type(refs) is list and refs:
-                return type(refs[0]) in (int, float)
-    return False
-
-
-def _cube_error(entry, where: str, cells: dict, by_position: bool) -> None:
+def _cube_error(entry, where: str, cells: dict) -> None:
     """Raise the error of the first bad field of a cube entry, if any."""
     if not isinstance(entry, dict):
         raise FileFormatError(f"{where}: expected an object")
@@ -299,10 +289,7 @@ def _cube_error(entry, where: str, cells: dict, by_position: bool) -> None:
     if rid in cells.get(dim, ()):
         raise FileFormatError(f"{where}: repeated id {rid!r} in dimension {dim}")
     for arr in (_want(entry, "d0", list, where), _want(entry, "d1", list, where)):
-        if by_position:
-            if not all(type(ref) is int and ref >= 0 for ref in arr):
-                raise FileFormatError(f"{where}: face positions must be non-negative integers")
-        elif not all(isinstance(ref, str) for ref in arr):
+        if not all(isinstance(ref, str) for ref in arr):
             raise FileFormatError(f"{where}: face ids must be strings")
     if not dim and (entry["d0"] or entry["d1"]):
         raise FileFormatError(f"{where}: a vertex has no faces")
@@ -315,29 +302,19 @@ def _cube_error(entry, where: str, cells: dict, by_position: bool) -> None:
 
 def _read_by_entry(entries: list) -> tuple[PrecubicalSet, dict]:
     """The complex and labels of any cube list, entry by entry; raises the
-    first entry's error, in file order.  Positions are read as the ids of
-    the entries one dimension down, in file order, once all are read; one
-    past the end stays a number.  The key-based constructor resolves the
-    faces and keeps an entry whose faces are not cells for the validator."""
+    first entry's error, in file order.  The key-based constructor resolves
+    the faces and keeps an entry whose faces are not cells for the validator."""
     cells: dict[int, dict[str, None]] = {}
     faces: dict[Cube, tuple[list, list]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
-    by_position = _by_position(entries)
     for pos, entry in enumerate(entries):
-        _cube_error(entry, f"hda.cubes[{pos}]", cells, by_position)
+        _cube_error(entry, f"hda.cubes[{pos}]", cells)
         rid, dim = entry["id"], entry["dim"]
         cells.setdefault(dim, {})[rid] = None
         if dim:
             faces[(dim, rid)] = (entry["d0"], entry["d1"])
         if "label" in entry:
             labels[rid] = tuple(entry["label"])
-    if by_position:
-        ids = {n: [*table] for n, table in cells.items()}
-        for (n, rid), sides in faces.items():
-            below = ids.get(n - 1, [])
-            faces[(n, rid)] = tuple(
-                [below[ref] if ref < len(below) else ref for ref in side] for side in sides
-            )
     return PrecubicalSet(cells, faces), labels
 
 

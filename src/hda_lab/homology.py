@@ -7,7 +7,7 @@ The boundary of an n-cube x is the alternating sum over its face pairs,
 so an edge maps to target minus source.  Homology over the integers is
 computed from Smith normal forms that carry full change-of-basis certificates
 (U, U^-1, V, V^-1 with U*M*V = D); the certificates are cheap to re-verify by
-plain matrix multiplication and the test suite does so.  Over a prime field
+multiplying the sparse factors, and the test suite does so.  Over a prime field
 column elimination is used instead: bitsets for GF(2) homology, and one
 sparse echelon (``FpEchelon``) for the homology over the other primes and for
 label images and membership over every prime.
@@ -23,12 +23,11 @@ of every degree are kept per complex and field while the complex lives.
 Sparse vectors are dicts from index to nonzero entry (``Line``); lists of
 them are the one matrix format here and in ``labeling``.  Boundaries are
 assembled from the face positions the complex stores, as sparse signed
-columns (``boundary_columns``) or GF(2) bitsets, and the Smith
-normal form takes its matrix as sparse columns and a row count.  Dense
-lists of rows remain at three edges: ``boundary_matrix``, the dense view of
-a boundary; the ``SmithNormalForm`` views that ``verify`` multiplies; and
-the vectors of ``lattice_membership`` and ``nonmembership_certificate``,
-whose answers are rechecked by dot products.
+columns (``boundary_columns``) or GF(2) bitsets.  The Smith normal form
+takes sparse columns and a row count, and keeps and rechecks its
+certificates sparse.  Dense lists remain at two edges: ``boundary_matrix``,
+the dense view of a boundary; and the vectors of ``lattice_membership`` and
+``nonmembership_certificate``, whose answers are rechecked by dot products.
 """
 
 from __future__ import annotations
@@ -40,41 +39,7 @@ from typing import Iterable, Sequence
 from .precubical import Cube, Key, PrecubicalSet
 from .rings import CoefficientRing, Record, ZZ, xgcd
 
-Matrix = list[list[int]]
 Chain = dict[Cube, int]
-
-
-# -- small dense integer matrix helpers, for boundaries and verification ----
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix, inner: int | None = None) -> Matrix:
-    """Matrix product; ``inner`` disambiguates when a is empty."""
-    if a:
-        inner = len(a[0])
-    if inner is None:
-        raise ValueError("empty product needs the inner dimension")
-    if inner and b and len(b) != inner:
-        raise ValueError(f"shape mismatch: {inner} columns vs {len(b)} rows")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for t, x in enumerate(row):
-            if x:
-                brow = b[t]
-                for j in range(cols):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-        out.append(acc)
-    return out
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -120,10 +85,6 @@ def _sparse(vectors: Iterable[Sequence[int]]) -> list[Line]:
     return [{i: x for i, x in enumerate(v) if x} for v in vectors]
 
 
-def _dense(lines: Sequence[Line], width: int) -> Matrix:
-    return [[line.get(k, 0) for k in range(width)] for line in lines]
-
-
 def _units(n: int) -> list[Line]:
     return [{i: 1} for i in range(n)]
 
@@ -139,8 +100,7 @@ class SmithNormalForm:
     Every factor is stored sparse, in the orientation the reduction updates:
     M, U and V^-1 as rows (``m_rows``, ``u_rows``, ``v_inv_rows``), U^-1 and
     V as columns (``u_inv_cols``, ``v_cols``), each a dict from index to
-    nonzero entry.  The dense properties ``matrix``, ``u``, ``u_inv``, ``v``
-    and ``v_inv`` exist for verification and tests only.
+    nonzero entry.  ``verify`` multiplies them in those orientations.
     """
 
     def __init__(
@@ -167,55 +127,46 @@ class SmithNormalForm:
     def rank(self) -> int:
         return len(self.diagonal)
 
-    @property
-    def matrix(self) -> Matrix:
-        return _dense(self.m_rows, self.cols)
-
-    @property
-    def u(self) -> Matrix:
-        return _dense(self.u_rows, self.rows)
-
-    @property
-    def u_inv(self) -> Matrix:
-        return _dense(_transpose(self.u_inv_cols, self.rows), self.rows)
-
-    @property
-    def v(self) -> Matrix:
-        return _dense(_transpose(self.v_cols, self.cols), self.cols)
-
-    @property
-    def v_inv(self) -> Matrix:
-        return _dense(self.v_inv_rows, self.cols)
-
-    def d_matrix(self) -> Matrix:
-        d = zero_matrix(self.rows, self.cols)
-        for i, x in enumerate(self.diagonal):
-            d[i][i] = x
-        return d
-
-    def apply_u(self, vec: Sequence[int]) -> list[int]:
-        """U * vec."""
-        return [sum(x * vec[k] for k, x in row.items()) for row in self.u_rows]
-
     def verify(self) -> bool:
-        """Recheck U*M*V == D, U*U^-1 == I and V*V^-1 == I by multiplication.
+        """Recheck U*M*V == D, U*U^-1 == I and V^-1*V == I by multiplication,
+        and that the diagonal is positive, each entry dividing the next.
 
-        The products are dense, so the check shares no code with the sparse
-        reduction it rechecks.
+        The products are taken on the stored lines with the loops below, so
+        the check shares no code with the reduction it rechecks.
         """
-        umv = mat_mul(mat_mul(self.u, self.matrix, self.rows), self.v, self.cols)
-        if umv != self.d_matrix():
-            return False
-        if mat_mul(self.u, self.u_inv, self.rows) != identity_matrix(self.rows):
-            return False
-        if mat_mul(self.v, self.v_inv, self.cols) != identity_matrix(self.cols):
-            return False
-        for i, x in enumerate(self.diagonal):
-            if x <= 0:
+        r, c, d = self.rows, self.cols, self.diagonal
+        for lines, count, width in (
+            (self.m_rows, r, c), (self.u_rows, r, r), (self.u_inv_cols, r, r),
+            (self.v_cols, c, c), (self.v_inv_rows, c, c),
+        ):
+            if len(lines) != count or any(k not in range(width) for line in lines for k in line):
                 return False
-            if i and x % self.diagonal[i - 1]:
-                return False
-        return True
+        if len(d) > min(r, c) or any(x <= 0 or i and x % d[i - 1] for i, x in enumerate(d)):
+            return False
+
+        def dot(a: Line, b: Line) -> int:
+            return sum(x * b[k] for k, x in a.items() if k in b)
+
+        def is_diagonal(rows: Sequence[Line], cols: Sequence[Line], diag: Sequence[int]) -> bool:
+            """Whether the rows times the columns is diag, zero elsewhere."""
+            return all(
+                dot(row, col) == (diag[i] if i == j < len(diag) else 0)
+                for i, row in enumerate(rows)
+                for j, col in enumerate(cols)
+            )
+
+        um = []  # U*M by rows
+        for u in self.u_rows:
+            acc: Line = {}
+            for k, x in u.items():
+                for j, y in self.m_rows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            um.append(acc)
+        return (
+            is_diagonal(um, self.v_cols, d)
+            and is_diagonal(self.u_rows, self.u_inv_cols, [1] * r)
+            and is_diagonal(self.v_inv_rows, self.v_cols, [1] * c)
+        )
 
 
 # One side of the reduction: the lines of a in the orientation it operates
@@ -397,9 +348,9 @@ def boundary_columns(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> li
     return cols
 
 
-def boundary_matrix(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> Matrix:
-    """The degree-n boundary as a dense size(n-1) x size(n) matrix."""
-    out = zero_matrix(P.size(n - 1), P.size(n))
+def boundary_matrix(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> list[list[int]]:
+    """The degree-n boundary as a dense size(n-1) x size(n) matrix, by rows."""
+    out = [[0] * P.size(n) for _ in range(P.size(n - 1))]
     for j, col in enumerate(boundary_columns(P, n, ring)):
         for i, x in col.items():
             out[i][j] = x
@@ -764,7 +715,7 @@ def _integer_scan(vectors: Sequence[Sequence[int]], target: Sequence[int], ring:
     if ring.characteristic:
         return None
     snf = smith_normal_form(_sparse(vectors), m)
-    y = snf.apply_u(target)
+    y = [sum(x * target[k] for k, x in row.items()) for row in snf.u_rows]
     for i in range(m):
         d = snf.diagonal[i] if i < snf.rank else 0
         if (y[i] % d) if d else y[i]:

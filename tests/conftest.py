@@ -9,6 +9,7 @@ case stream.
 import json
 import os
 import random
+from types import SimpleNamespace
 
 from hda_lab.models import directed_circle
 from hda_lab.products import tensor_hda
@@ -52,6 +53,48 @@ def sparse_columns(mat, cols=None):
     return columns, len(mat)
 
 
+def mat_mul(a, b, inner=None):
+    """The product of two dense matrices given by rows; ``inner`` is the inner
+    dimension when a has no rows."""
+    inner = len(a[0]) if a else inner
+    if inner is None or inner and b and len(b) != inner:
+        raise ValueError("shape mismatch")
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def dense_snf(snf):
+    """The certificates of a ``SmithNormalForm`` as dense matrices by rows:
+    U, U^-1, V, V^-1 as ``u``, ``u_inv``, ``v``, ``v_inv``, and D as ``d``."""
+    r, c = snf.rows, snf.cols
+
+    def rows(lines, width):
+        return [[line.get(k, 0) for k in range(width)] for line in lines]
+
+    def columns(lines, height):
+        return [[line.get(i, 0) for line in lines] for i in range(height)]
+
+    return SimpleNamespace(
+        u=rows(snf.u_rows, r),
+        u_inv=columns(snf.u_inv_cols, r),
+        v=columns(snf.v_cols, c),
+        v_inv=rows(snf.v_inv_rows, c),
+        d=[[snf.diagonal[i] if i == j < snf.rank else 0 for j in range(c)] for i in range(r)],
+    )
+
+
 def raw_faces(P):
     """Every face entry of a precubical set by cube, as key pairs: the cells'
     own entries in dimension and basis order, then the entries for cubes
@@ -68,9 +111,10 @@ def raw_faces(P):
 
 
 def records(doc):
-    """A copy of an HDA document in a record form: a "dims" list becomes
-    the "cubes" records of the position form, one per cell, in file order;
-    a document with "cubes" is copied as it is."""
+    """A copy of an HDA document in a record form: a "dims" list becomes one
+    "cubes" record per cell, in file order, each naming its faces by their
+    positions in the "dims" list, which the loader refuses; a document with
+    "cubes" is copied as it is."""
     doc = json.loads(json.dumps(doc))
     if "dims" not in doc:
         return doc
@@ -87,38 +131,21 @@ def records(doc):
     return doc
 
 
-def _with_faces(doc, face):
-    """A record-form copy of an HDA document with each face reference of an
-    n-cube replaced by ``face(ref, ids, positions)``: the ids of the entries
-    of dimension n - 1 in file order, and the position of each."""
+def id_form(doc):
+    """An HDA document in the record form the loader reads: each face
+    position of its records read as the id of the entry one dimension down,
+    in file order.  A position past the end, and an id, stay as they are."""
     doc = records(doc)
     ids = {}
     for entry in doc["cubes"]:
         ids.setdefault(entry["dim"], []).append(entry["id"])
-    positions = {n: {rid: pos for pos, rid in enumerate(rids)} for n, rids in ids.items()}
     for entry in doc["cubes"]:
-        n = entry["dim"]
+        below = ids.get(entry["dim"] - 1, [])
         for side in ("d0", "d1"):
-            entry[side] = [face(ref, ids.get(n - 1, []), positions.setdefault(n - 1, {})) for ref in entry[side]]
+            entry[side] = [
+                below[ref] if type(ref) is int and ref < len(below) else ref for ref in entry[side]
+            ]
     return doc
-
-
-def id_form(doc):
-    """An HDA document in the record id form: each position read as the id
-    of the entry one dimension down, in file order.  A position past the
-    end, and an id, stay as they are."""
-    return _with_faces(
-        doc, lambda ref, ids, _: ids[ref] if type(ref) is int and ref < len(ids) else ref
-    )
-
-
-def position_form(doc):
-    """An HDA document in the record position form: each id of its id form
-    read as the position of its entry one dimension down, in file order.
-    Each id that names no entry becomes a position of its own past the end."""
-    return _with_faces(
-        id_form(doc), lambda ref, ids, positions: positions.setdefault(ref, len(positions))
-    )
 
 
 def dims_form(doc):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from conftest import random_circle, sparse_columns, suite_rng
+from conftest import dense_snf, mat_mul, random_circle, sparse_columns, suite_rng
 from test_dimap import (
     subdivide_then_transpose_dimap,
     subdivision_dimap,
@@ -47,7 +47,6 @@ from hda_lab.homology import (
     chain_boundary,
     chain_to_column,
     lattice_membership,
-    mat_mul,
     smith_normal_form,
     verify_nonmembership,
 )
@@ -316,13 +315,15 @@ def test_c08_boundary_snf_and_loop_cycle_oracles():
             mat = boundary_matrix(P, n)
             snf = smith_normal_form(*sparse_columns(mat))
             assert snf.verify()
-            assert mat_mul(mat_mul(snf.u, mat), snf.v) == snf.d_matrix()
+            dense = dense_snf(snf)
+            assert mat_mul(mat_mul(dense.u, mat), dense.v) == dense.d
     for _ in range(40):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         snf = smith_normal_form(*sparse_columns(mat))
         assert snf.verify()
-        assert mat_mul(mat_mul(snf.u, mat), snf.v) == snf.d_matrix()
+        dense = dense_snf(snf)
+        assert mat_mul(mat_mul(dense.u, mat), dense.v) == dense.d
 
     rng = suite_rng("loop-cycle")
     for _ in range(50):

@@ -38,7 +38,7 @@ from hda_lab.models import (
 from hda_lab.products import tensor_hda
 from hda_lab.programs import program_from_json, program_to_hda, program_to_json
 
-from conftest import dims_form, id_form, position_form
+from conftest import dims_form, id_form, records
 from test_dimap import subdivision_dimap, transposition_dimap
 
 
@@ -140,8 +140,9 @@ def _adversarial_docs():
         return change
 
     def by_position(change):
-        """The position form, with ``change`` made to every cube with faces."""
-        doc = position_form(hda_to_json(directed_torus([("a",)], [("b",)])))
+        """Records with faces as positions, which the loader refuses, with
+        ``change`` made to every cube with faces."""
+        doc = records(hda_to_json(directed_torus([("a",)], [("b",)])))
         for entry in doc["cubes"]:
             if entry["dim"]:
                 change(entry)
@@ -363,8 +364,7 @@ def test_hda_loader_keeps_semantic_defects_for_validation():
 
 def reference_hda_from_json(doc: dict):
     """hda_from_json as it was when every document was read entry by entry,
-    for documents that name faces by id; the first face in file order still
-    says which form an entry's bad faces are judged in."""
+    for documents that name faces by id."""
     from hda_lab.hda import Alphabet
     from hda_lab.fileformats import _cube_error, _want
     from hda_lab.hda import Hda
@@ -378,15 +378,9 @@ def reference_hda_from_json(doc: dict):
     strings = {str}.issuperset
     cells, faces, unresolved, labels = {}, {}, {}, {}
     entries = _want(doc, "cubes", list, "hda")
-    first = next(
-        (refs[0] for e in entries if type(e) is dict
-         for refs in (e.get("d0"), e.get("d1")) if type(refs) is list and refs),
-        None,
-    )
-    by_position = type(first) in (int, float)
     top, ordered = -1, True
     for pos, entry in enumerate(entries):
-        if by_position or not (
+        if not (
             type(entry) is dict
             and type(rid := entry.get("id")) is str
             and type(dim := entry.get("dim")) is int
@@ -398,7 +392,7 @@ def reference_hda_from_json(doc: dict):
             and ("label" not in entry or dim == 1 and type(entry["label"]) is list
                  and strings(map(type, entry["label"])))
         ):
-            _cube_error(entry, f"hda.cubes[{pos}]", cells, by_position)
+            _cube_error(entry, f"hda.cubes[{pos}]", cells)
             rid, dim, d0, d1 = entry["id"], entry["dim"], entry["d0"], entry["d1"]
             refs = d0 + d1
         if dim != top:
@@ -466,7 +460,7 @@ def _hda_documents():
 
     docs = [id_form(doc) if "dims" in doc else doc for doc in _fixture_docs().values()]
     docs += [
-        doc for name, doc in _adversarial_docs().items() if not name.startswith(("positions-", "dims-"))
+        doc for name, doc in _adversarial_docs().items() if not name.startswith("dims-")
     ]
     rng = suite_rng("loader-reference")
     docs += [id_form(hda_to_json(random_circle(rng))) for _ in range(10)]
@@ -576,10 +570,12 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
             again = load_hda(str(path))
         want = reference_hda_from_json(id_form(doc))
         assert _summary(again) == _summary(want), name
-        # Files that name their faces by id or by position, one record per
-        # cube, as files written before did.
+        # Files that name their faces by id, one record per cube, as files
+        # written before did; records that name them by position are refused.
         assert _summary(hda_from_json(id_form(doc))) == _summary(want), name
-        assert _summary(hda_from_json(position_form(doc))) == _summary(want), name
+        if any(entry["faces"] for entry in doc["dims"]):
+            first = next(pos for pos, e in enumerate(records(doc)["cubes"]) if e["dim"])
+            assert _parse_error(records(doc)) == f"hda.cubes[{first}]: face ids must be strings"
         P = again.complex
         assert not P._unresolved, name
         assert all(None not in P.face_positions(n) for n in P.dims()), name
@@ -587,7 +583,7 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
 
 
-# -- faces by id and by position ------------------------------------------------
+# -- faces by id and by dimension -----------------------------------------------
 
 
 def _model_zoo():
@@ -605,27 +601,17 @@ def _model_zoo():
     yield program_to_hda(dining_philosophers(4))
 
 
-def _model_fields(h):
-    """What a loaded automaton holds besides the faces that do not resolve,
-    which keep the id or the position that named them."""
-    cells, faces, _, *rest = _summary(h)
-    return cells, faces, *rest
-
-
 def _read_alike(doc):
-    """Load an HDA document in each form it can take: records by id and by
-    position, and one entry per dimension; all give one model, or the record
-    forms the same error."""
-    refused = _loaded(hda_from_json, id_form(doc))
-    if isinstance(refused, str):
-        assert _loaded(hda_from_json, position_form(doc)) == refused
+    """Load an HDA document in each form it can take: records by id, and one
+    entry per dimension; both give one model, or None when the records are
+    refused."""
+    if isinstance(_loaded(hda_from_json, id_form(doc)), str):
         return None
     by_id = hda_from_json(id_form(doc))
     report = [(v.kind, v.cube, v.data) for v in validate_hda(by_id)]
     dims = dims_form(doc)
-    others = [position_form(doc)] + ([dims] if dims else [])
-    for other in map(hda_from_json, others):
-        assert _model_fields(other) == _model_fields(by_id)
+    for other in map(hda_from_json, [dims] if dims else []):
+        assert _summary(other) == _summary(by_id)
         assert [(v.kind, v.cube, v.data) for v in validate_hda(other)] == report
     return by_id
 
@@ -656,46 +642,6 @@ def test_both_face_forms_load_alike_in_any_cube_order():
         _read_alike(doc)
         read += 1
     assert read > 1000, read
-
-
-def _position_doc(edit):
-    doc = position_form(hda_to_json(lock_spec()))
-    edit(doc)
-    return doc
-
-
-# In the lock-spec document, cubes 0-2 are the vertices and 3-6 the edges.
-POSITION_PARSE_ERRORS = [
-    (_set(["cubes", 4, "d0", 0], True), "hda.cubes[4]: face positions must be non-negative integers"),
-    (_set(["cubes", 4, "d0", 0], 0.0), "hda.cubes[4]: face positions must be non-negative integers"),
-    (_set(["cubes", 4, "d1", 0], -1), "hda.cubes[4]: face positions must be non-negative integers"),
-    (_set(["cubes", 5, "d1", 0], "v"), "hda.cubes[5]: face positions must be non-negative integers"),
-    (_set(["cubes", 6, "d1"], [None]), "hda.cubes[6]: face positions must be non-negative integers"),
-    (_set(["cubes", 3, "d0"], [1.5]), "hda.cubes[3]: face positions must be non-negative integers"),
-    # The first face entry names the form; a later id is out of place in a
-    # file of positions, as a later position is in a file of ids.
-    (_set(["cubes", 3, "d1"], ["w0"]), "hda.cubes[3]: face positions must be non-negative integers"),
-    (_set(["cubes", 3, "d0"], ["v"]), "hda.cubes[3]: face ids must be strings"),
-    (_set(["cubes", 0, "d0"], [1]), "hda.cubes[0]: a vertex has no faces"),
-    (_set(["cubes", 2, "d1"], [0, 1]), "hda.cubes[2]: a vertex has no faces"),
-]
-
-
-@pytest.mark.parametrize("edit,message", POSITION_PARSE_ERRORS)
-def test_hda_position_parse_errors(edit, message):
-    assert _parse_error(_position_doc(edit)) == message
-
-
-def test_a_position_past_the_end_is_a_dangling_face():
-    for pos, (k, i) in ((4, (0, 1)), (6, (1, 1))):
-        doc = position_form(hda_to_json(lock_spec()))
-        side = ("d0", "d1")[k]
-        doc["cubes"][pos][side][i - 1] = 3  # three vertices
-        report = validate_hda(hda_from_json(doc))
-        assert [(v.kind, v.cube, v.data) for v in report] == [
-            ("dangling-face", (1, doc["cubes"][pos]["id"]), (k, i))
-        ]
-        assert report[0].message == f"d[{k},{i}] refers to missing cell 3 in dim 0"
 
 
 # -- the HDA writer before the one rendering per cell, as reference -------------

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sparse_columns
+from conftest import dense_snf, identity_matrix, mat_mul, sparse_columns
 from hda_lab.homology import (
     FpEchelon,
     Gf2Echelon,
     HomologyGroup,
+    SmithNormalForm,
     all_homology,
     boundary_columns,
     boundary_matrix,
@@ -16,9 +17,7 @@ from hda_lab.homology import (
     chain_to_column,
     gf2_boundary_columns,
     homology,
-    identity_matrix,
     lattice_membership,
-    mat_mul,
     smith_normal_form,
     _field_homology,
 )
@@ -120,9 +119,9 @@ def test_snf_certificates_are_recomputed_products():
     rng = random.Random(55)
     for _ in range(50):
         m = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
-        snf = smith_normal_form(*sparse_columns(m))
+        snf = dense_snf(smith_normal_form(*sparse_columns(m)))
         umv = mat_mul(mat_mul(snf.u, m, 3), snf.v, 4)
-        assert umv == snf.d_matrix()
+        assert umv == snf.d
         assert mat_mul(snf.u, snf.u_inv, 3) == identity_matrix(3)
         assert mat_mul(snf.v, snf.v_inv, 4) == identity_matrix(4)
 
@@ -136,6 +135,7 @@ def test_snf_operation_order_is_pinned():
     snf = smith_normal_form(*sparse_columns([[3, 2, 2], [-3, 4, 3], [0, 6, 0], [-2, 0, 9]]))
     assert snf.verify()
     assert snf.diagonal == [1, 1, 2]
+    snf = dense_snf(snf)
     assert snf.u == [
         [1, 0, 0, 0],
         [-25, -37, 33, 18],
@@ -150,6 +150,89 @@ def test_snf_operation_order_is_pinned():
     ]
     assert snf.v == [[1, -40, -2], [-1, 59, 3], [0, 1, 0]]
     assert snf.v_inv == [[3, 2, 2], [0, 0, 1], [1, 1, -19]]
+
+
+FACTORS = ("m_rows", "u_rows", "u_inv_cols", "v_cols", "v_inv_rows")
+
+# Small matrices whose reductions take every kind of step: a divisibility
+# repair, the pinned extended-gcd case, and random dense and sparse ones.
+VERIFY_CASES = [
+    [[2, 0], [0, 3]],
+    [[3, 2, 2], [-3, 4, 3], [0, 6, 0], [-2, 0, 9]],
+    [[random.Random(7).randint(-5, 5) for _ in range(4)] for _ in range(3)],
+    [[0, 4, 0], [6, 0, 0]],
+]
+
+
+def _certificate(snf, **changes):
+    """A copy of a Smith normal form, its lines copied, with fields replaced."""
+    fields = {name: [dict(line) for line in getattr(snf, name)] for name in FACTORS}
+    fields.update(rows=snf.rows, cols=snf.cols, diagonal=list(snf.diagonal))
+    fields.update(changes)
+    return SmithNormalForm(**fields)
+
+
+@pytest.mark.parametrize("mat", VERIFY_CASES)
+@pytest.mark.parametrize("factor", FACTORS)
+def test_snf_verify_rejects_every_single_entry_change(factor, mat):
+    # U, U^-1, V and V^-1 are invertible, so a change to any one entry of M
+    # or of a factor breaks U*M*V = D or one of the inverse identities.
+    snf = smith_normal_form(*sparse_columns(mat))
+    assert snf.verify()
+    width = {"m_rows": snf.cols, "u_rows": snf.rows, "u_inv_cols": snf.rows}.get(factor, snf.cols)
+    changed = 0
+    for i in range(len(getattr(snf, factor))):
+        for k in range(width):
+            for step in (1, -2):
+                bad = _certificate(snf)
+                line = getattr(bad, factor)[i]
+                line[k] = line.get(k, 0) + step
+                if not line[k]:
+                    del line[k]
+                assert not bad.verify(), (factor, i, k, step)
+                changed += 1
+    assert changed == 2 * len(getattr(snf, factor)) * width > 0
+
+
+def test_snf_verify_rejects_a_bad_diagonal_or_shape():
+    # Certificates whose products hold, so that only the diagonal rule fails.
+    one = [{0: 1}, {1: 1}]
+
+    def diagonal_form(d0, d1):
+        return SmithNormalForm(2, 2, [d0, d1], [{0: d0}, {1: d1}], one, one, one, one)
+
+    assert diagonal_form(2, 6).verify()
+    assert not diagonal_form(2, 3).verify()  # 2 does not divide 3
+    assert not diagonal_form(-1, 2).verify()
+    assert not diagonal_form(0, 2).verify()
+    assert not diagonal_form(2, -2).verify()
+    # A certificate of the pinned matrix with a line too few, or an index
+    # outside the matrix.
+    snf = smith_normal_form(*sparse_columns(VERIFY_CASES[1]))
+    for factor in FACTORS:
+        assert not _certificate(snf, **{factor: getattr(snf, factor)[:-1]}).verify(), factor
+        far = _certificate(snf)
+        getattr(far, factor)[0][99] = 1
+        assert not far.verify(), factor
+    assert not _certificate(snf, diagonal=snf.diagonal + [2]).verify()
+
+
+def test_snf_verify_shares_no_code_with_the_reduction(monkeypatch):
+    import hda_lab.homology as homology
+
+    snfs = [smith_normal_form(*sparse_columns(mat)) for mat in VERIFY_CASES]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("verify called a module function")
+
+    for name, value in vars(homology).items():
+        if callable(value) and getattr(value, "__module__", None) == homology.__name__:
+            if name != "SmithNormalForm":
+                monkeypatch.setattr(homology, name, broken)
+    assert all(snf.verify() for snf in snfs)
+    bad = _certificate(snfs[1])
+    bad.u_rows[0][0] = 2
+    assert not bad.verify()
 
 
 def test_snf_tall_sparse_membership():

@@ -376,34 +376,29 @@ def _golden_programs():
 
 # SHA-256 of the canonical JSON of each compiled model, of its cells in
 # memory order (the JSON sorts each dimension's ids; the chain bases use this
-# order), and of the file translated back to one record per cube, with its
-# faces as ids and as positions: the bytes the writer gave before it named
-# faces by position, and before it wrote one entry per dimension.  Any
-# change to the compiler's cell order, keys, faces or labels shows here.
+# order), and of the file translated back to one record per cube with its
+# faces as ids: the bytes the writer gave before it named faces by position.
+# Any change to the compiler's cell order, keys, faces or labels shows here.
 GOLDEN_COMPILES = {
     "peterson": (
         "f7d78ff134a44d4c9f99e8861b820a473034bb617c916eed3085f81fc4ed4ece",
         "cb6cc446b81cd8d9973d898923d4e8fc69ac065f20d1f4498480377de9252e17",
         "54682504c0b0ad0659361c3717b6691337a0f37a7b11a95cc400bcb946c60e72",
-        "7a04114b91dd27f0dac0a929f208e19046c6cbabd404654fd9061f399693abde",
     ),
     "lock_counter": (
         "2a4f836c934b3dd16fc5ce484d5df1d4a3017f5a0433f77e46faa943b5654aaa",
         "b767ed6d9caaaa78a713cb4401f21179990189dd6bc3764ddbf3f06d1ab992bf",
         "fbede37560cf8ded5b913dc6157c007443f24892f06a3f414511c066d95ed185",
-        "fd945c1e61d9cd9ef0eb49860d279b2376deb4b9de9e496242049c4f8ab317bd",
     ),
     "philosophers4": (
         "37fc7e521bb49ba01f2beb72255877e40705f60f39945a2b3d2235841b38acb6",
         "c35ab4d13ae36e334940ad34e603a18faca0e31ec94a3bf1830fd37f6fa8c6c0",
         "5be9b87ed41de8cd8b7098392eac4b11a2e050fed7a0ee54310c227f8f548082",
-        "8b10eaea516ced1df4101cf34026edc391a911bd11065ff30ab5d9079c44bca2",
     ),
     "butler4": (
         "20348c8ebb0d8091d97ad04b03f99d0c7df1232e8e4d7c064942f09a6f06ff08",
         "de9d49bf65b6b2b09b528648a960c52943a95dd0ddcef4660b3c4def80ab0b3d",
         "a2f9f3f23493a893dfff2710638c9145fd3bb6d0328d283378f516848717ec27",
-        "3e4904d240af033e980a0ecb973f78b293b6125603cafea34d74d5f7dd3f592f",
     ),
 }
 
@@ -413,7 +408,7 @@ def test_compiled_model_bytes_are_pinned(name):
     import json
     from hashlib import sha256
 
-    from conftest import id_form, position_form
+    from conftest import id_form
     from hda_lab.fileformats import canonical_json, hda_to_json
 
     h = program_to_hda(_golden_programs()[name])
@@ -421,11 +416,9 @@ def test_compiled_model_bytes_are_pinned(name):
     text = canonical_json(hda_to_json(h))
     order = repr([P.cells(n) for n in P.dims()])
     by_id = canonical_json(id_form(json.loads(text)))
-    by_position = canonical_json(position_form(json.loads(text)))
     assert sha256(text.encode()).hexdigest() == GOLDEN_COMPILES[name][0]
     assert sha256(order.encode()).hexdigest() == GOLDEN_COMPILES[name][1]
     assert sha256(by_id.encode()).hexdigest() == GOLDEN_COMPILES[name][2]
-    assert sha256(by_position.encode()).hexdigest() == GOLDEN_COMPILES[name][3]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMPILES))
