@@ -122,7 +122,13 @@ def _violation_dicts(violations) -> list[dict]:
 
 
 def _invalid(analysis: str, path: str, what: str, violations, **extra) -> _Failure:
-    """The exit-2 report that refuses an input: ``<path>: <what>`` and its violations."""
+    """The exit-2 report that refuses an input: ``<path>: <what>`` and its violations,
+    the path as its bytes read as UTF-8, whatever the locale, with each byte
+    that is not UTF-8 escaped."""
+    try:
+        path = path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    except UnicodeEncodeError:  # a surrogate no byte decodes to, from an in-process caller
+        path = path.encode("utf-8", "backslashreplace").decode()
     doc = {"analysis": analysis, "input": path, "valid": False, **extra}
     doc["violations"] = _violation_dicts(violations)
     lines = [f"{path}: {what}"] + [str(v) for v in violations]

@@ -25,8 +25,12 @@ Directed maps, chains and programs are encoded by ``dimap`` and
 them compile their codecs; their files are read and written here, as
 UTF-8 whatever the locale, like every file.
 
-Documents are dumped through ``canonical_json``: sorted keys, two-space
-indent, ASCII, trailing newline.  Identical inputs give identical bytes.
+Documents are dumped through ``canonical_json``: sorted keys, ASCII,
+trailing newline.  An HDA file in the "dims" form is one line, written by
+the C encoder; nobody reads its flat position lists by eye, and it loads
+whatever its whitespace, so a file of an earlier, indented writer still
+loads.  Every other document (reports, record-form HDA files, maps,
+programs) is indented by two spaces.  Identical inputs give identical bytes.
 
 Malformed input raises ``FileFormatError`` with a dotted path into the
 document; JSON syntax errors keep their line/column.  Semantic validity
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
@@ -84,57 +87,12 @@ def _id_maps(P: PrecubicalSet) -> dict[int, dict[str, Key]]:
     return out
 
 
-_PAD = "\n      "  # a dimension's fields
-
-
-def _list_json(items, pad: str) -> str | None:
-    """A list of exact ints and strs, or of lists of exact strs, as
-    ``json.dumps`` indents it with its closing bracket after ``pad``; None
-    for anything else."""
-    if type(items) is not list:
-        return None
-    if not items:
-        return "[]"
-    kinds, inner = {*map(type, items)}, pad + "  "
-    if kinds <= {int, str}:
-        # Without an indent json.dumps encodes in C; only the separator differs.
-        text = json.dumps(items, separators=("," + inner, ": "))[1:-1]
-    elif kinds == {list} and {str}.issuperset(map(type, chain.from_iterable(items))):
-        # Words repeat, so each distinct one is laid out once.
-        words = [*map(tuple, items)]
-        laid = {word: _list_json([*word], inner) for word in {*words}}
-        text = ("," + inner).join(map(laid.__getitem__, words))
-    else:
-        return None
-    return "[" + inner + text + pad + "]"
-
-
-def _dim_json(entry) -> str:
-    """An entry of a top-level "dims" list, as ``json.dumps`` indents it there."""
-    if type(entry) is dict and entry and {str}.issuperset(map(type, entry)):
-        fields = [(key, _list_json(entry[key], _PAD)) for key in sorted(entry)]
-        if None not in {text for _, text in fields}:
-            text = ",".join(f"{_PAD}{_encode_str(key)}: {text}" for key, text in fields)
-            return "{" + text + "\n    }"
-    # JSON text holds no raw newline, so this only indents the entry.
-    return json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
-
-
 def canonical_json(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
-
-    ``json.dumps`` encodes in pure Python when indenting, so the lists of a
-    top-level "dims" list, an HDA file's bulk, are laid out here instead,
-    each in one call.
-    """
-    dims = doc.get("dims") if type(doc) is dict else None
-    if type(dims) is not list or not dims:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    # A top-level key is the only line that starts with two spaces and a quote.
-    rest = json.dumps({**doc, "dims": [0]}, sort_keys=True, indent=2)
-    head, tail = rest.split('\n  "dims": [\n    0\n  ]', 1)
-    body = ",\n    ".join(map(_dim_json, dims))
-    return f'{head}\n  "dims": [\n    {body}\n  ]{tail}\n'
+    """A document's one text: sorted keys, ASCII, a trailing newline.  An
+    HDA file (a top-level "dims" key) is one line, which ``json.dumps``
+    encodes in C; every other document is indented by two spaces."""
+    indent = None if isinstance(doc, dict) and "dims" in doc else 2
+    return json.dumps(doc, sort_keys=True, indent=indent) + "\n"
 
 
 # -- HDA files --------------------------------------------------------------

@@ -676,6 +676,68 @@ def test_analyses_give_the_same_bytes_from_either_face_form(
         assert outputs[0] == outputs[1]
 
 
+# -- the layout of HDA files -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "klein"],
+        ["model", "peterson"],
+        ["model", "circle", "--labels", "é,b"],
+        ["model", "philosophers", "--n", "3"],
+        ["tensor", "{w}/ca.json", "{w}/cb.json"],
+    ],
+)
+def test_model_and_tensor_write_one_line(argv, workdir, tmp_path, capsys):
+    argv = [a.format(w=workdir) for a in argv]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == text.encode()
+    assert text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _indented(src, dst):
+    """Copy every file of ``src`` to ``dst`` in the layout of the writer
+    before the one-line HDA files: every document indented by two spaces."""
+    dst.mkdir()
+    for path in src.iterdir():
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            (dst / path.name).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("ring", ["z", "zp:2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "{w}/peterson.json"],
+        ["homology", "{w}/torus.json"],
+        ["labels", "{w}/torus.json"],
+        ["labels", "{w}/peterson.json"],
+        ["implements", "{w}/lock.json", "{w}/lock_spec.json"],
+        ["independence", "{w}/torus.json", "{w}/ca.json", "{w}/cb.json"],
+    ],
+)
+def test_analyses_give_the_same_bytes_from_the_previous_indented_layout(
+    argv, ring, workdir, tmp_path, capsys
+):
+    dirs = [workdir, tmp_path / "indented"]
+    _indented(workdir, dirs[1])
+    assert (dirs[1] / "peterson.json").read_text().count("\n") > 1
+    for fmt in ("text", "json"):
+        outputs = []
+        for w in dirs:
+            code = run([a.format(w=w) for a in argv] + ["--ring", ring, "--format", fmt])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0][0] in (0, 3)
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "face,message",
     [
@@ -973,7 +1035,9 @@ def test_report_documents_encode_as_json_dumps(
     argv = command.format(w=workdir, d=dimap_dir, t=tmp_path).split()
     assert run(argv + ["--format", "json"]) in (0, 2, 3)
     assert len(docs) == 1
-    assert canonical_json(docs[0]) == json.dumps(docs[0], sort_keys=True, indent=2) + "\n"
+    # The HDA files that model and tensor write are one line; reports are indented.
+    indent = None if argv[0] in ("model", "tensor") else 2
+    assert canonical_json(docs[0]) == json.dumps(docs[0], sort_keys=True, indent=indent) + "\n"
     assert capsys.readouterr().out == canonical_json(docs[0])
 
 
@@ -1343,3 +1407,50 @@ def test_a_non_ascii_path_names_its_file_whatever_the_locale(tmp_path, capsys):
     assert run(["labels", os.fsdecode(path)]) == 0
     report = capsys.readouterr().out.encode()
     assert _child([b"labels", path], ["-m", "hda_lab.cli"], env) == (0, report, b"")
+
+
+def _refused_at(path, workdir):
+    """Write at ``path`` (bytes) a model with a face that names no cell,
+    which the analyses refuse with exit 2."""
+    doc = id_form(json.loads((workdir / "lock.json").read_text()))
+    doc["cubes"][-1]["d0"][0] = "nowhere"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "name, shown, locale",
+    [
+        # UTF-8 bytes under an ASCII locale: the report names the file é.json.
+        ("é.json".encode(), "é.json", "ascii"),
+        # A byte that is not UTF-8, under UTF-8: the report escapes it.
+        (b"\xff.json", "\\xff.json", "utf-8"),
+    ],
+)
+def test_a_refused_input_is_reported_whatever_the_bytes_of_its_path(
+    name, shown, locale, fmt, workdir, tmp_path, capsys
+):
+    env = _ascii_locale() if locale == "ascii" else dict(_ascii_locale(), PYTHONUTF8="1")
+    path = os.path.join(os.fsencode(tmp_path), name)
+    _refused_at(path, workdir)
+    argv = [b"homology", path, b"--format", fmt.encode()]
+    code, out, err = _child(argv, ["-m", "hda_lab.cli"], env)
+    assert (code, err) == (2, b"")
+    report = out.decode()
+    shown = os.path.join(str(tmp_path), shown)
+    if fmt == "json":
+        assert json.loads(report)["input"] == shown
+    else:
+        assert report.splitlines()[0] == f"{shown}: invalid"
+    # In process, the path as this process's locale decodes it gives the same bytes.
+    assert run(["homology", os.fsdecode(path), "--format", fmt]) == 2
+    assert capsys.readouterr().out.encode() == out
+
+
+def test_a_refusal_can_name_any_in_process_path():
+    # A str path may hold a surrogate that no byte decodes to; it is escaped.
+    refusal = hda_lab.cli._invalid("homology", "a\ud800\udcff.json", "invalid", [])
+    assert refusal.doc["input"] == "a\\ud800\\udcff.json"
+    assert refusal.text == "a\\ud800\\udcff.json: invalid\n"
+
