@@ -404,15 +404,15 @@ def _cmd_independence(args) -> tuple[int, dict, str]:
     if args.classes is not None:
         selections = [_parse_selector(s) for s in args.classes]
     try:
-        rep = independence_report(main, parts, args.ring, selections)
+        doc = independence_report(main, parts, args.ring, selections)
     except ValueError as e:
         raise _Failure(
             EXIT_INVALID,
             {"analysis": "independence", "error": str(e)},
             f"error: {e}\n",
         ) from None
-    code = EXIT_OBSTRUCTION if rep.verdict == OBSTRUCTION else EXIT_OK
-    return code, rep.to_dict(), render_independence(rep)
+    code = EXIT_OBSTRUCTION if doc["verdict"] == OBSTRUCTION else EXIT_OK
+    return code, doc, render_independence(doc)
 
 
 def _cmd_implements(args) -> tuple[int, dict, str]:
@@ -422,15 +422,15 @@ def _cmd_implements(args) -> tuple[int, dict, str]:
     impl = _checked_hda(args.impl, "implements")
     spec = _checked_hda(args.spec, "implements")
     try:
-        rep = implements_report(impl, spec, args.ring)
+        doc = implements_report(impl, spec, args.ring)
     except ValueError as e:
         raise _Failure(
             EXIT_INVALID,
             {"analysis": "implements", "error": str(e)},
             f"error: {e}\n",
         ) from None
-    code = EXIT_OBSTRUCTION if rep.verdict == OBSTRUCTION else EXIT_OK
-    return code, rep.to_dict(), render_implements(rep)
+    code = EXIT_OBSTRUCTION if doc["verdict"] == OBSTRUCTION else EXIT_OK
+    return code, doc, render_implements(doc)
 
 
 # -- wiring ---------------------------------------------------------------------

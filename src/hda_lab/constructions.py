@@ -158,10 +158,6 @@ class Path(Frozen):
             at = P.face(x, 1, 1)
         self.__dict__.update(complex=complex, edges=edges, start=start)
 
-    @staticmethod
-    def empty(P: PrecubicalSet, vertex: Cube) -> "Path":
-        return Path(P, (), vertex)
-
     def __len__(self) -> int:
         return len(self.edges)
 

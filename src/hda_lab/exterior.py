@@ -90,10 +90,6 @@ class ExteriorElement(Frozen):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(alphabet: Alphabet, ring: CoefficientRing = ZZ) -> "ExteriorElement":
-        return ExteriorElement(alphabet, ring, {})
-
-    @staticmethod
     def unit(alphabet: Alphabet, ring: CoefficientRing = ZZ) -> "ExteriorElement":
         """The multiplicative unit 1, in degree 0."""
         return ExteriorElement(alphabet, ring, {(): 1})

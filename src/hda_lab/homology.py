@@ -505,39 +505,40 @@ def gf2_boundary_columns(P: PrecubicalSet, n: int) -> list[int]:
 
 
 class Gf2Echelon:
-    """Incremental GF(2) column echelon with optional combination tracking.
+    """Incremental GF(2) column echelon that tracks the combinations it is given.
 
     Vectors are ints; pivot is the highest set bit.  ``add`` reduces a vector
     against the echelon and either absorbs it (returning None) or reports the
-    fully reduced dependency combination.
+    fully reduced dependency combination.  A pivot records its combination
+    when ``add`` is given one, and ``reduce`` combines only when it is given
+    a combination (0 is the empty one).
     """
 
-    def __init__(self, track: bool = False) -> None:
+    def __init__(self) -> None:
         self.pivots: dict[int, int] = {}
         self.combos: dict[int, int] = {}
-        self.track = track
 
     def __len__(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
+    def reduce(self, vec: int, combo: int | None = None) -> tuple[int, int | None]:
         while vec:
             p = vec.bit_length() - 1
             if p not in self.pivots:
                 break
             vec ^= self.pivots[p]
-            if self.track:
+            if combo is not None:
                 combo ^= self.combos[p]
         return vec, combo
 
-    def add(self, vec: int, combo: int = 0) -> tuple[int, int] | None:
+    def add(self, vec: int, combo: int | None = None) -> tuple[int, int | None] | None:
         """Insert; returns the (residue, combo) pair only if vec was dependent."""
         vec, combo = self.reduce(vec, combo)
         if vec == 0:
             return 0, combo
         p = vec.bit_length() - 1
         self.pivots[p] = vec
-        if self.track:
+        if combo is not None:
             self.combos[p] = combo
         return None
 
@@ -556,23 +557,24 @@ def _gf2_chain(n: int, cells: Sequence[Key], mask: int) -> Chain:
 
 
 class FpEchelon:
-    """Incremental GF(p) column echelon with optional combination tracking.
+    """Incremental GF(p) column echelon that tracks the combinations it is given.
 
     Vectors are sparse lines with entries in 0..p-1; the pivot of a stored
     vector is its highest index, normalized to 1.  ``reduce`` clears every
     pivot index of a vector, highest first, so a residue is zero at all
     pivots; ``add`` reduces a vector and either stores it (returning None)
-    or reports the dependency combination, like ``Gf2Echelon.add``.
+    or reports the dependency combination; combinations are recorded and
+    combined as in ``Gf2Echelon`` ({} is the empty one).
     """
 
-    def __init__(self, p: int, track: bool = False) -> None:
+    def __init__(self, p: int) -> None:
         self.p = p
         self.pivots: dict[int, Line] = {}
         self.combos: dict[int, Line] = {}
-        self.track = track
 
-    def reduce(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line]:
-        vec, combo, pivots = dict(vec), dict(combo or {}), self.pivots
+    def reduce(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line | None]:
+        vec, pivots = dict(vec), self.pivots
+        combo = None if combo is None else dict(combo)
         # Subtracting pivot q's vector changes only indices below q, so a
         # max-heap of the nonzero pivot indices visits them in the order of
         # a descending scan over all pivots.
@@ -586,11 +588,11 @@ class FpEchelon:
             for k in (pivots[q].keys() & pivots.keys()) - vec.keys():
                 heapq.heappush(todo, -k)
             _sub_mod(vec, pivots[q], c, self.p)
-            if self.track:
+            if combo is not None:
                 _sub_mod(combo, self.combos[q], c, self.p)
         return vec, combo
 
-    def add(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line] | None:
+    def add(self, vec: Line, combo: Line | None = None) -> tuple[Line, Line | None] | None:
         """Insert; returns the (residue, combo) pair only if vec was dependent."""
         vec, combo = self.reduce(vec, combo)
         if not vec:
@@ -598,7 +600,7 @@ class FpEchelon:
         p, q = self.p, max(vec)
         inv = pow(vec[q], p - 2, p)
         self.pivots[q] = {k: x * inv % p for k, x in vec.items()}
-        if self.track:
+        if combo is not None:
             self.combos[q] = {k: x * inv % p for k, x in combo.items()}
         return None
 
@@ -639,10 +641,10 @@ def _field_homology(
     for n in range(P.max_dim, -1, -1):
         cells = P.cells(n)
         if bitsets:
-            ech = Gf2Echelon(track=True)
+            ech = Gf2Echelon()
             cols = gf2_boundary_columns(P, n) if n else [0] * len(cells)
         else:
-            ech = FpEchelon(p, track=True)
+            ech = FpEchelon(p)
             cols = boundary_columns(P, n, ring)
         kernel = []
         for j, col in enumerate(cols):
@@ -652,7 +654,7 @@ def _field_homology(
             if dep is not None:
                 kernel.append(dep[1])
         del cols
-        ech.track, ech.combos = False, {}  # only the kernel needed them
+        ech.combos = {}  # only the kernel needed them
         chains: list[Chain] = []
         if bitsets:
             for mask in kernel:
@@ -739,10 +741,10 @@ def lattice_membership(
     scan = _integer_scan(vectors, target, ring)
     if scan is None:
         p = ring.characteristic
-        ech = FpEchelon(p, track=True)
+        ech = FpEchelon(p)
         for j, vec in enumerate(vectors):
             ech.add(mod_line(vec, p), {j: 1})
-        residue, coeffs = ech.reduce(mod_line(target, p))
+        residue, coeffs = ech.reduce(mod_line(target, p), {})
         if residue:
             return None
         x = [-coeffs.get(j, 0) % p for j in range(k)]

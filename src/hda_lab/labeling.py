@@ -158,7 +158,7 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
             image_basis = [label_of(u, d) for d, u in zip(snf.diagonal, snf.u_inv_cols)]
             zero_classes = [_combine_chains(free_chains, v, ring) for v in snf.v_cols[snf.rank :]]
         else:
-            ech = FpEchelon(ring.characteristic, track=True)
+            ech = FpEchelon(ring.characteristic)
             for j, line in enumerate(lines):
                 dep = ech.add(line, {j: 1})
                 if dep is not None:

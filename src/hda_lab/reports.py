@@ -18,6 +18,12 @@ observable homology: every label the implementation realizes must be
 realized by the specification too, so any label the specification cannot
 produce is a witness that the implementation does something the
 specification never allowed.
+
+Each analysis returns its report as the JSON document that ``--format
+json`` prints, with the verdict and the witnesses computed where the
+report is built; its ``render_*`` function writes the text form from that
+document.  A nonmembership certificate is rechecked by dot products before
+it goes into a report, as a membership witness is.
 """
 
 from __future__ import annotations
@@ -26,28 +32,19 @@ from itertools import product
 
 from .exterior import ExteriorElement
 from .hda import Alphabet, Hda
-from .homology import lattice_membership, nonmembership_certificate
-from .labeling import DegreeLabelReport, degree_monomials, label_to_column, labeled_degree
+from .homology import lattice_membership, nonmembership_certificate, verify_nonmembership
+from .labeling import degree_monomials, label_to_column, labeled_degree
 from .rings import CoefficientRing, ZZ
 
 OBSTRUCTION = "obstruction-found"
 NO_OBSTRUCTION = "no-obstruction"
 
 
-def element_terms(x: ExteriorElement) -> list[tuple[list[str], int]]:
-    """Monomials of an exterior element with letters spelled out."""
-    out = []
-    for idx in sorted(x.terms):
-        letters = [x.alphabet.letters[i] for i in idx]
-        out.append((letters, x.terms[idx]))
-    return out
-
-
-def _certificate_dict(cert: tuple[list[int], int] | None) -> dict | None:
-    if cert is None:
-        return None
-    phi, modulus = cert
-    return {"functional": list(phi), "modulus": modulus}
+def _labeled(degree: int, label: ExteriorElement) -> dict:
+    """The fields of a reported label: degree, text, and monomials spelled out."""
+    letters = label.alphabet.letters
+    terms = [[[letters[i] for i in idx], label.terms[idx]] for idx in sorted(label.terms)]
+    return {"degree": degree, "label": str(label), "terms": terms}
 
 
 def _membership(
@@ -56,8 +53,8 @@ def _membership(
     ring: CoefficientRing,
     degree: int,
     alphabet: Alphabet,
-) -> tuple[list[int] | None, tuple[list[int], int] | None]:
-    """Membership coefficients or a nonmembership certificate, never both."""
+) -> tuple[list[int] | None, dict | None]:
+    """Membership coefficients or a rechecked nonmembership certificate, never both."""
     monomials = degree_monomials(alphabet, degree)
     cols = [label_to_column(b, degree, monomials) for b in basis]
     tcol = label_to_column(target, degree, monomials)
@@ -67,86 +64,10 @@ def _membership(
     cert = nonmembership_certificate(cols, tcol, ring)
     if cert is None:
         raise AssertionError("membership and certificate disagree")
-    return None, cert
-
-
-class WedgeCheck:
-    """One wedge of component class labels tested against the main image."""
-
-    def __init__(
-        self,
-        selection: tuple[tuple[int, int, int], ...],
-        degree: int,
-        label: ExteriorElement,
-        member: bool,
-        coefficients: list[int] | None,
-        certificate: tuple[list[int], int] | None = None,
-        reason: str = "",
-    ) -> None:
-        self.selection = selection
-        self.degree = degree
-        self.label = label
-        self.member = member
-        self.coefficients = coefficients
-        self.certificate = certificate
-        self.reason = reason
-
-    def to_dict(self) -> dict:
-        return {
-            "selection": [
-                {"part": p, "degree": d, "class": c} for p, d, c in self.selection
-            ],
-            "degree": self.degree,
-            "label": str(self.label),
-            "terms": [[ls, c] for ls, c in element_terms(self.label)],
-            "member": self.member,
-            "coefficients": self.coefficients,
-            "certificate": _certificate_dict(self.certificate),
-            "reason": self.reason or None,
-        }
-
-
-class IndependenceReport:
-    """Outcome of the component-independence necessary condition."""
-
-    def __init__(
-        self,
-        ring: CoefficientRing,
-        alphabet: Alphabet,
-        part_sizes: list[int],
-        checks: list[WedgeCheck] | None = None,
-        skipped_zero: int = 0,
-    ) -> None:
-        self.ring = ring
-        self.alphabet = alphabet
-        self.part_sizes = part_sizes
-        self.checks = [] if checks is None else checks
-        self.skipped_zero = skipped_zero
-
-    @property
-    def verdict(self) -> str:
-        if any(not c.member for c in self.checks):
-            return OBSTRUCTION
-        return NO_OBSTRUCTION
-
-    @property
-    def witness(self) -> WedgeCheck | None:
-        for c in self.checks:
-            if not c.member:
-                return c
-        return None
-
-    def to_dict(self) -> dict:
-        return {
-            "analysis": "independence",
-            "verdict": self.verdict,
-            "ring": str(self.ring),
-            "alphabet": list(self.alphabet.letters),
-            "part_class_counts": self.part_sizes,
-            "wedges_checked": [c.to_dict() for c in self.checks],
-            "zero_wedges_skipped": self.skipped_zero,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+    if not verify_nonmembership(cols, tcol, cert):
+        raise AssertionError("nonmembership certificate failed verification")
+    phi, modulus = cert
+    return None, {"functional": phi, "modulus": modulus}
 
 
 def _candidate_classes(
@@ -167,14 +88,14 @@ def independence_report(
     parts: list[Hda],
     ring: CoefficientRing = ZZ,
     selections: list[tuple[int, int]] | None = None,
-) -> IndependenceReport:
+) -> dict:
     """Test component homology labels for joint realizability in the main model.
 
     With ``selections`` (one ``(degree, index)`` per part) exactly that wedge
     of class labels is tested; otherwise every combination of one nonzero
     positive-degree generator label per part is tried, stopping at the first
-    wedge outside the main label image.  Wedges that collapse to zero are
-    skipped in the default mode, since zero lies in every image.
+    wedge outside the main label image, the witness.  Wedges that collapse
+    to zero are skipped in the default mode, since zero lies in every image.
     """
     if not parts:
         raise ValueError("need at least one part")
@@ -200,102 +121,62 @@ def independence_report(
     else:
         candidate_lists = [_candidate_classes(part, ring) for part in parts]
 
-    report = IndependenceReport(
-        ring, main.alphabet, [len(c) for c in candidate_lists]
-    )
-    unit = ExteriorElement(main.alphabet, ring, {(): 1})
-    image_cache: dict[int, DegreeLabelReport] = {}
+    checks = []
+    skipped = 0
+    witness = None
+    unit = ExteriorElement.unit(main.alphabet, ring)
+    images: dict[int, list[ExteriorElement]] = {}
     for combo in product(*candidate_lists):
         wedge = unit
         for _, _, label in combo:
             wedge = wedge ^ label.retag(main.alphabet)
         degree = sum(n for n, _, _ in combo)
         if wedge.is_zero() and not explicit:
-            report.skipped_zero += 1
+            skipped += 1
             continue
-        if degree not in image_cache:
-            image_cache[degree] = labeled_degree(main, degree, ring)
-        basis = image_cache[degree].label_image_basis
-        coeffs, cert = _membership(basis, wedge, ring, degree, main.alphabet)
-        reason = ""
+        if degree not in images:
+            images[degree] = labeled_degree(main, degree, ring).label_image_basis
+        coeffs, cert = _membership(images[degree], wedge, ring, degree, main.alphabet)
+        reason = None
         if coeffs is None and degree > main.complex.max_dim:
             reason = "wedge degree exceeds the main model's top dimension"
-        selection = tuple((k, n, idx) for k, (n, idx, _) in enumerate(combo))
-        check = WedgeCheck(
-            selection, degree, wedge, coeffs is not None, coeffs, cert, reason
-        )
-        report.checks.append(check)
+        check = {
+            "selection": [
+                {"part": k, "degree": n, "class": idx} for k, (n, idx, _) in enumerate(combo)
+            ],
+            **_labeled(degree, wedge),
+            "member": coeffs is not None,
+            "coefficients": coeffs,
+            "certificate": cert,
+            "reason": reason,
+        }
+        checks.append(check)
         if coeffs is None:
+            witness = check
             break
-    return report
-
-
-class ImplementsWitness:
-    """A label the implementation realizes but the specification cannot."""
-
-    def __init__(
-        self, degree: int, label: ExteriorElement, certificate: tuple[list[int], int] | None
-    ) -> None:
-        self.degree = degree
-        self.label = label
-        self.certificate = certificate
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "label": str(self.label),
-            "terms": [[ls, c] for ls, c in element_terms(self.label)],
-            "certificate": _certificate_dict(self.certificate),
-        }
-
-
-class ImplementsReport:
-    """Outcome of the label-image refinement check, degree by degree."""
-
-    def __init__(
-        self,
-        ring: CoefficientRing,
-        alphabet: Alphabet,
-        degrees: list[int],
-        checked: int,
-        skipped_zero: int,
-        witnesses: list[ImplementsWitness],
-    ) -> None:
-        self.ring = ring
-        self.alphabet = alphabet
-        self.degrees = degrees
-        self.checked = checked
-        self.skipped_zero = skipped_zero
-        self.witnesses = witnesses
-
-    @property
-    def verdict(self) -> str:
-        return OBSTRUCTION if self.witnesses else NO_OBSTRUCTION
-
-    def to_dict(self) -> dict:
-        return {
-            "analysis": "implements",
-            "verdict": self.verdict,
-            "ring": str(self.ring),
-            "alphabet": list(self.alphabet.letters),
-            "degrees": self.degrees,
-            "labels_checked": self.checked,
-            "zero_labels_skipped": self.skipped_zero,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-        }
+    return {
+        "analysis": "independence",
+        "verdict": NO_OBSTRUCTION if witness is None else OBSTRUCTION,
+        "ring": str(ring),
+        "alphabet": list(main.alphabet.letters),
+        "part_class_counts": [len(c) for c in candidate_lists],
+        "wedges_checked": checks,
+        "zero_wedges_skipped": skipped,
+        "witness": witness,
+    }
 
 
 def implements_report(
     impl: Hda,
     spec: Hda,
     ring: CoefficientRing = ZZ,
-) -> ImplementsReport:
+) -> dict:
     """Check that every realized implementation label is a specification label.
 
     Both models must use the same action letters (order may differ).  Degrees
     run from 1 through the implementation's top dimension; degree 0 carries
     only the unit and says nothing.  Zero labels are skipped: zero lies in
-    every image.
+    every image.  Each label outside the specification's image is a witness.
     """
     if set(impl.alphabet.letters) != set(spec.alphabet.letters):
         only_impl = sorted(set(impl.alphabet.letters) - set(spec.alphabet.letters))
@@ -325,41 +206,53 @@ def implements_report(
             checked += 1
             coeffs, cert = _membership(spec_basis, label, ring, n, alphabet)
             if coeffs is None:
-                witnesses.append(ImplementsWitness(n, label, cert))
-    return ImplementsReport(ring, alphabet, degrees, checked, skipped, witnesses)
+                witnesses.append({**_labeled(n, label), "certificate": cert})
+    return {
+        "analysis": "implements",
+        "verdict": OBSTRUCTION if witnesses else NO_OBSTRUCTION,
+        "ring": str(ring),
+        "alphabet": list(alphabet.letters),
+        "degrees": degrees,
+        "labels_checked": checked,
+        "zero_labels_skipped": skipped,
+        "witnesses": witnesses,
+    }
 
 
-def render_independence(rep: IndependenceReport) -> str:
+def render_independence(doc: dict) -> str:
     lines = [
-        f"independence over {rep.ring}",
-        f"  candidate classes per part: {rep.part_sizes}",
-        f"  wedges tested: {len(rep.checks)} (zero wedges skipped: {rep.skipped_zero})",
+        f"independence over {doc['ring']}",
+        f"  candidate classes per part: {doc['part_class_counts']}",
+        f"  wedges tested: {len(doc['wedges_checked'])}"
+        f" (zero wedges skipped: {doc['zero_wedges_skipped']})",
     ]
-    for c in rep.checks:
-        parts = ", ".join(f"part {p} H_{d} class {i}" for p, d, i in c.selection)
-        state = "realized" if c.member else "NOT realized"
-        lines.append(f"  [{parts}] wedge {c.label or 0}: {state}")
-        if c.reason:
-            lines.append(f"    ({c.reason})")
-    if rep.verdict == NO_OBSTRUCTION:
+    for c in doc["wedges_checked"]:
+        parts = ", ".join(
+            f"part {s['part']} H_{s['degree']} class {s['class']}" for s in c["selection"]
+        )
+        state = "realized" if c["member"] else "NOT realized"
+        lines.append(f"  [{parts}] wedge {c['label']}: {state}")
+        if c["reason"]:
+            lines.append(f"    ({c['reason']})")
+    if doc["verdict"] == NO_OBSTRUCTION:
         lines.append("  verdict: no obstruction (inconclusive for independence)")
     else:
         lines.append("  verdict: obstruction found, the parts are not independent")
     return "\n".join(lines)
 
 
-def render_implements(rep: ImplementsReport) -> str:
+def render_implements(doc: dict) -> str:
     lines = [
-        f"implements check over {rep.ring}",
-        f"  degrees checked: {rep.degrees or 'none'}",
-        f"  realized labels checked: {rep.checked}"
-        f" (zero labels skipped: {rep.skipped_zero})",
+        f"implements check over {doc['ring']}",
+        f"  degrees checked: {doc['degrees'] or 'none'}",
+        f"  realized labels checked: {doc['labels_checked']}"
+        f" (zero labels skipped: {doc['zero_labels_skipped']})",
     ]
-    if not rep.witnesses:
+    for w in doc["witnesses"]:
+        lines.append(f"  degree {w['degree']} label not realized by spec: {w['label']}")
+    if doc["verdict"] == NO_OBSTRUCTION:
         lines.append("  every implementation label is realized by the specification")
         lines.append("  verdict: no obstruction (inconclusive for refinement)")
-    for w in rep.witnesses:
-        lines.append(f"  degree {w.degree} label not realized by spec: {w.label}")
-    if rep.witnesses:
+    else:
         lines.append("  verdict: obstruction found, implementation is not a refinement")
     return "\n".join(lines)

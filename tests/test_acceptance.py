@@ -31,6 +31,7 @@ from test_properties import (
     run_face_suite,
     run_tensor_suite,
 )
+from test_reports import reported_certificate, reported_label
 
 from hda_lab.dimap import (
     check_chain_map,
@@ -165,16 +166,15 @@ def test_c03_philosopher_independence_verdicts(philosophers4):
     ]
     for i, j in ((0, 2), (1, 3)):
         rep = independence_report(h, [philosopher_circle(i), philosopher_circle(j)], GF2)
-        assert rep.verdict == NO_OBSTRUCTION, f"philosophers {i},{j}"
+        assert rep["verdict"] == NO_OBSTRUCTION, f"philosophers {i},{j}"
     for i in range(4):
         j = (i + 1) % 4
         rep = independence_report(h, [philosopher_circle(i), philosopher_circle(j)], GF2)
-        assert rep.verdict == OBSTRUCTION, f"philosophers {i},{j}"
-        witness = rep.witness
-        assert witness.degree == 2
-        assert witness.certificate is not None
-        target = label_to_column(witness.label, 2, monos)
-        assert verify_nonmembership(basis_cols, target, witness.certificate)
+        assert rep["verdict"] == OBSTRUCTION, f"philosophers {i},{j}"
+        witness = rep["witness"]
+        assert witness["degree"] == 2
+        target = label_to_column(reported_label(witness, h.alphabet, GF2), 2, monos)
+        assert verify_nonmembership(basis_cols, target, reported_certificate(witness))
 
 
 def test_c04_small_model_label_quartet():
@@ -229,24 +229,24 @@ def test_c05_unlocked_counter_is_caught_by_the_lock_spec():
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
     rep = implements_report(impl, spec, ZZ)
-    assert rep.verdict == OBSTRUCTION
-    assert [w.degree for w in rep.witnesses] == [2]
-    witness = rep.witnesses[0]
+    assert rep["verdict"] == OBSTRUCTION
+    assert [w["degree"] for w in rep["witnesses"]] == [2]
+    witness = rep["witnesses"][0]
     expected = word_to_vector(impl.alphabet, ("x++_0", "x--_0"), ZZ) ^ word_to_vector(
         impl.alphabet, ("x++_1", "x--_1"), ZZ
     )
-    assert witness.label == expected
-    assert witness.certificate is not None
+    assert reported_label(witness, impl.alphabet, ZZ) == expected
+    assert witness["label"] == str(expected)
     monos = degree_monomials(impl.alphabet, 2)
     spec_cols = [
         label_to_column(b.retag(impl.alphabet), 2, monos)
         for b in labeled_degree(spec, 2, ZZ).label_image_basis
     ]
     assert verify_nonmembership(
-        spec_cols, label_to_column(witness.label, 2, monos), witness.certificate
+        spec_cols, label_to_column(expected, 2, monos), reported_certificate(witness)
     )
     # a model always implements itself, so the verdict is about the specification
-    assert implements_report(impl, impl, ZZ).verdict == NO_OBSTRUCTION
+    assert implements_report(impl, impl, ZZ)["verdict"] == NO_OBSTRUCTION
 
 
 def test_c06_labeling_property_suites():

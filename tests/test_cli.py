@@ -198,6 +198,86 @@ def test_implements_alphabet_mismatch(workdir, capsys):
     assert "alphabet mismatch" in capsys.readouterr().out
 
 
+# -- the bytes of both analyses ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def analysis_dir(tmp_path_factory):
+    """The models of ANALYSIS_BYTES, one HDA file each."""
+    from hda_lab import models
+    from hda_lab.models import directed_circle, labeled_circle
+    from hda_lab.products import tensor_hda
+
+    # A pair whose certificates meet a nonempty span (as in test_labeling).
+    spec = tensor_hda(
+        directed_circle([("a", "a", "b"), ("c",)]), directed_circle([("d",), ("e", "e")])
+    )
+    impl = tensor_hda(
+        directed_circle([("a", "b", "c", "d", "e")]), directed_circle([("b", "d"), ("c", "e")])
+    )
+    d = tmp_path_factory.mktemp("analyses")
+    for name, h in {
+        "peterson": program_to_hda(models.peterson()),
+        "lock": program_to_hda(models.lock_counter()),
+        "lockspec": models.lock_spec(),
+        "torus": models.torus_hda(),
+        "hollow": models.boundary_square(),
+        "filled": models.filled_square(),
+        "ca": labeled_circle(["a1", "a2"]),
+        "cb": labeled_circle(["b"]),
+        "a": labeled_circle(["a"]),
+        "b": labeled_circle(["b"]),
+        "ab": labeled_circle(["a", "b"]),
+        "spec": spec,
+        "impl": impl,
+        "main": tensor_hda(spec, directed_circle([("f",)])),
+        "d": directed_circle([("d",)]),
+        "f": directed_circle([("f",)]),
+    }.items():
+        save_hda(h, str(d / f"{name}.json"))
+    return d
+
+
+# Command (model names stand for their files) -> SHA-256 of the exit code and
+# stdout bytes over z, zp:2 and zp:3, in text and JSON.  The cases reach exit
+# 0, 2 and 3, ``--classes``, skipped zero labels and wedges, a zero wedge, a
+# wedge above the main model's top dimension, and certificates on a nonempty
+# span.
+ANALYSIS_BYTES = {
+    "implements lock lockspec": "e94b79900ad3654940160d365ffd6d66567263c2cf063df71e9a633812a67a3a",
+    "implements lockspec lock": "df4c9c51cd3f0f9b37c999d8b76fb8cd1157179ad19d5842ad2e21dc02b93099",
+    "implements peterson peterson": "adadb851aadc6c32c036c7dabed0f2f3078d2373eb092e6b4dc2edcd3d7fb651",
+    "implements hollow filled": "84fa81614f77e279f85e60b903d13cad1e93a6ecfca4b6f28629025f099a371f",
+    "implements impl spec": "28eb138bdff37aed2a2fb0a383c7923c4acad68995f29135d29d900a66680c6b",
+    "implements a b": "aa7a08203caa59af232b784b82c9d8238eb525c79b814f500c96cc4a8ceee553",
+    "independence torus ca cb": "5ea4986fe352125a7b1b11f7dbf0d5c5db58e6270c4ac2232919fe9579468c74",
+    "independence torus ca cb --classes 1:0 1:0": "5ea4986fe352125a7b1b11f7dbf0d5c5db58e6270c4ac2232919fe9579468c74",
+    "independence ab a b": "2a75274cdf432475292778ac8dfec8813357b1de01dc0e4f587b484acf1f647b",
+    "independence main spec f": "98a10c800ec6d33c27444f753900bc5013f61574b3986ee3ba58564de8d646b7",
+    "independence filled hollow --classes 1:0": "0beeae84c1381d766cdfa96880e00c0e2bfd2db3ac3bda548cc7d50f70c51832",
+    "independence filled a a": "8e0185ae566f4bfbc3abf0526ac7ed6aa85727fee31727a26fb2d7e1d747d961",
+    "independence main a d f": "934b43583c02a7cfad5f946db4fb92db4724a355ddbc92cfb71187c0d95a3539",
+    "independence torus a": "89911a9318df58f01cf970735f85d50eb891fd07901725e27aca1fa35b210a09",
+}
+
+
+@pytest.mark.parametrize("case", list(ANALYSIS_BYTES))
+def test_analysis_bytes_are_pinned(case, analysis_dir, capsysbinary):
+    from hashlib import sha256
+
+    cmd, *words = case.split()
+    argv = [cmd] + [
+        w if w.startswith("-") or ":" in w else str(analysis_dir / f"{w}.json") for w in words
+    ]
+    digest = sha256()
+    for ring in ("z", "zp:2", "zp:3"):
+        for fmt in ("text", "json"):
+            code = run(argv + ["--ring", ring, "--format", fmt])
+            digest.update(f"{ring} {fmt} exit {code}\n".encode())
+            digest.update(capsysbinary.readouterr().out)
+    assert digest.hexdigest() == ANALYSIS_BYTES[case]
+
+
 def test_dimap_check_subdivision(tmp_path, capsys):
     f = subdivision_dimap()
     save_hda(f.source, str(tmp_path / "src.json"))

@@ -19,7 +19,7 @@ def test_edge_and_path_words():
         h.edge_word((0, "v0"))
     p = Path(h.complex, ((1, "x0"), (1, "x1"), (1, "x2")), (0, "v0"))
     assert h.path_word(p) == ("a", "b", "a")
-    assert h.path_word(Path.empty(h.complex, (0, "v1"))) == ()
+    assert h.path_word(Path(h.complex, (), (0, "v1"))) == ()
 
 
 def test_direction_words_on_square():

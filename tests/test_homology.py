@@ -444,7 +444,7 @@ def test_field_generators_are_independent_cycles():
 
 
 def test_gf2_echelon_tracking():
-    ech = Gf2Echelon(track=True)
+    ech = Gf2Echelon()
     assert ech.add(0b0011, 0b001) is None
     assert ech.add(0b0110, 0b010) is None
     dep = ech.add(0b0101, 0b100)
@@ -622,7 +622,7 @@ def gf2_per_degree(P, n):
     if n == 0:
         kernel_masks = [1 << j for j in range(cn)]
     else:
-        ech = Gf2Echelon(track=True)
+        ech = Gf2Echelon()
         for j, col in enumerate(gf2_boundary_columns(P, n)):
             dep = ech.add(col, 1 << j)
             if dep is not None:
@@ -644,7 +644,7 @@ def fp_per_degree(P, n, ring):
     cycles reduced at the image's pivots."""
     p = ring.characteristic
     kernel = []
-    ech = FpEchelon(p, track=True)
+    ech = FpEchelon(p)
     for j, col in enumerate(boundary_columns(P, n, ring)):
         dep = ech.add(col, {j: 1})
         if dep is not None:

@@ -28,7 +28,7 @@ GF3 = CoefficientRing(3)
 
 def lab(h, ring=ZZ):
     def build(**counts):
-        acc = ExteriorElement.zero(h.alphabet, ring)
+        acc = ExteriorElement(h.alphabet, ring)
         for letter, c in counts.items():
             acc = acc + ExteriorElement.letter(h.alphabet, letter, ring).scale(c)
         return acc
@@ -78,7 +78,7 @@ def test_chain_label_linear():
 
 def _folded_chain_label(h, chain, ring):
     """Reference for chain_label: a running sum, one scaled cube label at a time."""
-    acc = ExteriorElement.zero(h.alphabet, ring)
+    acc = ExteriorElement(h.alphabet, ring)
     for cube, c in chain.items():
         acc = acc + label_cochain(h, cube, ring).scale(c)
     return acc
@@ -324,8 +324,8 @@ def _obstruction_reports(ring):
     main = tensor_hda(spec, directed_circle([("f",)]))
     parts = [directed_circle([(x,)]) for x in "adf"]
     return {
-        "implements": implements_report(impl, spec, ring).to_dict(),
-        "independence": independence_report(main, parts, ring).to_dict(),
+        "implements": implements_report(impl, spec, ring),
+        "independence": independence_report(main, parts, ring),
     }
 
 

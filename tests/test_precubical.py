@@ -248,12 +248,12 @@ def test_paths():
     assert p.source == (0, 0)
     assert p.target == (0, 2)
     assert len(p) == 2
-    empty = Path.empty(P, (0, 2))
+    empty = Path(P, (), (0, 2))
     assert empty.source == empty.target == (0, 2)
     with pytest.raises(ValueError):
         Path(P, (e(0), e(2)), (0, 0))
     with pytest.raises(ValueError):
-        Path.empty(P, (0, 9))
+        Path(P, (), (0, 9))
 
 
 def test_morphism_violation_kinds():

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+import hda_lab.reports
+from hda_lab.exterior import ExteriorElement
 from hda_lab.labeling import degree_monomials, label_to_column
 from hda_lab.homology import verify_nonmembership
 from hda_lab.models import (
@@ -18,6 +20,7 @@ from hda_lab.programs import program_to_hda
 from hda_lab.reports import (
     NO_OBSTRUCTION,
     OBSTRUCTION,
+    _membership,
     implements_report,
     independence_report,
     render_implements,
@@ -32,13 +35,26 @@ def philosopher_circle(i):
     return labeled_circle(word)
 
 
+def reported_label(entry, alphabet, ring):
+    """The label of a report entry, rebuilt from its spelled-out terms."""
+    index = {a: i for i, a in enumerate(alphabet.letters)}
+    terms = {tuple(index[a] for a in letters): c for letters, c in entry["terms"]}
+    return ExteriorElement(alphabet, ring, terms)
+
+
+def reported_certificate(entry):
+    """The (functional, modulus) pair of a report entry's certificate."""
+    cert = entry["certificate"]
+    assert cert is not None
+    return cert["functional"], cert["modulus"]
+
+
 def recheck_certificate(rep_main, check, ring, alphabet):
     """Re-verify a failed wedge against the image basis by dot products."""
-    monomials = degree_monomials(alphabet, check.degree)
-    cols = [label_to_column(b, check.degree, monomials) for b in rep_main]
-    target = label_to_column(check.label, check.degree, monomials)
-    assert check.certificate is not None
-    assert verify_nonmembership(cols, target, check.certificate)
+    monomials = degree_monomials(alphabet, check["degree"])
+    cols = [label_to_column(b, check["degree"], monomials) for b in rep_main]
+    target = label_to_column(reported_label(check, alphabet, ring), check["degree"], monomials)
+    assert verify_nonmembership(cols, target, reported_certificate(check))
 
 
 def test_independence_on_the_torus():
@@ -46,11 +62,11 @@ def test_independence_on_the_torus():
     a_loop = labeled_circle(["a1", "a2"])
     b_loop = labeled_circle(["b"])
     rep = independence_report(t, [a_loop, b_loop], GF2)
-    assert rep.verdict == NO_OBSTRUCTION
-    assert rep.part_sizes == [1, 1]
-    assert len(rep.checks) == 1
-    assert rep.checks[0].degree == 2
-    assert rep.checks[0].coefficients is not None
+    assert rep["verdict"] == NO_OBSTRUCTION
+    assert rep["part_class_counts"] == [1, 1]
+    assert len(rep["wedges_checked"]) == 1
+    assert rep["wedges_checked"][0]["degree"] == 2
+    assert rep["wedges_checked"][0]["coefficients"] is not None
 
 
 def test_independence_ring_sensitivity():
@@ -58,11 +74,11 @@ def test_independence_ring_sensitivity():
     # the unsigned wedge (a1+a2)^b is realized only after reducing mod 2
     t = torus_hda()
     parts = [labeled_circle(["a1", "a2"]), labeled_circle(["b"])]
-    assert independence_report(t, parts, GF2).verdict == NO_OBSTRUCTION
+    assert independence_report(t, parts, GF2)["verdict"] == NO_OBSTRUCTION
     zrep = independence_report(t, parts, ZZ)
-    assert zrep.verdict == OBSTRUCTION
-    witness = zrep.witness
-    assert witness is not None and witness.degree == 2
+    assert zrep["verdict"] == OBSTRUCTION
+    witness = zrep["witness"]
+    assert witness is not None and witness["degree"] == 2
     from hda_lab.labeling import labeled_degree
 
     basis = labeled_degree(t, 2, ZZ).label_image_basis
@@ -73,8 +89,8 @@ def test_independence_needs_a_filled_square():
     hollow = boundary_square()
     parts = [labeled_circle(["a"]), labeled_circle(["b"])]
     rep = independence_report(hollow, parts, GF2)
-    assert rep.verdict == OBSTRUCTION
-    assert rep.witness.certificate is not None
+    assert rep["verdict"] == OBSTRUCTION
+    assert rep["witness"]["certificate"] is not None
 
 
 def test_independence_zero_label_selection_is_trivially_clear():
@@ -82,28 +98,29 @@ def test_independence_zero_label_selection_is_trivially_clear():
     main = filled_square("a", "b")
     part = boundary_square("a", "b")
     rep = independence_report(main, [part], GF2, selections=[(1, 0)])
-    assert rep.verdict == NO_OBSTRUCTION
-    assert len(rep.checks) == 1
-    assert rep.checks[0].member and rep.checks[0].degree == 1
+    assert rep["verdict"] == NO_OBSTRUCTION
+    [check] = rep["wedges_checked"]
+    assert check["member"] and check["degree"] == 1
+    assert check["label"] == "0"
 
 
 def test_independence_skips_zero_wedges_by_default():
     main = filled_square("a", "b")
     parts = [labeled_circle(["a"]), labeled_circle(["a"])]
     rep = independence_report(main, parts, GF2)
-    assert rep.verdict == NO_OBSTRUCTION
-    assert rep.checks == []
-    assert rep.skipped_zero == 1
+    assert rep["verdict"] == NO_OBSTRUCTION
+    assert rep["wedges_checked"] == []
+    assert rep["zero_wedges_skipped"] == 1
 
 
 def test_independence_degree_overflow_is_an_obstruction():
     main = labeled_circle(["a", "b"])
     parts = [labeled_circle(["a"]), labeled_circle(["b"])]
     rep = independence_report(main, parts, ZZ)
-    assert rep.verdict == OBSTRUCTION
-    assert rep.witness.degree == 2
-    assert "top dimension" in rep.witness.reason
-    assert rep.witness.certificate is not None
+    assert rep["verdict"] == OBSTRUCTION
+    assert rep["witness"]["degree"] == 2
+    assert "top dimension" in rep["witness"]["reason"]
+    assert rep["witness"]["certificate"] is not None
 
 
 def test_independence_input_checks():
@@ -123,14 +140,15 @@ def test_independence_across_the_table():
     for i, j in combinations(range(4), 2):
         rep = independence_report(d, [philosopher_circle(i), philosopher_circle(j)], GF2)
         expected = NO_OBSTRUCTION if j - i == 2 else OBSTRUCTION
-        assert rep.verdict == expected, (i, j)
-        assert len(rep.checks) == 1
+        assert rep["verdict"] == expected, (i, j)
+        assert len(rep["wedges_checked"]) == 1
 
 
 def test_independence_report_serializes():
     t = torus_hda()
     rep = independence_report(t, [labeled_circle(["a1", "a2"]), labeled_circle(["b"])], GF2)
-    blob = json.loads(json.dumps(rep.to_dict()))
+    blob = json.loads(json.dumps(rep))
+    assert blob == rep
     assert blob["verdict"] == NO_OBSTRUCTION
     assert blob["analysis"] == "independence"
     assert blob["part_class_counts"] == [1, 1]
@@ -147,32 +165,28 @@ def test_implements_flags_the_unlocked_counter():
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
     rep = implements_report(impl, spec, ZZ)
-    assert rep.verdict == OBSTRUCTION
-    assert [w.degree for w in rep.witnesses] == [2]
+    assert rep["verdict"] == OBSTRUCTION
+    assert [w["degree"] for w in rep["witnesses"]] == [2]
     assert (
-        str(rep.witnesses[0].label)
+        rep["witnesses"][0]["label"]
         == "x++_0∧x++_1 + x++_0∧x--_1 + x--_0∧x++_1 + x--_0∧x--_1"
     )
-    assert rep.checked == 3
+    assert rep["labels_checked"] == 3
     from hda_lab.labeling import labeled_degree
 
-    basis = labeled_degree(spec, 2, ZZ).label_image_basis
-    monomials = degree_monomials(impl.alphabet, 2)
-    cols = [label_to_column(b.retag(impl.alphabet), 2, monomials) for b in basis]
-    target = label_to_column(rep.witnesses[0].label, 2, monomials)
-    assert verify_nonmembership(cols, target, rep.witnesses[0].certificate)
+    basis = [b.retag(impl.alphabet) for b in labeled_degree(spec, 2, ZZ).label_image_basis]
+    recheck_certificate(basis, rep["witnesses"][0], ZZ, impl.alphabet)
 
     text = render_implements(rep)
     assert "degree 2 label not realized" in text
-    blob = json.loads(json.dumps(rep.to_dict()))
-    assert blob["verdict"] == OBSTRUCTION
-    assert blob["witnesses"][0]["degree"] == 2
+    blob = json.loads(json.dumps(rep))
+    assert blob == rep
     assert blob["witnesses"][0]["certificate"]["modulus"] == 0
 
 
 def test_implements_is_reflexive():
     impl = program_to_hda(lock_counter())
-    assert implements_report(impl, impl, ZZ).verdict == NO_OBSTRUCTION
+    assert implements_report(impl, impl, ZZ)["verdict"] == NO_OBSTRUCTION
 
 
 def test_implements_spec_direction_passes():
@@ -180,17 +194,17 @@ def test_implements_spec_direction_passes():
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
     rep = implements_report(spec, impl, ZZ)
-    assert rep.verdict == NO_OBSTRUCTION
-    assert rep.checked == 2
+    assert rep["verdict"] == NO_OBSTRUCTION
+    assert rep["labels_checked"] == 2
 
 
 def test_implements_zero_labels_pass():
     impl = boundary_square("a", "b")
     spec = filled_square("a", "b")
     rep = implements_report(impl, spec, ZZ)
-    assert rep.verdict == NO_OBSTRUCTION
-    assert rep.checked == 0
-    assert rep.skipped_zero == 1
+    assert rep["verdict"] == NO_OBSTRUCTION
+    assert rep["labels_checked"] == 0
+    assert rep["zero_labels_skipped"] == 1
 
 
 def test_implements_requires_matching_alphabets():
@@ -202,5 +216,25 @@ def test_implements_tolerates_reordered_alphabets():
     impl = labeled_circle(["a", "b"])
     spec = labeled_circle(["b", "a"])
     rep = implements_report(impl, spec, ZZ)
-    assert rep.verdict == NO_OBSTRUCTION
-    assert rep.checked == 1
+    assert rep["verdict"] == NO_OBSTRUCTION
+    assert rep["labels_checked"] == 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF2])
+def test_a_tampered_certificate_is_refused(ring, monkeypatch):
+    # a1 is outside the span of b: phi is nonzero at a1, its first nonzero
+    # entry, and zero there it no longer separates a1 from the span.
+    real = hda_lab.reports.nonmembership_certificate
+
+    def tampered(vectors, target, ring):
+        phi, modulus = real(vectors, target, ring)
+        k = next(i for i, x in enumerate(phi) if x)
+        return phi[:k] + [0] + phi[k + 1 :], modulus
+
+    t = torus_hda()
+    a, b = (ExteriorElement.letter(t.alphabet, x, ring) for x in ("a1", "b"))
+    basis = [b]
+    assert _membership(basis, a, ring, 1, t.alphabet)[1] is not None
+    monkeypatch.setattr(hda_lab.reports, "nonmembership_certificate", tampered)
+    with pytest.raises(AssertionError, match="failed verification"):
+        _membership(basis, a, ring, 1, t.alphabet)

@@ -15,12 +15,6 @@ from hda_lab.hda import Alphabet, Hda
 from hda_lab.homology import HomologyGroup, SmithNormalForm
 from hda_lab.labeling import DegreeLabelReport, LabeledClass
 from hda_lab.precubical import Violation
-from hda_lab.reports import (
-    ImplementsReport,
-    ImplementsWitness,
-    IndependenceReport,
-    WedgeCheck,
-)
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 AB = Alphabet(["a", "b"])
@@ -83,34 +77,6 @@ CLASSES = {
         },
         {},
     ),
-    WedgeCheck: (
-        {
-            "selection": ((0, 1, 0),),
-            "degree": 1,
-            "label": A,
-            "member": False,
-            "coefficients": None,
-            "certificate": ([1, 0], 0),
-            "reason": "why",
-        },
-        {"certificate": None, "reason": ""},
-    ),
-    IndependenceReport: (
-        {"ring": ZZ, "alphabet": AB, "part_sizes": [1], "checks": [], "skipped_zero": 2},
-        {"checks": [], "skipped_zero": 0},
-    ),
-    ImplementsWitness: ({"degree": 1, "label": A, "certificate": None}, {}),
-    ImplementsReport: (
-        {
-            "ring": ZZ,
-            "alphabet": AB,
-            "degrees": [1],
-            "checked": 1,
-            "skipped_zero": 0,
-            "witnesses": [],
-        },
-        {},
-    ),
     CubeMap: ({"shape": (1,), "axis_perm": (1,), "flat": {(0,): (0, 0)}}, {}),
     ElementaryDimap: (
         {"source": HDA, "target": HDA, "vertex_map": {}, "cube_maps": {(1, (0, 1)): CUBE_MAP}},
@@ -144,9 +110,6 @@ def test_default_lists_are_fresh_per_instance():
         assert getattr(g, name) is not getattr(h, name)
     g.torsion.append(2)
     assert h.torsion == []
-    r, s = IndependenceReport(ZZ, AB, []), IndependenceReport(ZZ, AB, [])
-    r.checks.append(None)
-    assert s.checks == []
 
 
 def test_rings_compare_and_hash_by_characteristic():
