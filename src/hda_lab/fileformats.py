@@ -188,7 +188,9 @@ def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
     cells: dict[int, dict[str, int]] = {}
     faces: dict[int, list[tuple[int, ...]]] = {}
     labels: dict[Key, tuple[str, ...]] = {}
-    below: list[int] = []  # the positions of dimension n - 1, which the model shares
+    # The positions of dimension n - 1; read through them, the faces share one
+    # int per cell, not one per face as decoded (about 4.5 MB on phil5).
+    below: list[int] = []
     for n, entry in enumerate(dims):
         where = f"hda.dims[{n}]"
         if type(entry) is not dict:

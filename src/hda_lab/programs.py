@@ -7,7 +7,13 @@ automaton has one vertex per reachable global state and one n-cube for every
 way n different processes can be mid-step concurrently: a square appears
 exactly when the two steps are enabled in both orders and their effects
 commute on the shared variables, and a higher cube appears exactly when all
-its faces do, which reduces to the pairwise checks.
+its faces do, which reduces to the pairwise checks: every corner is reached
+by every order of the steps, and at one state.
+
+Exploration fires, at each state, only the prepared moves from each
+process's local state.  Filling finds faces by position: the faces of a
+cube c extended by a move t are the t-extensions of c's faces, plus c and
+its copy one t-step on; a string key is built once per kept cube.
 
 Guards are nested tuples:
 
@@ -205,22 +211,44 @@ def initial_states(prog: SharedVariableProgram) -> list[State]:
     return [(locs, vals) for vals in product(*choices)]
 
 
-def fire(prog: SharedVariableProgram, state: State, pid: int, t: Transition) -> State | None:
-    """The successor state, or None when the step is not enabled."""
+# A move: tag "!action", process id, target, guard (None if it reads no
+# variable and holds), the names it reads values under (none if it reads
+# none), and effects as (variable slot, is a "set", amount, domain).
+Move = tuple
+
+
+def prepared_moves(prog: SharedVariableProgram) -> list[dict[str, list[Move]]]:
+    """Per process, each local state's moves in declaration order."""
+    names = tuple(v.name for v in prog.variables)
+    slot = {name: i for i, name in enumerate(names)}
+    domain = {v.name: frozenset(v.domain) for v in prog.variables}
+    out: list[dict[str, list[Move]]] = [{} for _ in prog.processes]
+    for pid, p in enumerate(prog.processes):
+        for t in p.transitions:
+            reads = names if guard_variables(t.guard) else ()
+            guard = None if not reads and eval_guard(t.guard, {}) else t.guard
+            effects = tuple((slot[v], op == "set", x, domain[v]) for op, v, x in t.effects)
+            move = ("!" + t.action, pid, t.target, guard, reads, effects)
+            out[pid].setdefault(t.source, []).append(move)
+    return out
+
+
+def fire(move: Move, state: State) -> State | None:
+    """The successor by a move from its process's local state in ``state``,
+    or None when the guard fails or an update leaves its domain."""
+    _, pid, target, guard, reads, effects = move
     locs, vals = state
-    if locs[pid] != t.source:
+    if guard is not None and not eval_guard(guard, dict(zip(reads, vals))):
         return None
-    env = {v.name: x for v, x in zip(prog.variables, vals)}
-    if not eval_guard(t.guard, env):
-        return None
-    new = dict(env)
-    for op, var, amount in t.effects:
-        new[var] = amount if op == "set" else env[var] + amount
-    for v in prog.variables:
-        if new[v.name] not in v.domain:
-            return None
-    locs2 = locs[:pid] + (t.target,) + locs[pid + 1 :]
-    return (locs2, tuple(new[v.name] for v in prog.variables))
+    if effects:
+        new = list(vals)
+        for slot, is_set, amount, domain in effects:
+            x = amount if is_set else vals[slot] + amount
+            if x not in domain:
+                return None
+            new[slot] = x
+        vals = tuple(new)
+    return (locs[:pid] + (target,) + locs[pid + 1 :], vals)
 
 
 def state_key(state: State) -> str:
@@ -234,29 +262,25 @@ def reachable_states(prog: SharedVariableProgram) -> dict[str, dict[str, str]]:
 
     Each key maps to its successor table: the enabled moves in process and
     declaration order, each tagged "!action", to the successor's key.  Action
-    names are unique per program, so the tag names the move.
+    names are unique per program, so the tag names the move.  Only the moves
+    from each process's local state are fired, each once per state.
     """
-    moves = [
-        (pid, t, "!" + t.action) for pid, p in enumerate(prog.processes) for t in p.transitions
-    ]
-    succ: dict[str, dict[str, str]] = {}
-    queue: deque[tuple[State, dict[str, str]]] = deque()
-
-    def visit(s: State) -> str:
-        k = state_key(s)
-        if k not in succ:
-            succ[k] = {}
-            queue.append((s, succ[k]))
-        return k
-
-    for s in initial_states(prog):
-        visit(s)
+    moves = prepared_moves(prog)
+    keys = {s: state_key(s) for s in initial_states(prog)}
+    succ: dict[str, dict[str, str]] = {k: {} for k in keys.values()}
+    queue = deque(zip(keys, succ.values()))
     while queue:
         s, table = queue.popleft()
-        for pid, t, tag in moves:
-            s2 = fire(prog, s, pid, t)
-            if s2 is not None:
-                table[tag] = visit(s2)
+        for by_source, local in zip(moves, s[0]):
+            for move in by_source.get(local, ()):
+                s2 = fire(move, s)
+                if s2 is None:
+                    continue
+                k = keys.get(s2)
+                if k is None:
+                    keys[s2] = k = state_key(s2)
+                    queue.append((s2, succ.setdefault(k, {})))
+                table[move[0]] = k
     return succ
 
 
@@ -265,63 +289,65 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
     assert_valid_program(prog)
     succ = reachable_states(prog)
     pid_of = {"!" + t.action: pid for pid, p in enumerate(prog.processes) for t in p.transitions}
+    vertex = {k: pos for pos, k in enumerate(succ)}
+    # Each vertex's moves in table order, as (tag, process id, target position).
+    enabled = [
+        [(tag, pid_of[tag], vertex[k]) for tag, k in table.items()] for table in succ.values()
+    ]
 
     labels: dict[Key, tuple[str, ...]] = {}
-
-    # An (n-1)-cube is a base state plus moves sorted by process id, all
-    # enabled at the base, so the successor table holds each corner one step
-    # away.  Its key is the base key followed by the move tags.  Per
-    # dimension, ``current`` maps each key to its position and ``cubes``
-    # holds (base key, last process id, tags) at that position; a cube's
-    # faces are the positions its face keys find in ``current``.
-    index: dict[int, dict[Key, int]] = {0: {k: pos for pos, k in enumerate(succ)}}
+    # An (n-1)-cube is a base vertex plus moves sorted by process id, all
+    # enabled at the base.  Its key is the base key followed by the move
+    # tags.  Per dimension, ``current`` maps each key to its position,
+    # ``cubes`` holds (base position, last process id, last tag) at that
+    # position, and ``up`` a dict from each move tag to the position of
+    # the cube extended by that move, filled as the next dimension is built.
+    index: dict[int, dict[Key, int]] = {0: vertex}
     faces: dict[int, list[tuple[int, ...]]] = {}
-    current = index[0]
-    cubes: list[tuple[str, int, tuple[str, ...]]] = [(k, -1, ()) for k in succ]
+    current = vertex
+    cubes: list[tuple[int, int, str]] = [(v, -1, "") for v in range(len(vertex))]
+    up: list[dict[str, int]] = [{} for _ in cubes]
+    up_below: list[dict[str, int]] = []
+    own_faces: list[tuple[int, ...]] = []
 
     n = 1
     while cubes:
         following: dict[Key, int] = {}
-        cubes_n: list[tuple[str, int, tuple[str, ...]]] = []
+        cubes_n: list[tuple[int, int, str]] = []
         faces_n: list[tuple[int, ...]] = []
-        for key, (base, top_pid, tags) in zip(current, cubes):
-            succ_base = succ[base]
-            for tag in succ_base:
-                pid = pid_of[tag]
+        up_n: list[dict[str, int]] = []
+        for (key, pos), (base, top_pid, last) in zip(current.items(), cubes):
+            own = own_faces[pos] if n > 1 else ()
+            ext = up[pos]
+            for tag, pid, end in enabled[base]:
                 if pid <= top_pid:
                     continue
-                cand = tags + (tag,)
-                face_d0 = []
-                face_d1 = []
-                ends = set()
-                for i in range(n):
-                    rest = cand[:i] + cand[i + 1 :]
-                    tail = "".join(rest)
-                    mid = succ_base[cand[i]]
-                    p0 = current.get(base + tail)
-                    p1 = current.get(mid + tail)
-                    if p0 is None or p1 is None:
-                        break
-                    face_d0.append(p0)
-                    face_d1.append(p1)
-                    if n == 2:
-                        far = succ[mid].get(rest[0])
-                        if far is None:
-                            break
-                        ends.add(far)
-                else:
-                    if n == 2 and len(ends) != 1:
+                if n > 1:
+                    # Below direction n, the new cube's faces are this
+                    # cube's faces extended by the move.  In direction n
+                    # they are this cube and its copy one move on: extend
+                    # the face without this cube's last move by the move,
+                    # and that cube's far side by the last move.
+                    moved = [up_below[f].get(tag) for f in own]
+                    if None in moved:
                         continue
-                    ck = key + tag
-                    following[ck] = len(cubes_n)
-                    cubes_n.append((base, pid, cand))
-                    faces_n.append(tuple(face_d0 + face_d1))
-                    if n == 1:
-                        labels[ck] = (tag[1:],)
+                    far = up_below[own_faces[moved[n - 2]][-1]].get(last)
+                    if far is None or n == 2 and own_faces[moved[1]][1] != own_faces[far][1]:
+                        continue
+                    face = (*moved[: n - 1], pos, *moved[n - 1 :], far)
+                else:
+                    face = (pos, end)
+                ext[tag] = following[key + tag] = len(cubes_n)
+                cubes_n.append((base, pid, tag))
+                faces_n.append(face)
+                up_n.append({})
+        if n == 1:
+            labels = {ck: (tag[1:],) for ck, (_, _, tag) in zip(following, cubes_n)}
         if cubes_n:
             index[n] = following
             faces[n] = faces_n
-        current, cubes = following, cubes_n
+        current, cubes, own_faces = following, cubes_n, faces_n
+        up_below, up = up, up_n
         n += 1
 
     letters = [t.action for p in prog.processes for t in p.transitions]

@@ -12,6 +12,7 @@ from hda_lab.programs import (
     fire,
     guard_variables,
     initial_states,
+    prepared_moves,
     program_to_hda,
     reachable_states,
     state_key,
@@ -138,23 +139,51 @@ def test_validate_program_flags_each_defect():
     assert "action names must be distinct across the whole program" in msgs
 
 
+def move_of(prog, action):
+    """The prepared move of an action."""
+    moves = [m for by_source in prepared_moves(prog) for ms in by_source.values() for m in ms]
+    return next(m for m in moves if m[0] == "!" + action)
+
+
 def test_fire_semantics():
     prog = two_step_program(
         effects_a=(("add", "x", 1), ("set", "y", 5)),
         guard_a=("cmp", "<", "x", 2),
         extra_vars=(SharedVariable("y", (0, 5), (0,)),),
     )
-    t = prog.processes[0].transitions[0]
-    start = (("s", "s"), (0, 0))
-    assert fire(prog, start, 0, t) == (("t", "s"), (1, 5))
-    # wrong local state
-    assert fire(prog, (("t", "s"), (0, 0)), 0, t) is None
+    a = move_of(prog, "a")
+    assert fire(a, (("s", "s"), (0, 0))) == (("t", "s"), (1, 5))
     # guard failure
-    assert fire(prog, (("s", "s"), (2, 0)), 0, t) is None
+    assert fire(a, (("s", "s"), (2, 0))) is None
     # update leaving the domain disables the step rather than clamping
     prog2 = two_step_program(effects_a=(("add", "x", 1),), domain=(0, 1))
-    t2 = prog2.processes[0].transitions[0]
-    assert fire(prog2, (("s", "s"), (1,)), 0, t2) is None
+    assert fire(move_of(prog2, "a"), (("s", "s"), (1,))) is None
+    prog3 = two_step_program(effects_a=(("set", "x", 3),))
+    assert fire(move_of(prog3, "a"), (("s", "s"), (0,))) is None
+
+
+def test_moves_are_prepared_by_source_state():
+    # each move is offered only from its source state, in declaration order
+    prog = SharedVariableProgram(
+        "src",
+        (SharedVariable("x", (0, 1), (0,)),),
+        (Process("p", ("s", "t"), "s", (
+            Transition("s", "t", "a"),
+            Transition("t", "s", "b", guard=("cmp", "==", "x", 0)),
+            Transition("s", "s", "c", guard=("and", [])),
+            Transition("s", "t", "d", guard=("or", [])),
+        )),),
+    )
+    [by_source] = prepared_moves(prog)
+    assert {src: [m[0] for m in ms] for src, ms in by_source.items()} == {
+        "s": ["!a", "!c", "!d"],
+        "t": ["!b"],
+    }
+    # a guard that reads no variable and holds is dropped; one that fails stays
+    assert move_of(prog, "a")[3] is None and move_of(prog, "c")[3] is None
+    assert fire(move_of(prog, "d"), (("s",), (0,))) is None
+    assert fire(move_of(prog, "b"), (("t",), (0,))) == (("s",), (0,))
+    assert fire(move_of(prog, "b"), (("t",), (1,))) is None
 
 
 def test_effects_read_the_old_values():
@@ -168,8 +197,7 @@ def test_effects_read_the_old_values():
             )),
         ),
     )
-    t = prog.processes[0].transitions[0]
-    assert fire(prog, (("s",), (3, 0)), 0, t) == (("t",), (0, 4))
+    assert fire(move_of(prog, "a"), (("s",), (3, 0))) == (("t",), (0, 4))
 
 
 def test_initial_states_product_and_keys():
@@ -371,6 +399,8 @@ def _golden_programs():
         "lock_counter": lock_counter(),
         "philosophers4": dining_philosophers(4),
         "butler4": shuffled_butler(4, "butler4"),
+        "philosophers5": dining_philosophers(5),
+        "butler5": shuffled_butler(5, "butler5"),
     }
 
 
@@ -401,6 +431,16 @@ GOLDEN_COMPILES = {
         "de9d49bf65b6b2b09b528648a960c52943a95dd0ddcef4660b3c4def80ab0b3d",
         "a2f9f3f23493a893dfff2710638c9145fd3bb6d0328d283378f516848717ec27",
     ),
+    "philosophers5": (
+        "b4bd9dc3c9e7a50edd7c5cd07af11d50b15649cc8fc2e47f0b65b4a9fbed1fa3",
+        "314ac693b2faff8c26ca540f4748ef88ccfd540895543662017ae251d5040291",
+        "e6014fba632b5f3e118e7da4268fa94f2f2fe5ae94c0b283219a20e265842fc8",
+    ),
+    "butler5": (
+        "e1db297a4fa28081a172394a65ebdf232addaae4ffcc44e2c5ae3e16a505c415",
+        "43e0abc87e1167c91618460f9ad563d88632117615a30e7320dec096c0fa12fe",
+        "b6855651c5cde78a1016d7d2d70a58ddb9ad1f57cc711a02fc7c53857771aedf",
+    ),
 }
 
 
@@ -430,12 +470,18 @@ def test_each_move_fires_once_per_compile(name, monkeypatch):
     prog = _golden_programs()[name]
     calls = []
 
-    def counting(program, state, pid, t):
-        calls.append((state, pid, t.action))
-        return fire(program, state, pid, t)
+    def counting(move, state):
+        calls.append((state, move[0]))
+        return fire(move, state)
 
     monkeypatch.setattr(hda_lab.programs, "fire", counting)
     h = program_to_hda(prog)
-    transitions = sum(len(p.transitions) for p in prog.processes)
-    assert len(calls) == h.complex.size(0) * transitions
+    # One call per reachable state and transition from its process's local
+    # state there; the vertex key spells the local states before its "|".
+    expected = 0
+    for key in h.complex.cells(0):
+        locs = key.split("|")[0].split(",")
+        for p, local in zip(prog.processes, locs):
+            expected += sum(t.source == local for t in p.transitions)
+    assert len(calls) == expected
     assert len(set(calls)) == len(calls)
