@@ -9,16 +9,19 @@ each dimension.
 
 An HDA file holds its cells in one of two forms.  The writer emits a
 top-level "dims" list whenever every face resolves: entry n holds the
-dimension's sorted ``ids``, its ``faces`` (each cell's 2n face positions
-into ``dims[n-1].ids``, d0_1..d0_n then d1_1..d1_n, concatenated in file
-order) and, on dimension 1, its ``labels``, one word per edge; the loader
-reads it a column at a time and refuses any face it cannot resolve.  A
-model with a face that does not resolve is written as a "cubes" list with
-one record per cube, faces by id, so that it still reaches validation; the
-loader reads that record form entry by entry.  Records that name their
-faces by position, which one earlier writer made, are refused ("face ids
-must be strings"); running ``model`` or ``tensor`` again writes the model
-in the "dims" form.
+dimension's sorted ``ids``, its ``faces`` and, on dimension 1, its
+``labels``, one word per edge.  ``faces`` is one base64 text of each
+cell's 2n face positions into ``dims[n-1].ids``, d0_1..d0_n then
+d1_1..d1_n, concatenated in file order, as little-endian unsigned 32-bit
+integers.  The loader decodes it in C, accepts only the canonical text,
+and resolves every position as it maps them onto the cells below, which
+is also where a position past the end is found.  A model with a face that
+does not resolve is written as a "cubes" list with one record per cube,
+faces by id, so that it still reaches validation; the loader reads that
+record form entry by entry.  Two forms of earlier writers are refused:
+records that name their faces by position ("face ids must be strings")
+and "dims" entries whose faces are a list of integers; running ``model``
+or ``tensor`` again writes the model in the current form.
 
 Directed maps, chains and programs are encoded by ``dimap`` and
 ``programs``, beside their objects, so that only the commands that read
@@ -27,7 +30,7 @@ UTF-8 whatever the locale, like every file.
 
 Documents are dumped through ``canonical_json``: sorted keys, ASCII,
 trailing newline.  An HDA file in the "dims" form is one line, written by
-the C encoder; nobody reads its flat position lists by eye, and it loads
+the C encoder; nobody reads its packed positions by eye, and it loads
 whatever its whitespace, so a file of an earlier, indented writer still
 loads.  Every other document (reports, record-form HDA files, maps,
 programs) is indented by two spaces.  Identical inputs give identical bytes.
@@ -42,6 +45,9 @@ that name no cell) is deliberately not checked here; callers run
 from __future__ import annotations
 
 import json
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path as FsPath
@@ -98,6 +104,43 @@ def canonical_json(doc: dict) -> str:
 # -- HDA files --------------------------------------------------------------
 
 
+# Face positions are stored as little-endian unsigned 32-bit integers: an
+# array typecode of that size, its bytes swapped on a big-endian host.
+_POSITION = next(code for code in "IL" if array(code).itemsize == 4)
+_SWAP = sys.byteorder == "big"
+
+
+def _pack_positions(positions, n: int) -> str:
+    """The "faces" text of dimension n: its positions as base64."""
+    try:
+        packed = array(_POSITION, positions)
+    except OverflowError:
+        raise FileFormatError(f"dimension {n}: a face position is past {2**32 - 1}") from None
+    if _SWAP:
+        packed.byteswap()
+    return b2a_base64(packed, newline=False).decode("ascii")
+
+
+def _unpack_positions(text: str, where: str) -> array:
+    """The positions of a "faces" text; refuses anything but the one base64
+    text of whole positions that ``_pack_positions`` writes."""
+    try:
+        raw = a2b_base64(text)
+    except ValueError:  # bad padding, or a character that is not ASCII
+        raw = None
+    # Re-encoded, the bytes give the text back only if it was canonical:
+    # without stray characters, newlines or bits past the last byte.
+    if raw is None or b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise FileFormatError(f"{where}.faces: expected canonical base64 text")
+    if len(raw) % 4:
+        raise FileFormatError(f"{where}.faces: {len(raw)} bytes are not whole 4-byte positions")
+    flat = array(_POSITION)
+    flat.frombytes(raw)
+    if _SWAP:
+        flat.byteswap()
+    return flat
+
+
 def _word(h: Hda, key: Key, rid: str) -> list:
     """The word of an edge as a file holds it; refuses an edge with no word,
     or with a word that is not a sequence of letters."""
@@ -113,13 +156,30 @@ def _word(h: Hda, key: Key, rid: str) -> list:
     return letters
 
 
+def _words(h: Hda, rids) -> list:
+    """The words of the edges, in basis order, as a file holds them.  A
+    column of tuples of letters passes at once; otherwise each edge is read
+    by ``_word``, in basis order, so that the first bad edge is named."""
+    edges = h.complex.cells(1)
+    words = [*map(h.labels.get, edges)]
+    if {tuple}.issuperset(map(type, words)) and {str}.issuperset(
+        map(type, chain.from_iterable(words))
+    ):
+        return [*map(list, words)]
+    return [*map(_word, repeat(h), edges, rids)]
+
+
 def hda_to_json(h: Hda) -> dict:
     P = h.complex
     # The rendered ids per dimension, in basis order, each rendered once;
-    # _id_maps only runs to name the first key that does not render or collides.
+    # string keys are their own ids, distinct as the keys are.  _id_maps only
+    # runs to name the first key that does not render or collides.
     ids = []
     for n in range(P.max_dim + 1):
         keys = P.cells(n)
+        if {str}.issuperset(map(type, keys)):
+            ids.append(keys)
+            continue
         try:
             rids = [*map(render_id, keys)]
         except FileFormatError:
@@ -130,18 +190,23 @@ def hda_to_json(h: Hda) -> dict:
     if all(None not in P.face_positions(n) for n in range(1, P.max_dim + 1)):
         # One entry per dimension: the ids sorted, and the cells' face
         # positions concatenated in that order, each a position among the
-        # sorted ids one dimension down.
+        # sorted ids one dimension down, packed into one text.
         field, body = "dims", []
         rank: list[int] = []  # per basis position one dimension down: the file's position
         for n, rids in enumerate(ids):
             order = sorted(range(len(rids)), key=rids.__getitem__)
             flats = chain.from_iterable(map(P.face_positions(n).__getitem__, order) if n else ())
-            entry = {"ids": [*map(rids.__getitem__, order)], "faces": [*map(rank.__getitem__, flats)]}
-            if n == 1:  # checked in basis order, so that the first bad edge is named
-                words = [*map(_word, repeat(h), P.cells(1), rids)]
+            entry = {
+                "ids": [*map(rids.__getitem__, order)],
+                "faces": _pack_positions([*map(rank.__getitem__, flats)], n),
+            }
+            if n == 1:
+                words = _words(h, rids)
                 entry["labels"] = [*map(words.__getitem__, order)]
             body.append(entry)
-            rank = sorted(range(len(order)), key=order.__getitem__)
+            rank = [0] * len(order)
+            for pos, cell in enumerate(order):
+                rank[cell] = pos
     else:
         # A face that does not resolve is written by id, in one record per
         # cell, so that a damaged model still reaches validation.
@@ -195,7 +260,13 @@ def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
         where = f"hda.dims[{n}]"
         if type(entry) is not dict:
             raise FileFormatError(f"{where}: expected an object")
-        ids, flat = _want(entry, "ids", list, where), _want(entry, "faces", list, where)
+        ids = _want(entry, "ids", list, where)
+        if type(entry.get("faces")) is list:
+            raise FileFormatError(
+                f"{where}.faces: a list of positions, as an earlier writer made; "
+                "run 'model' or 'tensor' again to write this file"
+            )
+        text = _want(entry, "faces", str, where)
         extra = entry.keys() - {"ids", "faces", "labels"}
         if extra:
             raise FileFormatError(f"{where}: unexpected field {min(map(repr, extra))}")
@@ -207,21 +278,21 @@ def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
         if len(table) < len(ids):
             rid = next(rid for pos, rid in enumerate(ids) if table[rid] != pos)
             raise FileFormatError(f"{where}.ids: repeated id {rid!r}")
+        flat = _unpack_positions(text, where)
         if len(flat) != 2 * n * len(ids):
             raise FileFormatError(
                 f"{where}.faces: expected {2 * n} positions per cell, "
                 f"got {len(flat)} for {len(ids)} cells"
             )
-        if flat:
-            if not {int}.issuperset(map(type, flat)) or min(flat) < 0:
-                msg = "face positions must be non-negative integers"
-                raise FileFormatError(f"{where}.faces: {msg}")
-            if max(flat) >= len(below):
+        if n:
+            # The remap is also the range check: only a position past the
+            # end of dimension n - 1 raises in it.
+            try:
+                faces[n] = [*zip(*[map(below.__getitem__, flat)] * (2 * n))]
+            except IndexError:
                 raise FileFormatError(
                     f"{where}.faces: position {max(flat)} is past the end of dimension {n - 1}"
-                )
-        if n:
-            faces[n] = [*zip(*[map(below.__getitem__, flat)] * (2 * n))]
+                ) from None
         below = [*table.values()]
         if "labels" in entry:
             words = _want(entry, "labels", list, where)

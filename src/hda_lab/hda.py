@@ -138,37 +138,41 @@ def validate_hda(h: Hda) -> list[Violation]:
     """Structural defects: complex, label table, square condition, markings."""
     out = validate_precubical(h.complex)
     P = h.complex
-    word_of, strings = h.labels.get, {str}.issuperset
-    letters = set(h.alphabet.letters).issuperset
-    for key in P.cells(1):
-        # A tuple of letters of the alphabet passes at once; the type test
-        # comes first, so that an unhashable letter reaches the diagnosis.
-        word = word_of(key)
-        if type(word) is tuple and strings(map(type, word)) and letters(word):
-            continue
-        if key not in h.labels:
-            out.append(Violation("unlabeled-edge", (1, key), "edge has no word"))
-            continue
-        word = h.labels[key]
-        if not isinstance(word, tuple) or any(not isinstance(a, str) for a in word):
-            out.append(
-                Violation("bad-word", (1, key), f"word must be a tuple of letters, got {word!r}")
-            )
-            continue
-        for a in word:
-            if a not in h.alphabet:
+    edges = P.cells(1)
+    words = [*map(h.labels.get, edges)]
+    # A column of tuples of letters of the alphabet, one per edge and no
+    # label besides, passes at once; otherwise the edges are read one by one
+    # to name each defect.  The type test comes before the alphabet test, so
+    # that an unhashable letter reaches the diagnosis.
+    if not (
+        len(h.labels) == len(edges)
+        and {tuple}.issuperset(map(type, words))
+        and {str}.issuperset(map(type, itertools.chain.from_iterable(words)))
+        and set(h.alphabet.letters).issuperset(itertools.chain.from_iterable(words))
+    ):
+        for key in edges:
+            if key not in h.labels:
+                out.append(Violation("unlabeled-edge", (1, key), "edge has no word"))
+                continue
+            word = h.labels[key]
+            if not isinstance(word, tuple) or any(not isinstance(a, str) for a in word):
                 out.append(
-                    Violation("unknown-letter", (1, key), f"letter {a!r} not in alphabet")
+                    Violation("bad-word", (1, key), f"word must be a tuple of letters, got {word!r}")
                 )
-    edge_keys = set(P.cells(1))
-    for key in h.labels:
-        if key not in edge_keys:
-            out.append(Violation("orphan-label", (1, key), "label for unknown edge"))
+                continue
+            for a in word:
+                if a not in h.alphabet:
+                    out.append(
+                        Violation("unknown-letter", (1, key), f"letter {a!r} not in alphabet")
+                    )
+        edge_keys = set(edges)
+        for key in h.labels:
+            if key not in edge_keys:
+                out.append(Violation("orphan-label", (1, key), "label for unknown edge"))
     if not any(v.kind in ("missing-faces", "dangling-face", "face-arity") for v in out):
         # Every square's faces are edges, so their words are read by
         # position: first a column per face for all squares at once, then,
         # when lower and upper columns differ, square by square.
-        words = [*map(h.labels.get, P.cells(1))]
         flats = P.face_positions(2)
         sides = [[*map(words.__getitem__, col)] for col in zip(*flats)]
         for key, flat in zip(P.cells(2), flats if sides[:2] != sides[2:] else ()):

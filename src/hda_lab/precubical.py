@@ -188,13 +188,15 @@ class PrecubicalSet:
 
     def face_keys(self, cube: Cube) -> tuple[tuple[Key, ...], tuple[Key, ...]]:
         """The keys of d[0,1..n] and of d[1,1..n]: the cells themselves, or
-        the entry as given when its faces are not cells."""
+        the entry as given when its faces are not cells.  A vertex has none."""
         n, key = cube
         try:
             flat = self._faces[n][self._index[n][key]]
         except KeyError:
             flat = None
         if flat is None:
+            if not n and cube in self:
+                return self._unresolved.get(cube, ((), ()))
             return self._unresolved[cube]
         below = self._cells[n - 1]
         return tuple(map(below.__getitem__, flat[:n])), tuple(map(below.__getitem__, flat[n:]))

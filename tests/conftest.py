@@ -6,9 +6,11 @@ to an integer to move all suites onto a different (still reproducible)
 case stream.
 """
 
+import base64
 import json
 import os
 import random
+import struct
 from types import SimpleNamespace
 
 from hda_lab.models import directed_circle
@@ -102,12 +104,26 @@ def raw_faces(P):
     faces = {}
     for n in P.dims():
         for key in P.cells(n):
+            if not n and (n, key) not in P._unresolved:  # a vertex has no faces
+                continue
             try:
                 faces[(n, key)] = P.face_keys((n, key))
             except KeyError:  # a cell with no entry
                 pass
     faces.update((cube, pair) for cube, pair in P._unresolved.items() if cube not in P)
     return faces
+
+
+def pack_faces(positions):
+    """A "faces" text of the dims form: the positions as little-endian
+    unsigned 32-bit integers, in base64."""
+    return base64.b64encode(struct.pack(f"<{len(positions)}I", *positions)).decode("ascii")
+
+
+def unpack_faces(text):
+    """The positions of a "faces" text, as a list."""
+    raw = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(raw) // 4}I", raw))
 
 
 def records(doc):
@@ -120,7 +136,7 @@ def records(doc):
         return doc
     cubes = []
     for n, entry in enumerate(doc["dims"]):
-        flat, words = entry["faces"], entry.get("labels")
+        flat, words = unpack_faces(entry["faces"]), entry.get("labels")
         for k, rid in enumerate(entry["ids"]):
             faces = flat[2 * n * k : 2 * n * (k + 1)]
             cubes.append({"id": rid, "dim": n, "d0": faces[:n], "d1": faces[n:]})
@@ -166,7 +182,7 @@ def dims_form(doc):
             if len(entry["d0"]) != n or len(entry["d1"]) != n or not set(refs) <= below.keys():
                 return None
             faces += [below[ref] for ref in refs]
-        dims.append({"ids": [entry["id"] for entry in entries], "faces": faces})
+        dims.append({"ids": [entry["id"] for entry in entries], "faces": pack_faces(faces)})
         labeled = ["label" in entry for entry in entries]
         if any(labeled):
             if not all(labeled):

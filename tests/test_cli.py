@@ -1,3 +1,4 @@
+import base64
 import gc
 import importlib
 import importlib.util
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import re
+import string
 import sys
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from hda_lab.labeling import degree_monomials, label_to_column, labeled_degree
 from hda_lab.models import peterson
 from hda_lab.programs import program_to_hda, program_to_json
 
-from conftest import id_form, records
+from conftest import id_form, pack_faces, records, unpack_faces
 from test_dimap import subdivision_dimap
 from test_fileformats import _drop, _set
 
@@ -681,7 +683,7 @@ def test_an_over_long_integer_literal_exits_one_naming_the_file(
     big = "9" * (limit + 1)
     klein = tmp_path / "klein.json"
     assert run(["model", "klein", "--out", str(klein)]) == 0
-    klein.write_text(klein.read_text().replace('"faces": []', f'"faces": [{big}]', 1))
+    klein.write_text(f'{{"big": {big}, ' + klein.read_text()[1:])
     names = {"f": klein, "w": workdir, "d": dimap_dir, "c": f'{{"degree": {big}}}'}
     names["cf"] = tmp_path / "chain.json"
     names["cf"].write_text(names["c"])
@@ -818,26 +820,23 @@ def test_analyses_give_the_same_bytes_from_the_previous_indented_layout(
         assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize(
-    "face,message",
-    [
-        (True, "face positions must be non-negative integers"),
-        (0.0, "face positions must be non-negative integers"),
-        (-1, "face positions must be non-negative integers"),
-        ("v", "face positions must be non-negative integers"),
-    ],
-)
+# The refusal of a "faces" list of integers, as the writer before the packed
+# form made them, whatever its elements.
+REWRITE = "a list of positions, as an earlier writer made; run 'model' or 'tensor' again to write this file"
+
+
+@pytest.mark.parametrize("face", [True, 0.0, -1, "v"])
 @pytest.mark.parametrize("command", ["validate", "homology", "labels"])
-def test_a_malformed_position_exits_one_naming_the_file(
-    face, message, command, workdir, tmp_path, capsys
-):
+def test_a_malformed_position_exits_one_naming_the_file(face, command, workdir, tmp_path, capsys):
     doc = json.loads((workdir / "lock_spec.json").read_text())
-    doc["dims"][-1]["faces"][-1] = face
+    last = doc["dims"][-1]
+    last["faces"] = unpack_faces(last["faces"])
+    last["faces"][-1] = face
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run([command, str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"hda-lab: {path}: hda.dims[{len(doc['dims']) - 1}].faces: {message}\n"
+    assert captured.err == f"hda-lab: {path}: hda.dims[{len(doc['dims']) - 1}].faces: {REWRITE}\n"
     assert captured.out == ""
 
 
@@ -872,8 +871,35 @@ def test_ids_and_positions_in_one_file_exit_one(workdir, tmp_path, capsys):
         assert captured.out == ""
 
 
+def _faces(n, change, pack=pack_faces):
+    """An edit that makes ``change`` to the positions of dims[n], as a list,
+    and writes them back packed, or as ``pack`` gives them."""
+    def edit(doc):
+        flat = unpack_faces(doc["dims"][n]["faces"])
+        change(flat)
+        doc["dims"][n]["faces"] = pack(flat)
+    return edit
+
+
+def _text(n, change):
+    """An edit that makes ``change`` to the "faces" text of dims[n]."""
+    def edit(doc):
+        doc["dims"][n]["faces"] = change(doc["dims"][n]["faces"])
+    return edit
+
+
+def _noncanonical(text):
+    """The text with the unused low bits of its last character set: the same
+    bytes when decoded, but not the text the writer makes."""
+    digits = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    assert text.endswith("=") and not text.endswith("==")
+    return text[:-2] + digits[digits.index(text[-2]) | 1] + "="
+
+
+NOT_BASE64 = "hda.dims[1].faces: expected canonical base64 text"
+
 # Each refused with exit 1 and one line; lock_spec.json has three vertices
-# and four one-letter edges.
+# and four one-letter edges, so dims[1] holds 8 positions, 32 bytes.
 DIMS_REFUSALS = {
     "extra-key": (_set(["dims", 0, "note"], "x"), "hda.dims[0]: unexpected field 'note'"),
     "missing-key": (_drop(["dims", 1, "faces"]), "hda.dims[1]: missing field 'faces'"),
@@ -884,23 +910,41 @@ DIMS_REFUSALS = {
     "int-id": (_set(["dims", 0, "ids", 2], 2), "hda.dims[0].ids: ids must be strings"),
     "repeated-id": (_set(["dims", 0, "ids", 2], "v"), "hda.dims[0].ids: repeated id 'v'"),
     "short-faces": (
-        _drop(["dims", 1, "faces", 7]),
+        _faces(1, lambda flat: flat.pop(7)),
         "hda.dims[1].faces: expected 2 positions per cell, got 7 for 4 cells",
     ),
     "vertex-faces": (
-        _set(["dims", 0, "faces"], [0] * 6),
+        _set(["dims", 0, "faces"], pack_faces([0] * 6)),
         "hda.dims[0].faces: expected 0 positions per cell, got 6 for 3 cells",
     ),
+    # Positions in a list of integers, whatever the list holds.
     **{
         f"{name}-face": (
-            _set(["dims", 1, "faces", 5], face),
-            "hda.dims[1].faces: face positions must be non-negative integers",
+            _faces(1, lambda flat, face=face: flat.__setitem__(5, face), pack=list),
+            f"hda.dims[1].faces: {REWRITE}",
         )
         for name, face in (("bool", True), ("float", 1.0), ("negative", -1), ("string", "v"))
     },
+    "integer-list": (_faces(1, lambda flat: None, pack=list), f"hda.dims[1].faces: {REWRITE}"),
+    "number": (_set(["dims", 1, "faces"], 5), "hda.dims[1].faces: expected str"),
+    # The one text the writer makes, and nothing else that decodes.
+    "non-base64-character": (_text(1, lambda t: t[:4] + "*" + t[4:]), NOT_BASE64),
+    "non-ascii-character": (_text(1, lambda t: t[:4] + "\u00e9" + t[4:]), NOT_BASE64),
+    "bad-padding": (_text(1, lambda t: t.rstrip("=")), NOT_BASE64),
+    "newline": (_text(1, lambda t: t[:8] + "\n" + t[8:]), NOT_BASE64),
+    "trailing-newline": (_text(1, lambda t: t + "\n"), NOT_BASE64),
+    "non-canonical": (_text(1, _noncanonical), NOT_BASE64),
+    "ragged-bytes": (
+        _text(1, lambda t: base64.b64encode(base64.b64decode(t)[:-2]).decode()),
+        "hda.dims[1].faces: 30 bytes are not whole 4-byte positions",
+    ),
     "past-the-end": (
-        _set(["dims", 1, "faces", 5], 3),
+        _faces(1, lambda flat: flat.__setitem__(5, 3)),
         "hda.dims[1].faces: position 3 is past the end of dimension 0",
+    ),
+    "far-past-the-end": (
+        _faces(1, lambda flat: flat.__setitem__(0, 2**32 - 1)),
+        f"hda.dims[1].faces: position {2**32 - 1} is past the end of dimension 0",
     ),
     "missing-word": (
         _drop(["dims", 1, "labels", 3]),
@@ -938,7 +982,7 @@ def test_a_malformed_dims_entry_exits_one_naming_the_file(case, workdir, tmp_pat
 DIMS_SEMANTIC_DEFECTS = {
     "unlabeled-edge": _drop(["dims", 1, "labels"]),
     "unknown-letter": _set(["dims", 1, "labels"], [["zz"], ["zz"], ["a1"], ["a2"]]),
-    "cubical-identity": _set(["dims", 1, "faces", 0], 1),
+    "cubical-identity": _faces(1, lambda flat: flat.__setitem__(0, 1)),
     "square-condition": _set(["dims", 1, "labels", 0], ["a1"]),
     "initial-not-in-complex": lambda doc: doc.update(initial=["nowhere"]),
 }

@@ -97,7 +97,7 @@ def oracle(prog, seen=None):
                 tail = "".join(tags[:j] + tags[j + 1 :])
                 d0.append(state_key(base) + tail)
                 d1.append(state_key(reached[frozenset([i])][0]) + tail)
-            cells.setdefault(n, {})[key] = (tuple(d0), tuple(d1)) if n else None
+            cells.setdefault(n, {})[key] = (tuple(d0), tuple(d1))
             if n == 1:
                 labels[key] = (moves[order[0]][1].action,)
     marks = frozenset((0, state_key(s)) for s in starts)
@@ -108,7 +108,7 @@ def compiled(prog):
     h = program_to_hda(prog)
     P = h.complex
     cells = {
-        n: {key: P.face_keys((n, key)) if n else None for key in P.cells(n)} for n in P.dims()
+        n: {key: P.face_keys((n, key)) for key in P.cells(n)} for n in P.dims()
     }
     assert h.initial == h.final
     return cells, h.labels, h.initial

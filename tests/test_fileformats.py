@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import traceback
 
 import pytest
@@ -38,7 +39,7 @@ from hda_lab.models import (
 from hda_lab.products import tensor_hda
 from hda_lab.programs import program_from_json, program_to_hda, program_to_json
 
-from conftest import dims_form, id_form, records
+from conftest import dims_form, id_form, pack_faces, records, unpack_faces
 from test_dimap import subdivision_dimap, transposition_dimap
 
 
@@ -199,7 +200,7 @@ def _adversarial_docs():
             for name, change in {
                 "as-written": lambda d: None,
                 "bool-faces": lambda d: d[1].update(faces=[True, False] * 4),
-                "float-face": lambda d: d[2]["faces"].__setitem__(0, 1.5),
+                "float-face": lambda d: d[2].update(faces=[1.5, *unpack_faces(d[2]["faces"])[1:]]),
                 "big-ints": lambda d: d[1].update(faces=[10**30, -(10**40), 0, 2**63, -1]),
                 "int-and-str": lambda d: d[1].update(faces=[1, "a", 2]),
                 "empty-lists": lambda d: d.append({"ids": [], "faces": [], "labels": []}),
@@ -568,7 +569,7 @@ def test_canonical_files_are_read_a_dimension_at_a_time(tmp_path, monkeypatch):
         path = tmp_path / f"{name}.json"
         save_hda(h, str(path))
         doc = json.loads(path.read_text())
-        assert "cubes" not in doc and {type(ref) for e in doc["dims"] for ref in e["faces"]} <= {int}, name
+        assert "cubes" not in doc and {type(e["faces"]) for e in doc["dims"]} == {str}, name
         with monkeypatch.context() as m:
             m.setattr(ff, "_read_by_entry", entry_by_entry)
             again = load_hda(str(path))
@@ -993,3 +994,104 @@ def test_a_dims_file_in_the_previous_indented_layout_loads_to_the_same_model(tmp
         assert again.read_bytes() == path.read_bytes()
         read += 1
     assert read > 60, read
+
+
+# -- packed face positions ---------------------------------------------------------
+
+# The faces of each fixture file as the writer before the packed form wrote
+# them, one integer list per dimension.
+FIXTURE_POSITIONS = {
+    "peterson": [
+        [],
+        [0, 11, 0, 2, 1, 13, 1, 0, 2, 14, 3, 6, 3, 15, 4, 8, 4, 16, 5, 8, 5, 16, 6, 4, 6, 17,
+         7, 5, 7, 17, 8, 19, 9, 3, 9, 12, 10, 4, 10, 14, 11, 5, 11, 14, 12, 6, 12, 10, 13, 7,
+         13, 11, 14, 8, 14, 9, 15, 17, 16, 18, 17, 16, 17, 1, 18, 2, 19, 15],
+        [1, 0, 21, 4, 3, 2, 25, 0, 5, 6, 28, 12, 11, 12, 30, 8, 13, 14, 30, 10, 17, 16, 5, 22,
+         19, 18, 7, 26, 21, 20, 9, 26, 23, 22, 11, 18, 25, 24, 13, 20],
+    ],
+    "lock-counter": [
+        [],
+        [0, 2, 0, 1, 1, 0, 1, 3, 2, 0, 2, 3, 3, 1, 3, 2],
+        [1, 0, 5, 3, 2, 3, 7, 0, 5, 4, 1, 6, 7, 6, 2, 4],
+    ],
+    "lock-spec": [[], [0, 1, 0, 2, 1, 0, 2, 0]],
+    "torus": [[], [0, 0, 1, 1, 0, 1, 0, 1], [0, 2, 1, 2, 0, 3, 1, 3]],
+    "klein": [[], [1, 1, 0, 1, 0, 1, 0, 0], [3, 1, 0, 2, 3, 2, 0, 1]],
+    "boundary-square": [[], [0, 2, 0, 1, 2, 3, 1, 3]],
+    "filled-square": [[], [0, 2, 0, 1, 2, 3, 1, 3], [1, 0, 2, 3]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_POSITIONS))
+def test_fixture_files_hold_the_positions_of_the_integer_lists(name, tmp_path):
+    from hda_lab.cli import main
+
+    path = tmp_path / f"{name}.json"
+    assert main(["model", name, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    assert [unpack_faces(entry["faces"]) for entry in doc["dims"]] == FIXTURE_POSITIONS[name]
+    assert [entry["faces"] for entry in doc["dims"]] == [
+        pack_faces(flat) for flat in FIXTURE_POSITIONS[name]
+    ]
+
+
+def test_the_lock_spec_faces_text_is_pinned():
+    # Little-endian 32-bit positions, whatever the byte order of the host.
+    doc = hda_to_json(lock_spec())
+    assert [entry["faces"] for entry in doc["dims"]] == [
+        "",
+        "AAAAAAEAAAAAAAAAAgAAAAEAAAAAAAAAAgAAAAAAAAA=",
+    ]
+
+
+def test_a_position_past_32_bits_is_refused_naming_the_dimension():
+    from hda_lab.fileformats import _pack_positions
+
+    assert _pack_positions([2**32 - 1], 3) == pack_faces([2**32 - 1])
+    with pytest.raises(FileFormatError, match=r"^dimension 3: a face position is past 4294967295$"):
+        _pack_positions([0, 2**32], 3)
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    return hypothesis, hypothesis.strategies
+
+
+def test_packed_positions_round_trip():
+    from hda_lab.fileformats import _unpack_positions, _pack_positions
+
+    hypothesis, st = _hypothesis()
+
+    @hypothesis.settings(database=None, derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
+    def check(flat):
+        text = _pack_positions(flat, 1)
+        assert text == pack_faces(flat)
+        assert list(_unpack_positions(text, "hda.dims[1]")) == flat
+
+    check()
+
+
+def test_written_positions_come_back_identical_on_load():
+    from conftest import random_circle, random_torus
+
+    hypothesis, st = _hypothesis()
+
+    @hypothesis.settings(database=None, derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(0, 2**64), st.sampled_from([random_circle, random_torus]))
+    def check(seed, build):
+        h = build(random.Random(seed))
+        doc = hda_to_json(h)
+        again = hda_from_json(json.loads(canonical_json(doc)))
+        Q = again.complex
+        for n, entry in enumerate(doc["dims"]):
+            stored = [pos for flat in Q.face_positions(n) for pos in flat]
+            assert unpack_faces(entry["faces"]) == stored
+            for key in h.complex.cells(n):
+                d0, d1 = h.complex.face_keys((n, key))
+                assert Q.face_keys((n, render_id(key))) == (
+                    tuple(map(render_id, d0)), tuple(map(render_id, d1))
+                )
+        assert canonical_json(hda_to_json(again)) == canonical_json(doc)
+
+    check()

@@ -762,6 +762,19 @@ def test_face_lists_are_stored_as_tuples():
     assert faces[(1, "a")] == (["u"], ["v"])  # the caller's lists are not touched
 
 
+def test_a_vertex_has_no_face_keys():
+    from hda_lab.models import torus_hda
+
+    P = torus_hda().complex
+    assert P.cells(0)
+    for key in P.cells(0):
+        assert P.face_keys((0, key)) == ((), ())
+        with pytest.raises(IndexError, match="out of range for dimension 0"):
+            P.face((0, key), 0, 1)
+    with pytest.raises(KeyError):
+        P.face_keys((0, "nowhere"))
+
+
 # -- the position store against a key-based reference -------------------------------
 
 
@@ -773,6 +786,8 @@ class KeyFaces:
         self.faces = {cube: (tuple(d0), tuple(d1)) for cube, (d0, d1) in faces.items()}
 
     def face_keys(self, cube):
+        if not cube[0]:  # a vertex has no faces, unless it was given some
+            return self.faces.get(cube, ((), ()))
         return self.faces[cube]
 
     def face(self, cube, k, i):

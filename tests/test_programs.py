@@ -412,32 +412,32 @@ def _golden_programs():
 # shows in the last two; a change to the file's layout alone, in the first.
 GOLDEN_COMPILES = {
     "peterson": (
-        "d8c089d047016ec0446f44104b0a9bdce384b90a134d324d7912c973cb1832e7",
+        "ae7ffc02c98760f8bd72606cb4abbdfb56455425878f1ad036edda50b33cbcef",
         "cb6cc446b81cd8d9973d898923d4e8fc69ac065f20d1f4498480377de9252e17",
         "54682504c0b0ad0659361c3717b6691337a0f37a7b11a95cc400bcb946c60e72",
     ),
     "lock_counter": (
-        "fdf9dd8d79dca19c972d5d5d2a2f160fc1dc0a62f30b213d07fcf268862aff29",
+        "78454ecc9120d1d8afcc320340f4cb36d327296a61f77a37158608aed53eb93b",
         "b767ed6d9caaaa78a713cb4401f21179990189dd6bc3764ddbf3f06d1ab992bf",
         "fbede37560cf8ded5b913dc6157c007443f24892f06a3f414511c066d95ed185",
     ),
     "philosophers4": (
-        "8955b13bd2e0aff4eef07322e2e685ec5c3802833173060723e1d7413c4ac759",
+        "61324f763f2e81d5de921e95601e34b0cc49201e3bac6776e5a5690f8b1ad52f",
         "c35ab4d13ae36e334940ad34e603a18faca0e31ec94a3bf1830fd37f6fa8c6c0",
         "5be9b87ed41de8cd8b7098392eac4b11a2e050fed7a0ee54310c227f8f548082",
     ),
     "butler4": (
-        "0838d424210a05adda6bb1213c07447715d1b594d729d13fc8a6f70bb5e50fbf",
+        "ae3622b8d3c765ad19fae738bae45f1e2cd9a78d6b08df57c9edd6c7960a132e",
         "de9d49bf65b6b2b09b528648a960c52943a95dd0ddcef4660b3c4def80ab0b3d",
         "a2f9f3f23493a893dfff2710638c9145fd3bb6d0328d283378f516848717ec27",
     ),
     "philosophers5": (
-        "b4bd9dc3c9e7a50edd7c5cd07af11d50b15649cc8fc2e47f0b65b4a9fbed1fa3",
+        "c8c7c90b7dd468d5b4cc53de1fa903e34642523e1df0e04c872905659c00d9f2",
         "314ac693b2faff8c26ca540f4748ef88ccfd540895543662017ae251d5040291",
         "e6014fba632b5f3e118e7da4268fa94f2f2fe5ae94c0b283219a20e265842fc8",
     ),
     "butler5": (
-        "e1db297a4fa28081a172394a65ebdf232addaae4ffcc44e2c5ae3e16a505c415",
+        "7a3a57c70f2a25e8b7812aa550bba297553c79c11440e6db09d6e39635e00346",
         "43e0abc87e1167c91618460f9ad563d88632117615a30e7320dec096c0fa12fe",
         "b6855651c5cde78a1016d7d2d70a58ddb9ad1f57cc711a02fc7c53857771aedf",
     ),
