@@ -10,7 +10,8 @@ computed from Smith normal forms that carry full change-of-basis certificates
 multiplying the sparse factors, and the test suite does so.  Over a prime field
 column elimination is used instead: bitsets for GF(2) homology, and one
 sparse echelon (``FpEchelon``) for the homology over the other primes and for
-label images and membership over every prime.
+label images and membership over every prime.  ``lattice_membership`` and
+``nonmembership_certificate`` are two reads of one solver per ring, ``_solve``.
 
 Field homology runs in one pass per complex, from the top degree down.
 Each boundary d_n is assembled once and reduced once, and the reduction
@@ -615,11 +616,6 @@ def _sub_mod(dst: Line, src: Line, c: int, p: int) -> None:
             del dst[k]
 
 
-def mod_line(vec: Iterable[int], p: int) -> Line:
-    """A dense integer vector reduced mod p, as a sparse line."""
-    return {i: x % p for i, x in enumerate(vec) if x % p}
-
-
 # -- homology over a prime field ------------------------------------------------
 
 
@@ -703,26 +699,51 @@ def all_homology(P: PrecubicalSet, ring: CoefficientRing = ZZ) -> dict[int, Homo
 # -- membership in a spanned sublattice / subspace -----------------------------
 
 
-def _integer_scan(vectors: Sequence[Sequence[int]], target: Sequence[int], ring: CoefficientRing):
-    """Check the vector lengths; over Z, also look for an obstruction.
+def _solve(
+    vectors: Sequence[Sequence[int]], target: Sequence[int], ring: CoefficientRing
+) -> tuple[list[int] | None, tuple[list[int], int] | None]:
+    """Solve sum_j x_j * vectors[j] == target, or prove that no x does.
 
-    Over Z: the Smith form U M V = D of the generators, y = U * target, and
-    the first (i, d_i) with y_i not a multiple of d_i (0 past the rank), or
-    None when the target is in the lattice.  Over a field: None.
+    Returns (x, None) for a target in the span (over Z: the lattice), else
+    (None, (phi, modulus)).  Over Z, with U M V = D the generators' Smith
+    form and y = U * target, the first y_i that d_i does not divide (0 past
+    the rank) gives phi = row i of U modulo d_i; if there is none, x is
+    V * (y / D).  Over a prime field, one echelon of the reversed vectors,
+    recording combinations, has the pivots of the reduced row echelon form.
+    A zero residue of the target leaves -x in the combination; otherwise
+    phi is 1 at the residue's first nonzero and 0 off the pivots, and
+    killing each echelon vector, lowest pivot first, fixes phi at its pivot.
     """
-    m = len(target)
-    for v in vectors:
-        if len(v) != m:
-            raise ValueError("vector length mismatch")
-    if ring.characteristic:
-        return None
-    snf = smith_normal_form(_sparse(vectors), m)
-    y = [sum(x * target[k] for k, x in row.items()) for row in snf.u_rows]
-    for i in range(m):
-        d = snf.diagonal[i] if i < snf.rank else 0
-        if (y[i] % d) if d else y[i]:
-            return snf, y, (i, d)
-    return snf, y, None
+    m, k, p = len(target), len(vectors), ring.characteristic
+    if any(len(v) != m for v in vectors):
+        raise ValueError("vector length mismatch")
+    if p == 0:
+        snf = smith_normal_form(_sparse(vectors), m)
+        y = [sum(x * target[c] for c, x in row.items()) for row in snf.u_rows]
+        for i in range(m):
+            d = snf.diagonal[i] if i < snf.rank else 0
+            if (y[i] % d) if d else y[i]:
+                return None, ([snf.u_rows[i].get(c, 0) for c in range(m)], d)
+        x: Line = {}
+        for j, d in enumerate(snf.diagonal):
+            _axpy(x, snf.v_cols[j], y[j] // d)
+        return [x.get(t, 0) for t in range(k)], None
+
+    def flip(vec: Sequence[int]) -> Line:
+        return {i: x % p for i, x in enumerate(reversed(vec)) if x % p}
+
+    ech = FpEchelon(p)
+    for j, vec in enumerate(vectors):
+        ech.add(flip(vec), {j: 1})
+    residue, combo = ech.reduce(flip(target), {})
+    if not residue:
+        return [-combo.get(j, 0) % p for j in range(k)], None
+    phi = {max(residue): 1}
+    for q in sorted(ech.pivots):
+        s = sum(phi.get(i, 0) * x for i, x in ech.pivots[q].items())
+        if s % p:
+            phi[q] = -s % p
+    return None, ([phi.get(i, 0) for i in range(m - 1, -1, -1)], p)
 
 
 def lattice_membership(
@@ -733,34 +754,14 @@ def lattice_membership(
     """Solve sum_j x_j * vectors[j] == target over the ring.
 
     Returns the coefficient list on success, None when the target is outside
-    the span (over Z: outside the lattice the vectors generate).  The witness
-    is verified before being returned.
+    the span (over Z: outside the lattice the vectors generate).  The
+    witness is the first read of ``_solve``, verified before being returned.
     """
-    k = len(vectors)
-    m = len(target)
-    scan = _integer_scan(vectors, target, ring)
-    if scan is None:
-        p = ring.characteristic
-        ech = FpEchelon(p)
-        for j, vec in enumerate(vectors):
-            ech.add(mod_line(vec, p), {j: 1})
-        residue, coeffs = ech.reduce(mod_line(target, p), {})
-        if residue:
-            return None
-        x = [-coeffs.get(j, 0) % p for j in range(k)]
-    else:
-        snf, y, bad = scan
-        if bad is not None:
-            return None
-        x = [0] * k
-        for j, d in enumerate(snf.diagonal):
-            for t, c in snf.v_cols[j].items():
-                x[t] += c * (y[j] // d)
-    # Confirm the witness before handing it out.
-    for i in range(m):
-        acc = sum(x[j] * vectors[j][i] for j in range(k))
-        if ring.normalize(acc - target[i]) != 0:
-            raise AssertionError("membership witness failed verification")
+    x = _solve(vectors, target, ring)[0]
+    if x is not None:
+        for i, t in enumerate(target):
+            if ring.normalize(sum(c * v[i] for c, v in zip(x, vectors)) - t):
+                raise AssertionError("membership witness failed verification")
     return x
 
 
@@ -773,38 +774,11 @@ def nonmembership_certificate(
 
     Returns (phi, modulus) with phi . v == 0 (mod modulus) for every
     generator v and phi . target != 0 (mod modulus); modulus 0 means exact
-    integer equality.  Returns None when the target is inside, so between
-    this and ``lattice_membership`` both answers come with checkable
-    evidence.  Over Z the functional is a row of the unimodular U from the
-    Smith decomposition of the generator matrix and the modulus is the
-    matching invariant factor (or 0 past the rank); over a prime field it is
-    solved from an ``FpEchelon`` of the generators.
+    integer equality.  Returns None when the target is inside.  It is the
+    second read of ``_solve`` and ``lattice_membership`` the first, so
+    either answer comes with checkable evidence.
     """
-    m = len(target)
-    scan = _integer_scan(vectors, target, ring)
-    if scan is None:
-        # Reversed, the echelon has the pivots of the reduced row echelon
-        # form, so the residue is the target reduced against that form.  phi
-        # is 1 at the residue's first nonzero and 0 off the pivots; killing
-        # each echelon vector, lowest pivot first, fixes phi at its pivot.
-        p = ring.characteristic
-        ech = FpEchelon(p)
-        for vec in vectors:
-            ech.add(mod_line(reversed(vec), p))
-        residue, _ = ech.reduce(mod_line(reversed(target), p))
-        if not residue:
-            return None
-        phi = {max(residue): 1}
-        for q in sorted(ech.pivots):
-            s = sum(phi.get(k, 0) * x for k, x in ech.pivots[q].items())
-            if s % p:
-                phi[q] = -s % p
-        return [phi.get(i, 0) for i in range(m - 1, -1, -1)], p
-    snf, _, bad = scan
-    if bad is None:
-        return None
-    i, d = bad
-    return [snf.u_rows[i].get(c, 0) for c in range(m)], d
+    return _solve(vectors, target, ring)[1]
 
 
 def verify_nonmembership(
@@ -812,13 +786,13 @@ def verify_nonmembership(
     target: Sequence[int],
     certificate: tuple[Sequence[int], int],
 ) -> bool:
-    """Recheck a nonmembership certificate by plain dot products."""
+    """Recheck a nonmembership certificate by its length and plain dot products."""
     phi, modulus = certificate
 
     def dot(v: Sequence[int]) -> int:
         s = sum(a * b for a, b in zip(phi, v))
         return s % modulus if modulus else s
 
-    if any(dot(v) for v in vectors):
+    if any(len(v) != len(phi) or dot(v) for v in vectors):
         return False
-    return dot(target) != 0
+    return len(target) == len(phi) and dot(target) != 0

@@ -577,12 +577,10 @@ def test_nonmembership_certificates_basic():
     assert cert is not None and verify_nonmembership([], [5, 2], cert)
 
 
-def test_membership_and_certificate_are_complementary():
-    from hda_lab.homology import nonmembership_certificate, verify_nonmembership
-
+def membership_stream():
+    """400 seeded (trial, vectors, target) queries, about half of them members."""
     rng = random.Random(90125)
     for trial in range(400):
-        ring = [ZZ, GF2, GF5][trial % 3]
         m = rng.randint(1, 6)
         k = rng.randint(0, 4)
         vectors = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
@@ -593,6 +591,14 @@ def test_membership_and_certificate_are_complementary():
                 target = [a + c * b for a, b in zip(target, v)]
         else:
             target = [rng.randint(-4, 4) for _ in range(m)]
+        yield trial, vectors, target
+
+
+def test_membership_and_certificate_are_complementary():
+    from hda_lab.homology import nonmembership_certificate, verify_nonmembership
+
+    for trial, vectors, target in membership_stream():
+        ring = [ZZ, GF2, GF5][trial % 3]
         member = lattice_membership(vectors, target, ring)
         cert = nonmembership_certificate(vectors, target, ring)
         assert (member is None) != (cert is None), (vectors, target, ring)
@@ -607,6 +613,94 @@ def test_membership_and_certificate_are_complementary():
             assert (s % mod != 0) if mod else s != 0
         if cert is not None and ring.characteristic:
             assert cert[1] == ring.characteristic
+
+
+# sha256 of repr() of the list of certificates over GF(2), GF(3) and GF(5),
+# in that order for each query of ``membership_stream``; 465 of the 1200
+# are not None.
+FIELD_CERTIFICATES = "672b964dc694606f189d0936b0f183b8c0fd681bf089e0b7dd1092ab0bf4619b"
+
+
+def test_field_certificates_are_pinned():
+    from hashlib import sha256
+
+    from hda_lab.homology import nonmembership_certificate
+
+    certs = [
+        nonmembership_certificate(vectors, target, CoefficientRing(p))
+        for _, vectors, target in membership_stream()
+        for p in (2, 3, 5)
+    ]
+    assert sum(c is not None for c in certs) == 465
+    assert sha256(repr(certs).encode()).hexdigest() == FIELD_CERTIFICATES
+
+
+def test_field_witness_is_the_unique_solution_on_independent_bases():
+    from itertools import product
+
+    rng = random.Random(2718)
+    checked = 0
+    for trial in range(300):
+        p = (2, 3, 5)[trial % 3]
+        k, m = rng.randint(1, 3), rng.randint(1, 5)
+        vectors = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+
+        def combine(x):
+            return tuple(sum(c * v[i] for c, v in zip(x, vectors)) % p for i in range(m))
+
+        images = {combine(x): list(x) for x in product(range(p), repeat=k)}
+        if len(images) < p**k:
+            continue  # dependent: some target has several solutions
+        checked += 1
+        ring = CoefficientRing(p)
+        member = rng.choice(sorted(images))
+        assert lattice_membership(vectors, list(member), ring) == images[member]
+        outside = [rng.randrange(p) for _ in range(m)]
+        got = lattice_membership(vectors, outside, ring)
+        assert got == images.get(tuple(outside)), (vectors, outside, p)
+    assert checked > 100
+
+
+def test_membership_edge_cases_over_every_ring():
+    from hda_lab.homology import nonmembership_certificate, verify_nonmembership
+
+    cases = [
+        ([], []),
+        ([[0, 0, 0]], [0, 0, 0]),
+        ([[0, 0, 0]], [0, 1, 0]),
+        ([[0, 0, 0], [1, 2, 0]], [2, 4, 0]),
+        ([[0, 0, 0], [1, 2, 0]], [1, 0, 0]),
+        ([[1, 2, 0], [1, 2, 0]], [3, 6, 0]),
+        ([[1, 2, 0], [1, 2, 0]], [0, 0, 1]),
+        ([[2, 4, 0], [2, 4, 0]], [1, 2, 0]),
+    ]
+    for ring in (ZZ, GF2, CoefficientRing(3), GF5):
+        assert lattice_membership([], [], ring) == []
+        assert nonmembership_certificate([], [], ring) is None
+        for vectors, target in cases:
+            x = lattice_membership(vectors, target, ring)
+            cert = nonmembership_certificate(vectors, target, ring)
+            assert (x is None) != (cert is None), (vectors, target, ring)
+            if x is not None:
+                assert len(x) == len(vectors)
+                for i, t in enumerate(target):
+                    assert ring.normalize(sum(c * v[i] for c, v in zip(x, vectors)) - t) == 0
+            else:
+                assert verify_nonmembership(vectors, target, cert), (vectors, target, ring)
+    # (1, 2, 0) is a multiple of (2, 4, 0) only where 2 is a unit.
+    assert lattice_membership([[2, 4, 0], [2, 4, 0]], [1, 2, 0], ZZ) is None
+    assert lattice_membership([[2, 4, 0], [2, 4, 0]], [1, 2, 0], GF5) is not None
+
+
+def test_verify_nonmembership_refuses_a_functional_of_the_wrong_length():
+    from hda_lab.homology import verify_nonmembership
+
+    assert verify_nonmembership([[1, 0]], [0, 1], ([0, 1], 0))
+    assert not verify_nonmembership([[1, 0]], [0, 1], ([0, 1, 5], 0))
+    assert not verify_nonmembership([[1, 0]], [0, 1], ([0], 0))
+    assert not verify_nonmembership([], [0, 1], ([0, 1, 5], 0))
+    assert not verify_nonmembership([[1, 0, 0]], [0, 1], ([0, 1], 0))
+    assert not verify_nonmembership([[1, 0]], [0, 1, 0], ([0, 1], 3))
 
 
 # -- field homology against the per-degree reduction ------------------------------
