@@ -309,24 +309,15 @@ def validate_dimap(f: ElementaryDimap) -> list[Violation]:
 
 def pushforward_cube(f: ElementaryDimap, cube: Cube, ring: CoefficientRing = ZZ) -> Chain:
     """The chain image of one cube: signed sum of its grid's top cells."""
-    n = cube[0]
-    if n == 0:
+    if cube[0] == 0:
         return {f.vertex_map[cube]: 1}
     cm = f.cube_maps[cube]
     sign = perm_sign(cm.axis_perm)
-    out: Chain = {}
-    for top in grid_top_cells(cm.shape):
-        img = cm.flat[top]
-        out[img] = out.get(img, 0) + sign
-    return {c: v for c, v in ((c, ring.normalize(x)) for c, x in out.items()) if v}
+    return ring.combine(({cm.flat[top]: 1}, sign) for top in grid_top_cells(cm.shape))
 
 
 def pushforward_chain(f: ElementaryDimap, chain: Chain, ring: CoefficientRing = ZZ) -> Chain:
-    out: Chain = {}
-    for cube, c in chain.items():
-        for img, x in pushforward_cube(f, cube, ring).items():
-            out[img] = out.get(img, 0) + c * x
-    return {c: v for c, v in ((c, ring.normalize(x)) for c, x in out.items()) if v}
+    return ring.combine((pushforward_cube(f, cube, ring), c) for cube, c in chain.items())
 
 
 def path_image(f: ElementaryDimap, path: Path) -> Path:

@@ -94,10 +94,6 @@ class ExteriorElement(Frozen):
         """The multiplicative unit 1, in degree 0."""
         return ExteriorElement(alphabet, ring, {(): 1})
 
-    @staticmethod
-    def letter(alphabet: Alphabet, a: str, ring: CoefficientRing = ZZ) -> "ExteriorElement":
-        return ExteriorElement(alphabet, ring, {(alphabet.index(a),): 1})
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -113,10 +109,8 @@ class ExteriorElement(Frozen):
 
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, 0) + c
-        return ExteriorElement(self.alphabet, self.ring, out)
+        terms = self.ring.combine(((self.terms, 1), (other.terms, 1)))
+        return ExteriorElement(self.alphabet, self.ring, terms)
 
     def __sub__(self, other: "ExteriorElement") -> "ExteriorElement":
         return self + (-other)
@@ -158,12 +152,11 @@ class ExteriorElement(Frozen):
         differently the basis tuples are re-sorted, and each swap flips the
         coefficient's sign, as wedge factors anticommute.
         """
-        mapping = {}
+        terms = {}
         for idx, c in self.terms.items():
             translated = [alphabet.index(self.alphabet.letters[i]) for i in idx]
-            new_idx = tuple(sorted(translated))
-            mapping[new_idx] = mapping.get(new_idx, 0) + perm_sign(translated) * c
-        return ExteriorElement(alphabet, self.ring, mapping)
+            terms[tuple(sorted(translated))] = perm_sign(translated) * c
+        return ExteriorElement(alphabet, self.ring, terms)
 
     # -- rendering ------------------------------------------------------------
 
@@ -203,8 +196,5 @@ def word_to_vector(
     the order of letters is forgotten, their counts are kept (mod p over a
     prime field).
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for a in word:
-        idx = (alphabet.index(a),)
-        counts[idx] = counts.get(idx, 0) + 1
-    return ExteriorElement(alphabet, ring, counts)
+    terms = ring.combine(({(alphabet.index(a),): 1}, 1) for a in word)
+    return ExteriorElement(alphabet, ring, terms)

@@ -22,11 +22,13 @@ echelon of d_{n+1} is then the image in the quotient for H_n.  The groups
 of every degree are kept per complex and field while the complex lives.
 
 Sparse vectors are dicts from index to nonzero entry (``Line``); lists of
-them are the one matrix format here and in ``labeling``.  Boundaries are
-assembled from the face positions the complex stores, as sparse signed
-columns (``boundary_columns``) or GF(2) bitsets.  The Smith normal form
-takes sparse columns and a row count, and keeps and rechecks its
-certificates sparse.  Dense lists remain at two edges: ``boundary_matrix``,
+them are the one matrix format here and in ``labeling``; chains are sparse
+vectors keyed by cube.  Outside the reductions and the boundary assembly, a
+linear combination of sparse vectors is one ``CoefficientRing.combine``.
+Boundaries are assembled from the face positions the complex stores, as
+sparse signed columns (``boundary_columns``) or GF(2) bitsets.  The Smith
+normal form takes sparse columns and a row count, and keeps and rechecks
+its certificates sparse.  Dense lists remain at two edges: ``boundary_matrix``,
 the dense view of a boundary; and the vectors of ``lattice_membership`` and
 ``nonmembership_certificate``, whose answers are rechecked by dot products.
 """
@@ -360,17 +362,13 @@ def boundary_matrix(P: PrecubicalSet, n: int, ring: CoefficientRing = ZZ) -> lis
 
 def chain_boundary(P: PrecubicalSet, chain: Chain, ring: CoefficientRing = ZZ) -> Chain:
     """Boundary of a chain given as {cube: coefficient}."""
-    out: Chain = {}
-    for cube, c in chain.items():
-        n = cube[0]
-        if n == 0 or not c:
-            continue
-        for i in range(1, n + 1):
-            sign = -1 if i % 2 else 1
-            for k, s in ((0, sign), (1, -sign)):
-                f = P.face(cube, k, i)
-                out[f] = out.get(f, 0) + s * c
-    return {cube: v for cube, v in ((c, ring.normalize(x)) for c, x in out.items()) if v}
+    # One term per face: a loop edge's two ends are the same vertex.
+    return ring.combine(
+        ({P.face(cube, k, i): 1}, (-1) ** (i + k) * c)
+        for cube, c in chain.items()
+        for i in range(1, cube[0] + 1)
+        for k in (0, 1)
+    )
 
 
 def chain_to_column(P: PrecubicalSet, n: int, chain: Chain) -> list[int]:
@@ -457,12 +455,8 @@ def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
     kdim = len(kernel_cols)
 
     # The boundaries of the (n+1)-cells in kernel coordinates.
-    q: list[Line] = []
-    for col in _transpose(_sparse(boundary_matrix(P, n + 1)), P.size(n + 1)):
-        acc: Line = {}
-        for i, c in col.items():
-            _axpy(acc, coords[i], c)
-        q.append(acc)
+    cols = _transpose(_sparse(boundary_matrix(P, n + 1)), P.size(n + 1))
+    q = [ZZ.combine((coords[i], c) for i, c in col.items()) for col in cols]
     snf_q = smith_normal_form(q, kdim)
 
     free_gens: list[Chain] = []
@@ -474,9 +468,7 @@ def _integer_homology(P: PrecubicalSet, n: int) -> HomologyGroup:
         d = diag[i] if i < len(diag) else 0
         if d == 1:
             continue
-        gen: Line = {}
-        for j, c in snf_q.u_inv_cols[i].items():
-            _axpy(gen, kernel_cols[j], c)
+        gen = ZZ.combine((kernel_cols[j], c) for j, c in snf_q.u_inv_cols[i].items())
         # Sign-normalized: the first nonzero coefficient in cell order is > 0.
         order = sorted(gen)
         sign = 1 if gen[order[0]] > 0 else -1
@@ -724,9 +716,7 @@ def _solve(
             d = snf.diagonal[i] if i < snf.rank else 0
             if (y[i] % d) if d else y[i]:
                 return None, ([snf.u_rows[i].get(c, 0) for c in range(m)], d)
-        x: Line = {}
-        for j, d in enumerate(snf.diagonal):
-            _axpy(x, snf.v_cols[j], y[j] // d)
+        x = ZZ.combine((snf.v_cols[j], y[j] // d) for j, d in enumerate(snf.diagonal))
         return [x.get(t, 0) for t in range(k)], None
 
     def flip(vec: Sequence[int]) -> Line:
@@ -759,9 +749,12 @@ def lattice_membership(
     """
     x = _solve(vectors, target, ring)[0]
     if x is not None:
-        for i, t in enumerate(target):
-            if ring.normalize(sum(c * v[i] for c, v in zip(x, vectors)) - t):
-                raise AssertionError("membership witness failed verification")
+        rest = list(target)
+        for c, v in zip(x, vectors):
+            if c:
+                rest = [t - c * e for t, e in zip(rest, v)]
+        if any(map(ring.normalize, rest)):
+            raise AssertionError("membership witness failed verification")
     return x
 
 

@@ -46,11 +46,8 @@ def label_cochain(h: Hda, cube: Cube, ring: CoefficientRing = ZZ) -> ExteriorEle
 
 def chain_label(h: Hda, chain: Chain, ring: CoefficientRing = ZZ) -> ExteriorElement:
     """Linear extension of the label cochain to chains."""
-    out: dict[tuple[int, ...], int] = {}
-    for cube, c in chain.items():
-        for idx, k in label_cochain(h, cube, ring).terms.items():
-            out[idx] = out.get(idx, 0) + c * k
-    return ExteriorElement(h.alphabet, ring, out)
+    terms = ring.combine((label_cochain(h, cube, ring).terms, c) for cube, c in chain.items())
+    return ExteriorElement(h.alphabet, ring, terms)
 
 
 def degree_monomials(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:
@@ -115,15 +112,6 @@ class DegreeLabelReport:
         return len(self.zero_label_classes)
 
 
-def _combine_chains(chains: Sequence[Chain], coeffs: Line, ring: CoefficientRing) -> Chain:
-    out: Chain = {}
-    for t in sorted(coeffs):
-        c = coeffs[t]
-        for cube, x in chains[t].items():
-            out[cube] = out.get(cube, 0) + c * x
-    return {cube: v for cube, v in ((k, ring.normalize(x)) for k, x in out.items()) if v}
-
-
 def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelReport:
     """Homology of degree n with labels, image basis and invisible classes."""
     group = homology(h.complex, n, ring)
@@ -153,17 +141,17 @@ def labeled_degree(h: Hda, n: int, ring: CoefficientRing = ZZ) -> DegreeLabelRep
             terms = {monomials[i]: d * c for i, c in sorted(line.items())}
             return ExteriorElement(h.alphabet, ring, terms)
 
+        # The kernel of the label map, as combinations of the free generators.
         if ring.characteristic == 0:
             snf = smith_normal_form(lines, len(monomials))
             image_basis = [label_of(u, d) for d, u in zip(snf.diagonal, snf.u_inv_cols)]
-            zero_classes = [_combine_chains(free_chains, v, ring) for v in snf.v_cols[snf.rank :]]
+            kernel = snf.v_cols[snf.rank :]
         else:
             ech = FpEchelon(ring.characteristic)
-            for j, line in enumerate(lines):
-                dep = ech.add(line, {j: 1})
-                if dep is not None:
-                    zero_classes.append(_combine_chains(free_chains, dep[1], ring))
+            deps = (ech.add(line, {j: 1}) for j, line in enumerate(lines))
+            kernel = [dep[1] for dep in deps if dep is not None]
             image_basis = [label_of(vec) for _, vec in sorted(ech.pivots.items())]
+        zero_classes = [ring.combine((free_chains[t], v[t]) for t in sorted(v)) for v in kernel]
     return DegreeLabelReport(n, ring, group, classes, image_basis, zero_classes)
 
 

@@ -277,7 +277,11 @@ def validate_precubical(P: PrecubicalSet) -> list[Violation]:
             dangling = False
             for k, keys in ((0, d0), (1, d1)):
                 for i, key in enumerate(keys, start=1):
-                    if key not in below:
+                    try:
+                        found = key in below
+                    except TypeError:  # an unhashable key names no cell
+                        found = False
+                    if not found:
                         out.append(
                             Violation(
                                 "dangling-face",

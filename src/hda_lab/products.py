@@ -54,12 +54,9 @@ def tensor_hda(A: Hda, B: Hda) -> Hda:
 
 def cross_chain(a: Chain, b: Chain, ring: CoefficientRing = ZZ) -> Chain:
     """Bilinear pairing of chains into the tensor complex."""
-    out: Chain = {}
-    for (p, xk), ca in a.items():
-        for (q, yk), cb in b.items():
-            cube = (p + q, (xk, yk))
-            out[cube] = out.get(cube, 0) + ca * cb
-    return {cube: v for cube, v in ((c, ring.normalize(x)) for c, x in out.items()) if v}
+    return ring.combine(
+        ({(p + q, (xk, yk)): cb for (q, yk), cb in b.items()}, ca) for (p, xk), ca in a.items()
+    )
 
 
 def check_tensor_label_identity(

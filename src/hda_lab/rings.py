@@ -9,6 +9,10 @@ keeps the primality check's trial division below 46,341.
 
 from __future__ import annotations
 
+from typing import Hashable, Iterable, Mapping, TypeVar
+
+K = TypeVar("K", bound=Hashable)
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
@@ -87,6 +91,19 @@ class CoefficientRing(Frozen):
         if self.characteristic:
             return c % self.characteristic
         return c
+
+    def combine(self, terms: Iterable[tuple[Mapping[K, int], int]]) -> dict[K, int]:
+        """The sum of c * v over the (sparse vector v, coefficient c) pairs.
+
+        Entries are normalized and zeros dropped; keys keep the order in which
+        they first appear in a term with a nonzero coefficient.
+        """
+        out: dict[K, int] = {}
+        for vec, c in terms:
+            if c:
+                for k, x in vec.items():
+                    out[k] = out.get(k, 0) + c * x
+        return {k: x for k, x in ((k, self.normalize(x)) for k, x in out.items()) if x}
 
     def __str__(self) -> str:
         return "Z" if self.characteristic == 0 else f"Z/{self.characteristic}"

@@ -40,7 +40,7 @@ from hda_lab.dimap import (
     pushforward_cube,
     validate_dimap,
 )
-from hda_lab.exterior import ExteriorElement, word_to_vector
+from hda_lab.exterior import word_to_vector
 from hda_lab.homology import (
     boundary_columns,
     boundary_matrix,
@@ -199,7 +199,7 @@ def test_c04_small_model_label_quartet():
         assert _membership(spanning, b, GF2, 1, torus.alphabet)[0]
     rep2 = labeled_degree(torus, 2, GF2)
     a1, a2, bb = (
-        ExteriorElement.letter(torus.alphabet, x, GF2) for x in ("a1", "a2", "b")
+        word_to_vector(torus.alphabet, (x,), GF2) for x in ("a1", "a2", "b")
     )
     assert rep2.group.free_rank == 1
     assert rep2.classes[0].label == (a1 ^ bb) + (a2 ^ bb)
@@ -209,7 +209,7 @@ def test_c04_small_model_label_quartet():
     klein = klein_hda("a", "b")
     rep1 = labeled_degree(klein, 1, GF2)
     assert rep1.group.free_rank == 2
-    assert rep1.label_image_basis == [ExteriorElement.letter(klein.alphabet, "b", GF2)]
+    assert rep1.label_image_basis == [word_to_vector(klein.alphabet, ("b",), GF2)]
     assert rep1.zero_label_rank == 1
     rep2 = labeled_degree(klein, 2, GF2)
     assert rep2.group.free_rank == 1

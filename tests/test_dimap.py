@@ -16,7 +16,13 @@ from hda_lab.dimap import (
 from hda_lab import exterior
 from hda_lab.hda import Alphabet, Hda, assert_valid_hda
 from hda_lab.labeling import chain_label, label_cochain
-from hda_lab.models import filled_square, labeled_circle, labeled_interval, torus_hda
+from hda_lab.models import (
+    directed_circle,
+    filled_square,
+    labeled_circle,
+    labeled_interval,
+    torus_hda,
+)
 from hda_lab.constructions import Path, interval_grid
 from hda_lab.precubical import PrecubicalSet
 from hda_lab.rings import GF2, ZZ, CoefficientRing
@@ -101,6 +107,22 @@ def subdivision_dimap():
         (2, "s"): CubeMap((2, 1), (1, 2), square_flat),
     }
     return ElementaryDimap(src, tgt, vertex_map, cube_maps)
+
+
+def test_an_edge_twice_round_a_loop_pushes_forward_to_twice_the_loop():
+    # The loop's edge covers the target loop twice: both cells of its
+    # shape-(2,) grid land on the one target edge.
+    src = directed_circle(["aa"])
+    tgt = labeled_circle(["a"])
+    v, x = (0, "v0"), (1, "x0")
+    flat = {(0,): v, (1,): v, (2,): v, ((0, 1),): x, ((1, 2),): x}
+    f = ElementaryDimap(src, tgt, {v: v}, {x: CubeMap((2,), (1,), flat)})
+    assert validate_dimap(f) == []
+    assert pushforward_cube(f, x, ZZ) == {x: 2}
+    assert pushforward_chain(f, {x: 3}, ZZ) == {x: 6}
+    assert pushforward_cube(f, x, GF2) == {}
+    assert pushforward_chain(f, {x: 1, v: 1}, GF2) == {v: 1}
+    assert pushforward_cube(f, x, GF3) == {x: 2}
 
 
 def transposition_dimap():

@@ -15,7 +15,7 @@ def elt(terms, ring=ZZ):
 
 
 def letter(a, ring=ZZ):
-    return ExteriorElement.letter(AB, a, ring)
+    return word_to_vector(AB, (a,), ring)
 
 
 def test_alphabet():
@@ -123,7 +123,7 @@ def test_word_to_vector():
 
 def test_retag():
     small = Alphabet(["b", "d"])
-    x = ExteriorElement.letter(small, "b") ^ ExteriorElement.letter(small, "d")
+    x = word_to_vector(small, ("b",)) ^ word_to_vector(small, ("d",))
     y = x.retag(AB)
     assert y.terms == {(1, 3): 1}
     assert str(y) == "b∧d"
@@ -131,16 +131,16 @@ def test_retag():
 
 def test_retag_reordered_alphabet_flips_sign():
     ba = Alphabet(["b", "a"])
-    x = ExteriorElement.letter(ba, "b") ^ ExteriorElement.letter(ba, "a")
+    x = word_to_vector(ba, ("b",)) ^ word_to_vector(ba, ("a",))
     ab = Alphabet(["a", "b"])
     assert str(x.retag(ab)) == "-a∧b"
     # Round trip restores the element exactly.
     assert x.retag(ab).retag(ba) == x
     cba = Alphabet(["c", "b", "a"])
     w = (
-        ExteriorElement.letter(cba, "c")
-        ^ ExteriorElement.letter(cba, "b")
-        ^ ExteriorElement.letter(cba, "a")
+        word_to_vector(cba, ("c",))
+        ^ word_to_vector(cba, ("b",))
+        ^ word_to_vector(cba, ("a",))
     )
     abc = Alphabet(["a", "b", "c"])
     # Reversing three letters is an odd permutation.
@@ -162,7 +162,7 @@ def test_rendering():
 def test_mixed_alphabet_or_ring_rejected():
     other = Alphabet(["a", "b"])
     with pytest.raises(ValueError):
-        letter("a") + ExteriorElement.letter(other, "a")
+        letter("a") + word_to_vector(other, ("a",))
     with pytest.raises(ValueError):
         letter("a") ^ letter("a", GF2)
 

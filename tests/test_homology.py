@@ -294,6 +294,17 @@ def test_boundary_of_boundary_vanishes():
             assert all(all(x == 0 for x in row) for row in prod)
 
 
+def test_the_boundary_of_a_loop_edge_is_zero():
+    from hda_lab.models import torus_hda
+
+    P = torus_hda().complex
+    for ring in (ZZ, GF2, GF5):
+        assert chain_boundary(P, {(1, "cu"): 1}, ring) == {}
+        assert chain_boundary(P, {(1, "cu"): 3, (1, "h1"): 1}, ring) == {
+            (0, "v"): 1, (0, "u"): ring.normalize(-1)
+        }
+
+
 def test_gf2_boundary_columns_match_matrix():
     for P in (loop_square_torus(), klein(), interval_grid((2, 1))):
         for n in (1, 2):
@@ -690,6 +701,23 @@ def test_membership_edge_cases_over_every_ring():
     # (1, 2, 0) is a multiple of (2, 4, 0) only where 2 is a unit.
     assert lattice_membership([[2, 4, 0], [2, 4, 0]], [1, 2, 0], ZZ) is None
     assert lattice_membership([[2, 4, 0], [2, 4, 0]], [1, 2, 0], GF5) is not None
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF2, CoefficientRing(3)])
+def test_a_perturbed_witness_fails_the_recheck(monkeypatch, ring):
+    import hda_lab.homology as homology
+
+    vectors, target = [[1, 0, 0], [0, 1, 0]], [0, 1, 0]
+    assert lattice_membership(vectors, target, ring) == [0, 1]
+    solve = homology._solve
+
+    def perturbed(vectors, target, ring):
+        x, certificate = solve(vectors, target, ring)
+        return [x[0] + 1, *x[1:]], certificate
+
+    monkeypatch.setattr(homology, "_solve", perturbed)
+    with pytest.raises(AssertionError, match="witness failed verification"):
+        lattice_membership(vectors, target, ring)
 
 
 def test_verify_nonmembership_refuses_a_functional_of_the_wrong_length():

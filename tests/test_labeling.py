@@ -30,7 +30,7 @@ def lab(h, ring=ZZ):
     def build(**counts):
         acc = ExteriorElement(h.alphabet, ring)
         for letter, c in counts.items():
-            acc = acc + ExteriorElement.letter(h.alphabet, letter, ring).scale(c)
+            acc = acc + word_to_vector(h.alphabet, (letter,), ring).scale(c)
         return acc
 
     return build
@@ -43,17 +43,17 @@ def test_vertex_label_is_unit():
 
 def test_square_label_is_wedge():
     h = filled_square("a", "b")
-    a = ExteriorElement.letter(h.alphabet, "a")
-    b = ExteriorElement.letter(h.alphabet, "b")
+    a = word_to_vector(h.alphabet, ("a",))
+    b = word_to_vector(h.alphabet, ("b",))
     assert label_cochain(h, (2, "s")) == a ^ b
     assert label_cochain(h, (1, "bottom")) == a
 
 
 def test_torus_square_labels():
     h = torus_hda("a1", "a2", "b")
-    a1 = ExteriorElement.letter(h.alphabet, "a1")
-    a2 = ExteriorElement.letter(h.alphabet, "a2")
-    b = ExteriorElement.letter(h.alphabet, "b")
+    a1 = word_to_vector(h.alphabet, ("a1",))
+    a2 = word_to_vector(h.alphabet, ("a2",))
+    b = word_to_vector(h.alphabet, ("b",))
     assert label_cochain(h, (2, "s1")) == a1 ^ b
     assert label_cochain(h, (2, "s2")) == a2 ^ b
 
@@ -160,9 +160,9 @@ def test_torus_gf2_spans():
 
     rep2 = labeled_degree(h, 2, GF2)
     assert rep2.group.free_rank == 1
-    a1 = ExteriorElement.letter(h.alphabet, "a1", GF2)
-    a2 = ExteriorElement.letter(h.alphabet, "a2", GF2)
-    bb = ExteriorElement.letter(h.alphabet, "b", GF2)
+    a1 = word_to_vector(h.alphabet, ("a1",), GF2)
+    a2 = word_to_vector(h.alphabet, ("a2",), GF2)
+    bb = word_to_vector(h.alphabet, ("b",), GF2)
     assert rep2.label_image_basis == [(a1 ^ bb) + (a2 ^ bb)]
     assert rep2.classes[0].label == (a1 ^ bb) + (a2 ^ bb)
 
@@ -176,7 +176,7 @@ def test_torus_integral_labels():
     rep2 = labeled_degree(h, 2, ZZ)
     assert rep2.group.describe() == "Z"
     # Integral degree-2 label of the generator [s1 - s2] is a1^b - a2^b.
-    a1, a2, b = (ExteriorElement.letter(h.alphabet, x) for x in ("a1", "a2", "b"))
+    a1, a2, b = (word_to_vector(h.alphabet, (x,)) for x in ("a1", "a2", "b"))
     assert rep2.classes[0].label in ((a1 ^ b) - (a2 ^ b), (a2 ^ b) - (a1 ^ b))
 
 
@@ -188,7 +188,7 @@ def test_klein_integral_labels():
     free = rep.classes[0]
     tors = rep.classes[1]
     assert free.order == 0 and tors.order == 2
-    assert free.label == ExteriorElement.letter(h.alphabet, "b")
+    assert free.label == word_to_vector(h.alphabet, ("b",))
     assert tors.label.is_zero()
     assert rep.label_image_rank == 1
     assert rep.zero_label_rank == 0
@@ -201,7 +201,7 @@ def test_klein_gf2_labels():
     assert rep1.group.free_rank == 2
     assert rep1.label_image_rank == 1
     assert rep1.zero_label_rank == 1
-    assert rep1.label_image_basis == [ExteriorElement.letter(h.alphabet, "b", GF2)]
+    assert rep1.label_image_basis == [word_to_vector(h.alphabet, ("b",), GF2)]
     z = rep1.zero_label_classes[0]
     assert chain_label(h, z, GF2).is_zero()
     assert z  # a genuine nonzero chain
@@ -241,8 +241,8 @@ def test_orientation_prefers_positive_label():
     rep = labeled_degree(h, 1, ZZ)
     assert rep.group.free_rank == 1
     lbl = rep.classes[0].label
-    a = ExteriorElement.letter(h.alphabet, "a")
-    b = ExteriorElement.letter(h.alphabet, "b")
+    a = word_to_vector(h.alphabet, ("a",))
+    b = word_to_vector(h.alphabet, ("b",))
     assert lbl == a - b
     assert rep.classes[0].chain == {(1, "e1"): 1, (1, "e2"): -1}
 

@@ -21,7 +21,7 @@ from hda_lab.precubical import (
     Violation,
     validate_precubical,
 )
-from hda_lab.hda import Hda, validate_hda
+from hda_lab.hda import Alphabet, Hda, validate_hda
 
 
 def two_square():
@@ -78,6 +78,14 @@ def test_validate_missing_and_dangling():
     P = PrecubicalSet(cells, faces)
     kinds = sorted(v.kind for v in validate_precubical(P))
     assert kinds == ["dangling-face", "missing-faces"]
+
+
+def test_an_unhashable_face_key_is_a_dangling_face():
+    P = PrecubicalSet({0: ["u"], 1: ["e"]}, {(1, "e"): (["u"], [["u"]])})
+    (v,) = validate_precubical(P)
+    assert (v.kind, v.cube, v.data) == ("dangling-face", (1, "e"), (1, 1))
+    h = Hda(P, Alphabet(["a"]), {"e": ("a",)})
+    assert [v.kind for v in validate_hda(h)] == ["dangling-face"]
 
 
 def test_validate_broken_identity():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hda_lab.exterior import ExteriorElement, word_to_vector
+from hda_lab.exterior import word_to_vector
 from hda_lab.hda import validate_hda
 from hda_lab.homology import all_homology, chain_boundary
 from hda_lab.labeling import chain_label, labeled_degree
@@ -34,8 +34,8 @@ def test_tensor_of_intervals_is_filled_square():
     assert T.complex.size(2) == 1
     assert T.alphabet.letters == ("a", "b")
     sq = next(T.complex.cubes(2))
-    a = ExteriorElement.letter(T.alphabet, "a")
-    b = ExteriorElement.letter(T.alphabet, "b")
+    a = word_to_vector(T.alphabet, ("a",))
+    b = word_to_vector(T.alphabet, ("b",))
     from hda_lab.labeling import label_cochain
 
     assert label_cochain(T, sq) == a ^ b

@@ -10,7 +10,9 @@ stays.  The oracles are the reference implementations, the fixture builders
 and the tools that the tests rely on: library code that the tests compare
 against, kept in the package beside the code it checks.  Each of them must
 still be used by a test, and one that gains a reader leaves the table.  A
-method counts as read wherever its name is, whatever the class.
+method counts as read wherever its name is, whatever the class, but in the
+package only as an attribute (``x.name``): a bare name there is a variable
+or a function.
 """
 
 import ast
@@ -82,9 +84,9 @@ def _bare(name):
 
 
 def _package_readers():
-    """Names read anywhere in the package, outside the body of the function or
-    method of the same name (so that recursion is no reader)."""
-    out = set()
+    """(names, attributes) read anywhere in the package, outside the body of
+    the function or method of the same name (so that recursion is no reader)."""
+    names, attributes = set(), set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         # Each node's innermost definition: a class comes before its methods.
@@ -94,14 +96,14 @@ def _package_readers():
                 owner[inner] = _bare(name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                name, out = node.id, names
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                name, out = node.attr, attributes
             else:
                 continue
             if name != owner.get(node):
                 out.add(name)
-    return out
+    return names, attributes
 
 
 def _named_in(texts):
@@ -123,6 +125,7 @@ def _read_by(tree):
 
 
 def _outside_readers():
+    """(what reads a function, what reads a method), as two sets of names."""
     # README names code in inline code spans; its prose and its fenced
     # examples may use "interval" or "zero" as a word.
     readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
@@ -130,7 +133,14 @@ def _outside_readers():
     bench = set()
     for path in (ROOT / "bench").glob("*.py"):
         bench |= _read_by(ast.parse(path.read_text()))
-    return _package_readers() | _named_in(spans) | bench
+    names, attributes = _package_readers()
+    outside = _named_in(spans) | bench
+    return names | attributes | outside, attributes | outside
+
+
+def _is_read(name, readers):
+    functions, methods = readers
+    return _bare(name) in (methods if "." in name else functions)
 
 
 def test_every_function_has_a_reader_or_is_an_oracle():
@@ -140,7 +150,7 @@ def test_every_function_has_a_reader_or_is_an_oracle():
     unread = [
         f"{module}: {name}"
         for name, module in functions.items()
-        if _bare(name) not in readers
+        if not _is_read(name, readers)
         and name not in ORACLES
         and name not in CALLBACKS
         and not (_bare(name).startswith("__") and _bare(name).endswith("__"))
@@ -155,4 +165,4 @@ def test_each_oracle_is_a_package_function_only_the_tests_use():
     tests = _named_in(p.read_text() for p in here.parent.glob("*.py") if p != here)
     assert [name for name in ORACLES if name not in functions] == []
     assert [name for name in ORACLES if _bare(name) not in tests] == []
-    assert [name for name in ORACLES if _bare(name) in readers] == []
+    assert [name for name in ORACLES if _is_read(name, readers)] == []

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import hda_lab.reports
-from hda_lab.exterior import ExteriorElement
+from hda_lab.exterior import ExteriorElement, word_to_vector
 from hda_lab.labeling import degree_monomials, label_to_column
 from hda_lab.homology import verify_nonmembership
 from hda_lab.models import (
@@ -232,7 +232,7 @@ def test_a_tampered_certificate_is_refused(ring, monkeypatch):
         return phi[:k] + [0] + phi[k + 1 :], modulus
 
     t = torus_hda()
-    a, b = (ExteriorElement.letter(t.alphabet, x, ring) for x in ("a1", "b"))
+    a, b = (word_to_vector(t.alphabet, (x,), ring) for x in ("a1", "b"))
     basis = [b]
     assert _membership(basis, a, ring, 1, t.alphabet)[1] is not None
     monkeypatch.setattr(hda_lab.reports, "nonmembership_certificate", tampered)

@@ -58,3 +58,43 @@ def test_parse_and_spec_roundtrip():
         parse_ring("zp:9")
     with pytest.raises(ValueError, match="use 'z'"):
         parse_ring("zp:0")
+
+
+def dense_sum(terms, ring):
+    """sum c * v entry by entry over the union of keys, normalized, zeros dropped."""
+    keys = {k for vec, _ in terms for k in vec}
+    total = {k: ring.normalize(sum(c * vec.get(k, 0) for vec, c in terms)) for k in keys}
+    return {k: x for k, x in total.items() if x}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_combine_matches_a_dense_sum(p):
+    ring = CoefficientRing(p)
+    rng = random.Random(2718 + p)
+    for _ in range(400):
+        terms = [
+            ({rng.randrange(8): rng.randint(-4, 4) for _ in range(rng.randint(0, 5))},
+             rng.choice([0, rng.randint(-6, 6)]))
+            for _ in range(rng.randint(0, 6))
+        ]
+        got = ring.combine(iter(terms))
+        assert got == dense_sum(terms, ring)
+        assert all(x and ring.normalize(x) == x for x in got.values())
+        # Keys in the order they first appear in a term with a nonzero coefficient.
+        first = [k for vec, c in terms if c for k in vec]
+        assert list(got) == sorted(got, key=first.index)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF2, CoefficientRing(3), CoefficientRing(5)])
+def test_combine_edge_cases(ring):
+    assert ring.combine([]) == {}
+    assert ring.combine([({"a": 1}, 0), ({}, 3)]) == {}
+    # Keys repeated across terms, and full cancellation.
+    assert ring.combine([({"a": 1, "b": 2}, 1), ({"b": 1, "a": 1}, -1)]) == {"b": 1}
+    assert ring.combine([({"a": 1, "b": -1}, 2), ({"b": 1, "a": -1}, 2)]) == {}
+    # Entries are normalized: a multiple of the characteristic vanishes.
+    assert ring.combine([({"a": 1}, ring.characteristic)]) == {}
+    assert ring.combine([({"a": -1}, 1)]) == {"a": ring.normalize(-1)}
+    # A key that cancels and comes back keeps its first place.
+    terms = [({"x": 1}, 1), ({"y": 1}, 1), ({"x": 1}, -1), ({"x": 1}, 1)]
+    assert list(ring.combine(terms)) == ["x", "y"]
