@@ -60,6 +60,25 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[in
     return tuple(merged), sign
 
 
+Terms = dict[tuple[int, ...], int]  # {strictly increasing index tuple: coefficient}
+
+
+def wedge_terms(
+    left: Mapping[tuple[int, ...], int], right: Mapping[tuple[int, ...], int], ring: CoefficientRing
+) -> Terms:
+    """The wedge of two elements given as terms, normalized, zeros dropped.
+
+    Keys keep the order in which the products first produce them.
+    """
+    out: Terms = {}
+    for li, lc in left.items():
+        for ri, rc in right.items():
+            merged, sign = _merge_sign(li, ri)
+            if sign:
+                out[merged] = out.get(merged, 0) + sign * lc * rc
+    return {k: x for k, x in ((k, ring.normalize(x)) for k, x in out.items()) if x}
+
+
 class ExteriorElement(Frozen):
     """An element of the exterior algebra: {index tuple: coefficient}.
 
@@ -130,14 +149,8 @@ class ExteriorElement(Frozen):
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
         self._check_compatible(other)
-        out: dict[tuple[int, ...], int] = {}
-        for li, lc in self.terms.items():
-            for ri, rc in other.terms.items():
-                merged, sign = _merge_sign(li, ri)
-                if sign == 0:
-                    continue
-                out[merged] = out.get(merged, 0) + sign * lc * rc
-        return ExteriorElement(self.alphabet, self.ring, out)
+        terms = wedge_terms(self.terms, other.terms, self.ring)
+        return ExteriorElement(self.alphabet, self.ring, terms)
 
     def __xor__(self, other: "ExteriorElement") -> "ExteriorElement":
         return self.wedge(other)

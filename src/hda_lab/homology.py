@@ -15,11 +15,15 @@ label images and membership over every prime.  ``lattice_membership`` and
 
 Field homology runs in one pass per complex, from the top degree down.
 Each boundary d_n is assembled once and reduced once, and the reduction
-skips the columns whose index is a pivot of the reduced d_{n+1} (clearing,
-after Chen and Kerber, "Persistent homology computation with a twist"):
-such a column would reduce to zero and its cycle adds no class.  The
-echelon of d_{n+1} is then the image in the quotient for H_n.  The groups
-of every degree are kept per complex and field while the complex lives.
+skips the columns whose index is a pivot row of the reduced d_{n+1}
+(clearing, after Chen and Kerber, "Persistent homology computation with a
+twist", and Bauer, Kerber and Reininghaus, "Clear and Compress"): such a
+column would reduce to zero and its cycle adds no class.  Every other
+column that reduces to zero adds one, as its top cell is no pivot row of
+the image, so over GF(2) the pivot rows are all that is kept of d_{n+1};
+over the other primes its echelon is kept, to reduce each new cycle.  The
+groups of every degree are kept per complex and field while the complex
+lives.
 
 Sparse vectors are dicts from index to nonzero entry (``Line``); lists of
 them are the one matrix format here and in ``labeling``; chains are sparse
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .precubical import Cube, Key, PrecubicalSet
 from .rings import CoefficientRing, Record, ZZ, xgcd
@@ -497,43 +501,40 @@ def gf2_boundary_columns(P: PrecubicalSet, n: int) -> list[int]:
     return cols
 
 
-class Gf2Echelon:
-    """Incremental GF(2) column echelon that tracks the combinations it is given.
+def _gf2_reduce(cols: Sequence[int], cleared: Container[int]) -> tuple[set[int], list[int]]:
+    """Reduce the GF(2) columns of one boundary, skipping the cleared ones.
 
-    Vectors are ints; pivot is the highest set bit.  ``add`` reduces a vector
-    against the echelon and either absorbs it (returning None) or reports the
-    fully reduced dependency combination.  A pivot records its combination
-    when ``add`` is given one, and ``reduce`` combines only when it is given
-    a combination (0 is the empty one).
+    Returns the pivot rows of the reduced matrix and, in column order, the
+    combination (a bitset of columns) of each column that reduces to zero.
+    The pivot is a column's highest set bit.  A pivot that needed no
+    reduction step remembers its column j, and its combination 1 << j is
+    built only when a later column adds it.
     """
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}
-        self.combos: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: int, combo: int | None = None) -> tuple[int, int | None]:
-        while vec:
-            p = vec.bit_length() - 1
-            if p not in self.pivots:
+    pivots: dict[int, int] = {}  # pivot row -> reduced column
+    column: dict[int, int] = {}  # pivot row -> its column, if unreduced
+    combos: dict[int, int] = {}  # pivot row -> its combination, if reduced
+    kernel: list[int] = []
+    for j, col in enumerate(cols):
+        if j in cleared:
+            continue
+        combo = 0
+        while col:
+            p = col.bit_length() - 1
+            other = pivots.get(p)
+            if other is None:
                 break
-            vec ^= self.pivots[p]
-            if combo is not None:
-                combo ^= self.combos[p]
-        return vec, combo
-
-    def add(self, vec: int, combo: int | None = None) -> tuple[int, int | None] | None:
-        """Insert; returns the (residue, combo) pair only if vec was dependent."""
-        vec, combo = self.reduce(vec, combo)
-        if vec == 0:
-            return 0, combo
-        p = vec.bit_length() - 1
-        self.pivots[p] = vec
-        if combo is not None:
-            self.combos[p] = combo
-        return None
+            col ^= other
+            c = combos.get(p)
+            combo ^= 1 << column[p] if c is None else c
+        if not col:
+            kernel.append(combo | 1 << j)
+            continue
+        pivots[p] = col
+        if combo:
+            combos[p] = combo | 1 << j
+        else:
+            column[p] = j
+    return set(pivots), kernel
 
 
 def _gf2_chain(n: int, cells: Sequence[Key], mask: int) -> Chain:
@@ -556,8 +557,9 @@ class FpEchelon:
     vector is its highest index, normalized to 1.  ``reduce`` clears every
     pivot index of a vector, highest first, so a residue is zero at all
     pivots; ``add`` reduces a vector and either stores it (returning None)
-    or reports the dependency combination; combinations are recorded and
-    combined as in ``Gf2Echelon`` ({} is the empty one).
+    or reports the dependency combination.  A pivot records its combination
+    when ``add`` is given one, and ``reduce`` combines only when it is given
+    a combination ({} is the empty one).
     """
 
     def __init__(self, p: int) -> None:
@@ -616,46 +618,43 @@ def _field_homology(
 ) -> list[HomologyGroup]:
     """H_0, ..., H_top of P over a prime field, in one pass from the top down.
 
-    Column j of d_n is skipped when j is a pivot of the reduced d_{n+1}: that
-    reduced column is a boundary e_j + (lower cells) which d_n kills, so
-    column j would reduce to zero and its cycle adds no class.  This needs
-    d_n d_{n+1} = 0, which the cubical identities give.  Over GF(2) a
-    generator is a raw kernel cycle that top-bit reduction finds independent;
-    over the other primes it is the kernel cycle reduced at the image's pivots.
+    Column j of d_n is skipped (cleared) when j is a pivot row of the reduced
+    d_{n+1}: that reduced column is a boundary e_j + (lower cells) which d_n
+    kills, so column j would reduce to zero and its cycle adds no class.
+    This needs d_n d_{n+1} = 0, which the cubical identities give.  Every
+    other column j that reduces to zero gives a class (the clearing lemma):
+    its cycle is e_j + (lower cells), every nonzero boundary has its top cell
+    at a pivot row of the reduced d_{n+1}, and j is none, so no combination
+    of these cycles bounds.  Their number is dim ker d_n - rank d_{n+1}, the
+    Betti number.  Over GF(2) a generator is that cycle as it is, so only
+    the pivot rows of the reduced d_{n+1} are kept, to clear d_n; over the
+    other primes it is the cycle reduced at the image's pivots, so the
+    echelon of d_{n+1} is kept.
     """
     p = ring.characteristic
     groups: list[HomologyGroup] = []
-    image = Gf2Echelon() if bitsets else FpEchelon(p)  # the reduced d_{n+1}
+    cleared: Container[int] = set()  # the pivot rows of the reduced d_{n+1}
+    image = FpEchelon(p)  # the reduced d_{n+1}, over the other primes
     for n in range(P.max_dim, -1, -1):
         cells = P.cells(n)
         if bitsets:
-            ech = Gf2Echelon()
             cols = gf2_boundary_columns(P, n) if n else [0] * len(cells)
+            cleared, kernel = _gf2_reduce(cols, cleared)
+            del cols  # before d_{n-1} is assembled
+            chains = [_gf2_chain(n, cells, mask) for mask in kernel]
         else:
             ech = FpEchelon(p)
-            cols = boundary_columns(P, n, ring)
-        kernel = []
-        for j, col in enumerate(cols):
-            if j in image.pivots:
-                continue
-            dep = ech.add(col, 1 << j if bitsets else {j: 1})
-            if dep is not None:
-                kernel.append(dep[1])
-        del cols
-        ech.combos = {}  # only the kernel needed them
-        chains: list[Chain] = []
-        if bitsets:
-            for mask in kernel:
-                if image.add(mask) is None:
-                    chains.append(_gf2_chain(n, cells, mask))
-        else:
-            gens = FpEchelon(p)
-            for kvec in kernel:
-                vec, _ = image.reduce(kvec)
-                if gens.add(vec) is None:
+            chains = []
+            for j, col in enumerate(boundary_columns(P, n, ring)):
+                if j in image.pivots:
+                    continue
+                dep = ech.add(col, {j: 1})
+                if dep is not None:
+                    vec, _ = image.reduce(dep[1])
                     chains.append({(n, cells[i]): vec[i] for i in sorted(vec)})
+            ech.combos = {}  # only the kernel needed them
+            image = ech
         groups.append(HomologyGroup(n, ring, len(chains), [], chains, []))
-        image = ech
     return groups[::-1]
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .exterior import ExteriorElement, word_to_vector
-from .hda import Alphabet, Hda
+from .exterior import ExteriorElement, Terms, wedge_terms, word_to_vector
+from .hda import Alphabet, Hda, Word
 from .homology import (
     Chain,
     FpEchelon,
@@ -37,17 +37,30 @@ from .rings import CoefficientRing, ZZ
 
 def label_cochain(h: Hda, cube: Cube, ring: CoefficientRing = ZZ) -> ExteriorElement:
     """The exterior label of one cube; unit in degree 0."""
-    n = cube[0]
-    acc = ExteriorElement.unit(h.alphabet, ring)
-    for i in range(1, n + 1):
-        acc = acc.wedge(word_to_vector(h.alphabet, h.direction_word(cube, i), ring))
-    return acc
+    return chain_label(h, {cube: 1}, ring)
 
 
 def chain_label(h: Hda, chain: Chain, ring: CoefficientRing = ZZ) -> ExteriorElement:
-    """Linear extension of the label cochain to chains."""
-    terms = ring.combine((label_cochain(h, cube, ring).terms, c) for cube, c in chain.items())
-    return ExteriorElement(h.alphabet, ring, terms)
+    """Linear extension of the label cochain to chains.
+
+    The label of each distinct tuple of direction words, and the letter sum
+    of each distinct word, is computed once.
+    """
+    sums: dict[Word, Terms] = {}
+    labels: dict[tuple[Word, ...], Terms] = {}
+    pairs = []
+    for cube, c in chain.items():
+        words = tuple(h.direction_word(cube, i) for i in range(1, cube[0] + 1))
+        terms = labels.get(words)
+        if terms is None:
+            terms = {(): 1}
+            for word in words:
+                if word not in sums:
+                    sums[word] = word_to_vector(h.alphabet, word, ring).terms
+                terms = wedge_terms(terms, sums[word], ring)
+            labels[words] = terms
+        pairs.append((terms, c))
+    return ExteriorElement(h.alphabet, ring, ring.combine(pairs))
 
 
 def degree_monomials(alphabet: Alphabet, n: int) -> list[tuple[int, ...]]:

@@ -301,12 +301,14 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
     # tags.  Per dimension, ``current`` maps each key to its position,
     # ``cubes`` holds (base position, last process id, last tag) at that
     # position, and ``up`` a dict from each move tag to the position of
-    # the cube extended by that move, filled as the next dimension is built.
+    # the cube extended by that move, filled as the next dimension is built;
+    # a cube that gains no extension shares one empty dict, never written.
     index: dict[int, dict[Key, int]] = {0: vertex}
     faces: dict[int, list[tuple[int, ...]]] = {}
     current = vertex
     cubes: list[tuple[int, int, str]] = [(v, -1, "") for v in range(len(vertex))]
-    up: list[dict[str, int]] = [{} for _ in cubes]
+    empty: dict[str, int] = {}
+    up: list[dict[str, int]] = [empty] * len(cubes)
     up_below: list[dict[str, int]] = []
     own_faces: list[tuple[int, ...]] = []
 
@@ -315,10 +317,9 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
         following: dict[Key, int] = {}
         cubes_n: list[tuple[int, int, str]] = []
         faces_n: list[tuple[int, ...]] = []
-        up_n: list[dict[str, int]] = []
         for (key, pos), (base, top_pid, last) in zip(current.items(), cubes):
             own = own_faces[pos] if n > 1 else ()
-            ext = up[pos]
+            ext = empty
             for tag, pid, end in enabled[base]:
                 if pid <= top_pid:
                     continue
@@ -337,17 +338,18 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
                     face = (*moved[: n - 1], pos, *moved[n - 1 :], far)
                 else:
                     face = (pos, end)
+                if ext is empty:
+                    ext = up[pos] = {}
                 ext[tag] = following[key + tag] = len(cubes_n)
                 cubes_n.append((base, pid, tag))
                 faces_n.append(face)
-                up_n.append({})
         if n == 1:
             labels = {ck: (tag[1:],) for ck, (_, _, tag) in zip(following, cubes_n)}
         if cubes_n:
             index[n] = following
             faces[n] = faces_n
         current, cubes, own_faces = following, cubes_n, faces_n
-        up_below, up = up, up_n
+        up_below, up = up, [empty] * len(cubes_n)
         n += 1
 
     letters = [t.action for p in prog.processes for t in p.transitions]

@@ -6,7 +6,6 @@ import pytest
 from conftest import dense_snf, identity_matrix, mat_mul, sparse_columns
 from hda_lab.homology import (
     FpEchelon,
-    Gf2Echelon,
     HomologyGroup,
     SmithNormalForm,
     all_homology,
@@ -454,6 +453,46 @@ def test_field_generators_are_independent_cycles():
 # -- gf2 echelon ----------------------------------------------------------------
 
 
+class Gf2Echelon:
+    """Incremental GF(2) column echelon that tracks the combinations it is given.
+
+    Vectors are ints; pivot is the highest set bit.  ``add`` reduces a vector
+    against the echelon and either absorbs it (returning None) or reports the
+    fully reduced dependency combination.  A pivot records its combination
+    when ``add`` is given one, and ``reduce`` combines only when it is given
+    a combination (0 is the empty one).  The GF(2) pass of the package used
+    it before it kept only pivot rows; the oracles below still do.
+    """
+
+    def __init__(self):
+        self.pivots = {}
+        self.combos = {}
+
+    def __len__(self):
+        return len(self.pivots)
+
+    def reduce(self, vec, combo=None):
+        while vec:
+            p = vec.bit_length() - 1
+            if p not in self.pivots:
+                break
+            vec ^= self.pivots[p]
+            if combo is not None:
+                combo ^= self.combos[p]
+        return vec, combo
+
+    def add(self, vec, combo=None):
+        """Insert; returns the (residue, combo) pair only if vec was dependent."""
+        vec, combo = self.reduce(vec, combo)
+        if vec == 0:
+            return 0, combo
+        p = vec.bit_length() - 1
+        self.pivots[p] = vec
+        if combo is not None:
+            self.combos[p] = combo
+        return None
+
+
 def test_gf2_echelon_tracking():
     ech = Gf2Echelon()
     assert ech.add(0b0011, 0b001) is None
@@ -761,6 +800,36 @@ def gf2_per_degree(P, n):
     return HomologyGroup(n, GF2, len(chains), [], chains, [])
 
 
+def gf2_echelon_pass(P):
+    """H_0, ..., H_top over GF(2) in one pass from the top down, with
+    clearing, as the package computed it while it kept the whole echelon
+    of d_{n+1} as the image: every kernel cycle is checked against the
+    image before it becomes a generator, and every pivot stores its
+    combination.  Also returns, per degree, the number of uncleared
+    columns that reduce to zero."""
+    groups, zero_columns = [], []
+    image = Gf2Echelon()
+    for n in range(P.max_dim, -1, -1):
+        cells = P.cells(n)
+        ech = Gf2Echelon()
+        cols = gf2_boundary_columns(P, n) if n else [0] * len(cells)
+        kernel = []
+        for j, col in enumerate(cols):
+            if j in image.pivots:
+                continue
+            dep = ech.add(col, 1 << j)
+            if dep is not None:
+                kernel.append(dep[1])
+        chains = []
+        for mask in kernel:
+            if image.add(mask) is None:
+                chains.append({(n, cells[j]): 1 for j in range(len(cells)) if mask >> j & 1})
+        groups.append(HomologyGroup(n, GF2, len(chains), [], chains, []))
+        zero_columns.append(len(kernel))
+        image = ech
+    return groups[::-1], zero_columns[::-1]
+
+
 def fp_per_degree(P, n, ring):
     """H_n over GF(p) by itself, without clearing; generators are the kernel
     cycles reduced at the image's pivots."""
@@ -828,6 +897,45 @@ def test_field_homology_equals_the_per_degree_reduction(p):
             assert [list(c.items()) for c in have.generators] == [
                 list(c.items()) for c in want.generators
             ], (name, n)
+
+
+def test_gf2_pass_equals_the_echelon_pass_and_the_clearing_lemma():
+    from conftest import random_circle, random_torus, suite_rng
+    from test_programs import shuffled_butler
+
+    from hda_lab.products import tensor_hda
+    from hda_lab.programs import program_to_hda
+
+    complexes = _oracle_complexes()
+    complexes["butler4"] = program_to_hda(shuffled_butler(4, "butler4")).complex
+    rng = suite_rng("gf2-clearing")
+    for k in range(6):
+        complexes[f"random circle {k}"] = random_circle(rng, max_edges=6).complex
+        complexes[f"random torus {k}"] = random_torus(rng).complex
+        complexes[f"random 3-torus {k}"] = tensor_hda(
+            random_torus(rng), random_circle(rng, "z")
+        ).complex
+    for name, P in complexes.items():
+        lean = _field_homology(P, GF2, bitsets=True)
+        old, zero_columns = gf2_echelon_pass(P)
+        # Chain for chain, cells in the same order.
+        assert [[list(c.items()) for c in g.generators] for g in lean] == [
+            [list(c.items()) for c in g.generators] for g in old
+        ], name
+        for n, g in enumerate(old):
+            # The clearing lemma: every uncleared column that reduces to
+            # zero gives a class, so their number is the Betti number.
+            ker = P.size(n) - (gf2_rank(gf2_boundary_columns(P, n)) if n else 0)
+            assert zero_columns[n] == g.free_rank == ker - gf2_rank(
+                gf2_boundary_columns(P, n + 1) if P.size(n + 1) else []
+            ), (name, n)
+
+
+def gf2_rank(cols):
+    ech = Gf2Echelon()
+    for col in cols:
+        ech.add(col)
+    return len(ech)
 
 
 def per_cell_scan(n, cells, mask):

@@ -2,7 +2,7 @@ import pytest
 
 from hda_lab.exterior import ExteriorElement, word_to_vector
 from hda_lab.hda import Alphabet, Hda
-from hda_lab.homology import chain_boundary
+from hda_lab.homology import chain_boundary, homology
 from hda_lab.labeling import (
     chain_label,
     degree_monomials,
@@ -13,6 +13,7 @@ from hda_lab.labeling import (
 )
 from hda_lab.models import (
     boundary_square,
+    directed_circle,
     two_phase_torus,
     filled_square,
     klein_hda,
@@ -109,6 +110,77 @@ def test_chain_label_equals_the_running_sum_of_cube_labels():
                 for chain in chains:
                     got, want = chain_label(h, chain, ring), _folded_chain_label(h, chain, ring)
                     assert got == want and hash(got) == hash(want), (h, chain, ring)
+
+
+def _relabel(h, words, letters):
+    """h with each letter of its edge words replaced by a word over letters."""
+    labels = {e: tuple(b for a in word for b in words[a]) for e, word in h.labels.items()}
+    return Hda(h.complex, Alphabet(letters), labels, h.initial, h.final)
+
+
+def _per_cube_chain_label(h, chain, ring):
+    """chain_label as it was computed cube by cube: each cube's label a wedge
+    of ExteriorElement letter sums, the labels summed by one combine."""
+
+    def cube_label(cube):
+        acc = ExteriorElement.unit(h.alphabet, ring)
+        for i in range(1, cube[0] + 1):
+            acc = acc ^ word_to_vector(h.alphabet, h.direction_word(cube, i), ring)
+        return acc
+
+    terms = ring.combine((cube_label(cube).terms, c) for cube, c in chain.items())
+    return ExteriorElement(h.alphabet, ring, terms)
+
+
+def test_chain_label_equals_the_per_cube_wedges():
+    from conftest import random_torus, suite_rng
+    from hda_lab.products import tensor_hda
+
+    rng = suite_rng("label-map")
+    models = []
+    bases = [filled_square(), torus_hda(), two_phase_torus()]
+    for h in bases + [random_torus(rng) for _ in range(6)]:
+        for _ in range(3):
+            # Words of 0 to 3 letters from a pool shared by every direction:
+            # empty words, repeated letters and one letter in two directions.
+            pool = ["x", "y", "z"][: rng.randint(1, 3)]
+            words = {a: tuple(rng.choices(pool, k=rng.randint(0, 3))) for a in h.alphabet}
+            models.append(_relabel(h, words, pool))
+    # The first square's label (x + y) ^ (x + y) cancels to zero and the
+    # last one's is x ^ y: the chain's label lists x ^ y last.
+    strip = tensor_hda(directed_circle(["a", "b", "c"]), directed_circle(["d"]))
+    words = {"a": ("x", "y"), "b": ("z",), "c": ("x",), "d": ("x", "y")}
+    models.append(_relabel(strip, words, ["x", "y", "z"]))
+    for h in models:
+        P = h.complex
+        for ring in (ZZ, GF2, GF3):
+            for n in range(P.max_dim + 1):
+                cubes = list(P.cubes(n))
+                chains = [{x: rng.randint(-6, 6) for x in cubes}]
+                chains.append({x: rng.randint(-6, 6) for x in rng.sample(cubes, min(3, len(cubes)))})
+                chains += homology(P, n, ring).generators
+                for chain in chains:
+                    got, want = chain_label(h, chain, ring), _per_cube_chain_label(h, chain, ring)
+                    assert list(got.terms.items()) == list(want.terms.items()), (h.labels, chain)
+
+
+@pytest.mark.parametrize(
+    "words, label_z, label_gf2",
+    [
+        ({"a": ("x", "y"), "b": ("z",)}, "x∧z + y∧z", "x∧z + y∧z"),
+        ({"a": ("x", "x"), "b": ("y",)}, "2·x∧y", "0"),
+        ({"a": ("x",), "b": ("x",)}, "0", "0"),
+        ({"a": (), "b": ("y",)}, "0", "0"),
+        ({"a": ("x", "y", "x"), "b": ("y", "z")}, "2·x∧y + 2·x∧z + y∧z", "y∧z"),
+    ],
+)
+def test_square_labels_of_chosen_words(words, label_z, label_gf2):
+    h = _relabel(filled_square(), words, ["x", "y", "z"])
+    square = {(2, key): 1 for key in h.complex.cells(2)}
+    for ring, want in ((ZZ, label_z), (GF2, label_gf2)):
+        got = chain_label(h, square, ring)
+        assert str(got) == want
+        assert got == _per_cube_chain_label(h, square, ring)
 
 
 def test_monomial_columns_roundtrip():
