@@ -57,6 +57,7 @@ _LAYERS = {
     "tensor_hda": "products",
     "all_homology": "homology",
     "labeled_homology": "labeling",
+    "realized_labels": "reports",
     "implements_report": "reports",
     "independence_report": "reports",
 }
@@ -418,11 +419,15 @@ def _cmd_independence(args) -> tuple[int, dict, str]:
 def _cmd_implements(args) -> tuple[int, dict, str]:
     from .reports import OBSTRUCTION, render_implements
 
+    realized_labels = _cli.realized_labels
     implements_report = _cli.implements_report
-    impl = _checked_hda(args.impl, "implements")
+    # One model at a time: the implementation is reduced to its labels and
+    # let go, the homology kept for its complex with it, before the
+    # specification is read.
+    realized = realized_labels(_checked_hda(args.impl, "implements"), args.ring)
     spec = _checked_hda(args.spec, "implements")
     try:
-        doc = implements_report(impl, spec, args.ring)
+        doc = implements_report(realized, spec, args.ring)
     except ValueError as e:
         raise _Failure(
             EXIT_INVALID,

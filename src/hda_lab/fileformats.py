@@ -305,7 +305,11 @@ def _read_dims(dims: list) -> tuple[PrecubicalSet, dict]:
                 raise FileFormatError(f"{where}.labels: expected a list per word")
             if not {str}.issuperset(map(type, chain.from_iterable(words))):
                 raise FileFormatError(f"{where}.labels: letters must be strings")
-            labels = dict(zip(ids, map(tuple, words)))
+            # One tuple per distinct word, shared by its edges: phil5's
+            # 8,770 edges carry 30 words.
+            words = [*map(tuple, words)]
+            shared = dict(zip(words, words))
+            labels = dict(zip(ids, map(shared.__getitem__, words)))
     return PrecubicalSet.from_positions(cells, faces), labels
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import Frozen
@@ -220,17 +221,18 @@ def _identities_hold(n: int, flats: list, flats_below: list) -> bool:
 
     Each identity is checked for the whole dimension at once: with m = n - 1,
     d[k,i]d[l,j] x is entry k·m + i - 1 of the positions of face l·n + j - 1
-    of x, so both sides are columns of positions mapped through columns of
-    the dimension below.
+    of x, so both sides are columns of positions gathered, by ``itemgetter``,
+    from columns of the dimension below.  A dimension of one cell gathers a
+    bare position on both sides, which compare just as well.
     """
     if None in flats_below:
         return False
     m = n - 1
     cols = list(zip(*flats))
-    inner = [list(col) for col in zip(*flats_below)]
+    inner = list(zip(*flats_below))
     return all(
-        list(map(inner[k * m + i - 1].__getitem__, cols[l * n + j - 1]))
-        == list(map(inner[l * m + j - 2].__getitem__, cols[k * n + i - 1]))
+        itemgetter(*cols[l * n + j - 1])(inner[k * m + i - 1])
+        == itemgetter(*cols[k * n + i - 1])(inner[l * m + j - 2])
         for k, i, l, j in _identities(n)
     )
 

@@ -344,7 +344,8 @@ def program_to_hda(prog: SharedVariableProgram) -> Hda:
                 cubes_n.append((base, pid, tag))
                 faces_n.append(face)
         if n == 1:
-            labels = {ck: (tag[1:],) for ck, (_, _, tag) in zip(following, cubes_n)}
+            word = {tag: (tag[1:],) for tag in pid_of}  # one tuple per action
+            labels = {ck: word[tag] for ck, (_, _, tag) in zip(following, cubes_n)}
         if cubes_n:
             index[n] = following
             faces[n] = faces_n

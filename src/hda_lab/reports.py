@@ -17,7 +17,12 @@ specification over the same alphabet.  A refinement cannot invent
 observable homology: every label the implementation realizes must be
 realized by the specification too, so any label the specification cannot
 produce is a witness that the implementation does something the
-specification never allowed.
+specification never allowed.  The check has two halves that share only
+labels: ``realized_labels`` reduces the implementation to its alphabet and
+the labels of its classes, and ``implements_report`` asks the
+specification's label image for each.  So a caller can let the
+implementation's model go before it reads the specification's, and the
+two models are never held at once.
 
 Each analysis returns its report as the JSON document that ``--format
 json`` prints, with the verdict and the witnesses computed where the
@@ -166,33 +171,45 @@ def independence_report(
     }
 
 
+def realized_labels(
+    impl: Hda, ring: CoefficientRing = ZZ
+) -> tuple[Alphabet, dict[int, list[ExteriorElement]]]:
+    """The implementation's half of the implements check: its alphabet and,
+    for each degree from 1 through its top dimension, the labels of its
+    classes.  Degree 0 carries only the unit and says nothing.  Nothing
+    returned refers to the model, so it can go once this returns."""
+    labels = {
+        n: [c.label for c in labeled_degree(impl, n, ring).classes]
+        for n in range(1, impl.complex.max_dim + 1)
+    }
+    return impl.alphabet, labels
+
+
 def implements_report(
-    impl: Hda,
+    realized: tuple[Alphabet, dict[int, list[ExteriorElement]]],
     spec: Hda,
     ring: CoefficientRing = ZZ,
 ) -> dict:
     """Check that every realized implementation label is a specification label.
 
-    Both models must use the same action letters (order may differ).  Degrees
-    run from 1 through the implementation's top dimension; degree 0 carries
-    only the unit and says nothing.  Zero labels are skipped: zero lies in
-    every image.  Each label outside the specification's image is a witness.
+    ``realized`` is what ``realized_labels`` returns for the implementation.
+    Both models must use the same action letters (order may differ).  Zero
+    labels are skipped: zero lies in every image, so a degree whose labels
+    are all zero asks nothing of the specification.  Each label outside the
+    specification's image is a witness.
     """
-    if set(impl.alphabet.letters) != set(spec.alphabet.letters):
-        only_impl = sorted(set(impl.alphabet.letters) - set(spec.alphabet.letters))
-        only_spec = sorted(set(spec.alphabet.letters) - set(impl.alphabet.letters))
+    alphabet, realized_by_degree = realized
+    if set(alphabet.letters) != set(spec.alphabet.letters):
+        only_impl = sorted(set(alphabet.letters) - set(spec.alphabet.letters))
+        only_spec = sorted(set(spec.alphabet.letters) - set(alphabet.letters))
         raise ValueError(
             f"alphabet mismatch: implementation-only {only_impl},"
             f" specification-only {only_spec}"
         )
-    alphabet = impl.alphabet
-    degrees = list(range(1, impl.complex.max_dim + 1))
     witnesses = []
     checked = 0
     skipped = 0
-    for n in degrees:
-        impl_rep = labeled_degree(impl, n, ring)
-        labels = [c.label for c in impl_rep.classes]
+    for n, labels in realized_by_degree.items():
         if all(l.is_zero() for l in labels):
             skipped += len(labels)
             continue
@@ -212,7 +229,7 @@ def implements_report(
         "verdict": OBSTRUCTION if witnesses else NO_OBSTRUCTION,
         "ring": str(ring),
         "alphabet": list(alphabet.letters),
-        "degrees": degrees,
+        "degrees": list(realized_by_degree),
         "labels_checked": checked,
         "zero_labels_skipped": skipped,
         "witnesses": witnesses,

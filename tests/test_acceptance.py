@@ -78,6 +78,7 @@ from hda_lab.reports import (
     _membership,
     implements_report,
     independence_report,
+    realized_labels,
 )
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
@@ -228,7 +229,7 @@ def test_c04_small_model_label_quartet():
 def test_c05_unlocked_counter_is_caught_by_the_lock_spec():
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
-    rep = implements_report(impl, spec, ZZ)
+    rep = implements_report(realized_labels(impl, ZZ), spec, ZZ)
     assert rep["verdict"] == OBSTRUCTION
     assert [w["degree"] for w in rep["witnesses"]] == [2]
     witness = rep["witnesses"][0]
@@ -246,7 +247,7 @@ def test_c05_unlocked_counter_is_caught_by_the_lock_spec():
         spec_cols, label_to_column(expected, 2, monos), reported_certificate(witness)
     )
     # a model always implements itself, so the verdict is about the specification
-    assert implements_report(impl, impl, ZZ)["verdict"] == NO_OBSTRUCTION
+    assert implements_report(realized_labels(impl, ZZ), impl, ZZ)["verdict"] == NO_OBSTRUCTION
 
 
 def test_c06_labeling_property_suites():

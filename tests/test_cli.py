@@ -8,6 +8,7 @@ import subprocess
 import re
 import string
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,81 @@ def test_implements_alphabet_mismatch(workdir, capsys):
         ["implements", str(workdir / "lock.json"), str(workdir / "torus.json")]
     ) == 2
     assert "alphabet mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ring", ["z", "zp:2", "zp:3"])
+def test_implements_lets_the_implementation_go_before_reading_the_spec(
+    ring, workdir, tmp_path, monkeypatch
+):
+    # One model at a time: the implementation is reduced to its labels, and
+    # nothing holds its complex (the homology kept for it included) once the
+    # specification is read.  The command runs without the cyclic collector,
+    # so the model must go by reference counts alone.
+    read = hda_lab.cli._checked_hda
+    impl_complex = []
+    alive_at_spec_read = []
+
+    def checked(path, analysis):
+        if impl_complex:
+            alive_at_spec_read.append(impl_complex[0]() is not None)
+        h = read(path, analysis)
+        if not impl_complex:
+            impl_complex.append(weakref.ref(h.complex))
+        return h
+
+    monkeypatch.setattr(hda_lab.cli, "_checked_hda", checked)
+    argv = ["implements", str(workdir / "lock.json"), str(workdir / "lock_spec.json")]
+    assert run(argv + ["--ring", ring, "--out", str(tmp_path / "report")]) == 3
+    assert alive_at_spec_read == [False]
+
+
+@pytest.fixture
+def implements_inputs(workdir, tmp_path):
+    """Per role, a valid, an invalid (an edge without a word) and an
+    unreadable (absent) model file."""
+    paths = {}
+    for role, name in (("impl", "lock"), ("spec", "lock_spec")):
+        doc = id_form(json.loads((workdir / f"{name}.json").read_text()))
+        del next(e for e in doc["cubes"] if e["dim"] == 1)["label"]
+        invalid = tmp_path / f"{role}-invalid.json"
+        invalid.write_text(canonical_json(doc))
+        paths[role] = {
+            "valid": workdir / f"{name}.json",
+            "invalid": invalid,
+            "unreadable": tmp_path / f"{role}-absent.json",
+        }
+    return paths
+
+
+@pytest.mark.parametrize(
+    "impl, spec, code, named",
+    [
+        ("valid", "unreadable", 1, "spec"),
+        ("valid", "invalid", 2, "spec"),
+        ("invalid", "invalid", 2, "impl"),
+        ("invalid", "unreadable", 2, "impl"),
+        ("unreadable", "invalid", 1, "impl"),
+        ("unreadable", "unreadable", 1, "impl"),
+    ],
+)
+def test_implements_reports_the_first_broken_input(
+    impl, spec, code, named, implements_inputs, capsys
+):
+    # The implementation is read, checked and reduced to its labels before
+    # the specification is read, so a broken implementation is the one
+    # reported, and a broken specification is reported as it always was.
+    impl_path = implements_inputs["impl"][impl]
+    spec_path = implements_inputs["spec"][spec]
+    assert run(["implements", str(impl_path), str(spec_path)]) == code
+    out, err = capsys.readouterr()
+    path = impl_path if named == "impl" else spec_path
+    if code == 1:
+        assert out == ""
+        assert err.startswith(f"hda-lab: {path}: ") and err.count("\n") == 1
+    else:
+        first, second = out.splitlines()
+        assert (first, err) == (f"{path}: invalid", "")
+        assert second.startswith("[unlabeled-edge] at (1, ")
 
 
 # -- the bytes of both analyses ------------------------------------------------------

@@ -973,6 +973,22 @@ def test_save_and_load_hda_files(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_a_loaded_dims_file_holds_one_tuple_per_distinct_word(tmp_path):
+    # Edges with the same word share one tuple, and the model writes back
+    # to the same bytes.
+    for name, h in (
+        ("phil3", program_to_hda(dining_philosophers(3))),
+        ("torus", directed_torus([("a1", "a2"), ("b",), ("a1", "a2")], [("b",), ("c",)])),
+    ):
+        path = tmp_path / f"{name}.json"
+        save_hda(h, str(path))
+        loaded = load_hda(str(path))
+        words = loaded.labels.values()
+        assert len(words) == len(h.labels) > len(set(words))
+        assert len({id(w) for w in words}) == len(set(words))
+        assert canonical_json(hda_to_json(loaded)) == path.read_text()
+
+
 def test_a_dims_file_in_the_previous_indented_layout_loads_to_the_same_model(tmp_path):
     # The writer before the one-line layout indented HDA files as it does
     # every other document; only whitespace differs, so they load alike.

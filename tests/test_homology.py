@@ -991,7 +991,7 @@ def test_analyses_assemble_each_boundary_once(p, monkeypatch):
     from hda_lab import models
     from hda_lab.labeling import labeled_homology
     from hda_lab.programs import program_to_hda
-    from hda_lab.reports import implements_report, independence_report
+    from hda_lab.reports import implements_report, independence_report, realized_labels
 
     ring = CoefficientRing(p)
     assembled = {}
@@ -1011,8 +1011,8 @@ def test_analyses_assemble_each_boundary_once(p, monkeypatch):
     parts = [models.labeled_circle(["a1", "a2"]), models.labeled_circle(["b"])]
     labeled_homology(peterson, ring)
     labeled_homology(torus, ring)
-    implements_report(counter, spec, ring)
-    implements_report(peterson, peterson, ring)
+    implements_report(realized_labels(counter, ring), spec, ring)
+    implements_report(realized_labels(peterson, ring), peterson, ring)
     independence_report(torus, parts, ring)
     assert assembled
     assert max(assembled.values()) == 1, assembled

@@ -385,7 +385,7 @@ def _obstruction_reports(ring):
     nonempty span, so the functional is more than a unit vector."""
     from hda_lab.models import directed_circle
     from hda_lab.products import tensor_hda
-    from hda_lab.reports import implements_report, independence_report
+    from hda_lab.reports import implements_report, independence_report, realized_labels
 
     spec = tensor_hda(
         directed_circle([("a", "a", "b"), ("c",)]), directed_circle([("d",), ("e", "e")])
@@ -396,7 +396,7 @@ def _obstruction_reports(ring):
     main = tensor_hda(spec, directed_circle([("f",)]))
     parts = [directed_circle([(x,)]) for x in "adf"]
     return {
-        "implements": implements_report(impl, spec, ring),
+        "implements": implements_report(realized_labels(impl, ring), spec, ring),
         "independence": independence_report(main, parts, ring),
     }
 

@@ -15,6 +15,7 @@ from hda_lab.constructions import (
 )
 from hda_lab.precubical import (
     PrecubicalSet,
+    _identities_hold,
     assert_valid_precubical,
     edge_in_direction,
     evaluate_subcube,
@@ -88,7 +89,7 @@ def test_an_unhashable_face_key_is_a_dangling_face():
     assert [v.kind for v in validate_hda(h)] == ["dangling-face"]
 
 
-def test_validate_broken_identity():
+def broken_square():
     # Square whose left edge has the wrong source: d[0,1]d[0,2] != d[0,1]d[0,1].
     cells = {0: ["00", "10", "01", "11", "xx"], 1: ["a", "b", "c", "d"], 2: ["s"]}
     faces = {
@@ -98,12 +99,39 @@ def test_validate_broken_identity():
         (1, "d"): (["10"], ["11"]),
         (2, "s"): (["a", "c"], ["b", "d"]),
     }
-    P = PrecubicalSet(cells, faces)
+    return PrecubicalSet(cells, faces)
+
+
+def test_validate_broken_identity():
+    P = broken_square()
     bad = [v for v in validate_precubical(P) if v.kind == "cubical-identity"]
     assert bad, "expected a cubical identity violation"
     assert bad[0].cube == (2, "s")
     # The identity that fails involves i=1, j=2 with the lower face on j.
     assert any(v.data[1] == 1 and v.data[3] == 2 for v in bad)
+
+
+def _one_cell_per_dimension(top):
+    """The cube of dimension ``top`` whose faces, in every dimension, are the
+    one cell below: every cubical identity holds."""
+    cells = {n: [f"c{n}"] for n in range(top + 1)}
+    faces = {(n, f"c{n}"): ([f"c{n - 1}"] * n, [f"c{n - 1}"] * n) for n in range(1, top + 1)}
+    return PrecubicalSet(cells, faces)
+
+
+def test_identities_hold_in_a_dimension_of_one_cell():
+    # With one cell, both sides of an identity gather a bare position, not a
+    # tuple of them; they must still compare, pass or fail, as tuples would.
+    for P in (two_square(), _one_cell_per_dimension(2), _one_cell_per_dimension(4)):
+        for n in range(2, P.max_dim + 1):
+            assert P.size(n) == 1
+            assert _identities_hold(n, P.face_positions(n), P.face_positions(n - 1))
+        assert validate_precubical(P) == []
+    broken = broken_square()
+    assert not _identities_hold(2, broken.face_positions(2), broken.face_positions(1))
+    assert [(v.kind, v.cube, v.data) for v in validate_precubical(broken)] == [
+        ("cubical-identity", (2, "s"), (0, 1, 0, 2))
+    ]
 
 
 def test_validate_orphan_face_entry():

@@ -464,6 +464,16 @@ def test_compiled_model_bytes_are_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMPILES))
+def test_compiled_edges_share_one_word_tuple_per_action(name):
+    prog = _golden_programs()[name]
+    h = program_to_hda(prog)
+    words = h.labels.values()
+    actions = {t.action for p in prog.processes for t in p.transitions}
+    assert len(words) > len(actions) >= len(set(words))
+    assert len({id(w) for w in words}) == len(set(words))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPILES))
 def test_each_move_fires_once_per_compile(name, monkeypatch):
     import hda_lab.programs
 

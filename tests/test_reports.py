@@ -23,6 +23,7 @@ from hda_lab.reports import (
     _membership,
     implements_report,
     independence_report,
+    realized_labels,
     render_implements,
     render_independence,
 )
@@ -164,7 +165,7 @@ def test_independence_report_serializes():
 def test_implements_flags_the_unlocked_counter():
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
-    rep = implements_report(impl, spec, ZZ)
+    rep = implements_report(realized_labels(impl, ZZ), spec, ZZ)
     assert rep["verdict"] == OBSTRUCTION
     assert [w["degree"] for w in rep["witnesses"]] == [2]
     assert (
@@ -186,14 +187,14 @@ def test_implements_flags_the_unlocked_counter():
 
 def test_implements_is_reflexive():
     impl = program_to_hda(lock_counter())
-    assert implements_report(impl, impl, ZZ)["verdict"] == NO_OBSTRUCTION
+    assert implements_report(realized_labels(impl, ZZ), impl, ZZ)["verdict"] == NO_OBSTRUCTION
 
 
 def test_implements_spec_direction_passes():
     # the locked behavior is a sub-behavior of the unlocked counter
     impl = program_to_hda(lock_counter())
     spec = lock_spec()
-    rep = implements_report(spec, impl, ZZ)
+    rep = implements_report(realized_labels(spec, ZZ), impl, ZZ)
     assert rep["verdict"] == NO_OBSTRUCTION
     assert rep["labels_checked"] == 2
 
@@ -201,7 +202,7 @@ def test_implements_spec_direction_passes():
 def test_implements_zero_labels_pass():
     impl = boundary_square("a", "b")
     spec = filled_square("a", "b")
-    rep = implements_report(impl, spec, ZZ)
+    rep = implements_report(realized_labels(impl, ZZ), spec, ZZ)
     assert rep["verdict"] == NO_OBSTRUCTION
     assert rep["labels_checked"] == 0
     assert rep["zero_labels_skipped"] == 1
@@ -209,13 +210,13 @@ def test_implements_zero_labels_pass():
 
 def test_implements_requires_matching_alphabets():
     with pytest.raises(ValueError, match="alphabet mismatch"):
-        implements_report(labeled_circle(["a"]), labeled_circle(["b"]), ZZ)
+        implements_report(realized_labels(labeled_circle(["a"]), ZZ), labeled_circle(["b"]), ZZ)
 
 
 def test_implements_tolerates_reordered_alphabets():
     impl = labeled_circle(["a", "b"])
     spec = labeled_circle(["b", "a"])
-    rep = implements_report(impl, spec, ZZ)
+    rep = implements_report(realized_labels(impl, ZZ), spec, ZZ)
     assert rep["verdict"] == NO_OBSTRUCTION
     assert rep["labels_checked"] == 1
 
