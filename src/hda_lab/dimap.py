@@ -13,9 +13,10 @@ Vertices map by a plain vertex table.  The data must cohere across faces: the
 face d[k,i] x of x drops the grid axis realizing direction i at the matching
 end, and what remains must be exactly the data stored for the face cell.  On
 labels, the word of a source edge must be the concatenation of the words its
-grid path runs through.  Validation checks four independent families
-(structure, face coherence, labels, start/accept markings) and reports each
-failure separately.
+grid path runs through.  Validation reports four families: structure, face
+coherence, labels and start/accept markings.  The face and label families
+read only the cubes the structural check accepted, so a cube with broken grid
+data reports its structural violation and nothing derived from it.
 
 The induced chain map sends a cube to the signed sum of its grid's top cells,
 the sign being that of the axis permutation; a transposed square pushes to
@@ -123,8 +124,14 @@ def _is_grid_cell(coord: GridCoord, shape: Sequence[int]) -> bool:
     return True
 
 
-def _structural_violations(f: ElementaryDimap) -> list[Violation]:
+def _structural_violations(
+    f: ElementaryDimap,
+) -> tuple[list[Violation], list[tuple[Cube, int, CubeMap]]]:
+    """The structural violations, and each source cube of dimension n >= 1
+    that got none, as (cube, n, grid data) in cell order: the cubes whose
+    faces and labels can be checked."""
     out: list[Violation] = []
+    accepted: list[tuple[Cube, int, CubeMap]] = []
     P = f.source.complex
     Q = f.target.complex
     for v in P.cubes(0):
@@ -164,9 +171,11 @@ def _structural_violations(f: ElementaryDimap) -> list[Violation]:
             )
             for _, _, coord in missing:
                 out.append(Violation("flat-missing-cell", x, f"grid cell {coord} unmapped"))
+            ok = not missing
             for coord in cm.flat:
                 if not _is_grid_cell(coord, cm.shape):
                     out.append(Violation("flat-orphan-cell", x, f"no grid cell {coord}"))
+                    ok = False
             if missing:
                 continue
             grid = interval_grid(cm.shape)
@@ -175,33 +184,21 @@ def _structural_violations(f: ElementaryDimap) -> list[Violation]:
                 out.append(
                     Violation("flat-" + v.kind, x, f"grid cell {v.cube}: {v.message}", v.data)
                 )
+                ok = False
+            if ok:
+                accepted.append((x, n, cm))
     for x in f.cube_maps:
         if x not in P or x[0] == 0:
             out.append(Violation("cube-orphan", x, "grid data for unknown or 0-dim cell"))
-    return out
+    return out, accepted
 
 
-def _well_formed(f: ElementaryDimap) -> Iterator[tuple[Cube, int, CubeMap]]:
-    """Each source cube of dimension n >= 1 with its grid data, in cell order,
-    skipping those without data, with the wrong arity or with an axis
-    permutation that is not one of 1..n (the structural check reports them).
-    """
-    P = f.source.complex
-    for n in P.dims():
-        if n == 0:
-            continue
-        for x in P.cubes(n):
-            cm = f.cube_maps.get(x)
-            if cm is not None and len(cm.shape) == n and sorted(cm.axis_perm) == list(
-                range(1, n + 1)
-            ):
-                yield x, n, cm
-
-
-def _face_violations(f: ElementaryDimap) -> list[Violation]:
+def _face_violations(
+    f: ElementaryDimap, accepted: list[tuple[Cube, int, CubeMap]]
+) -> list[Violation]:
     out: list[Violation] = []
     P = f.source.complex
-    for x, n, cm in _well_formed(f):
+    for x, n, cm in accepted:
         for i in range(1, n + 1):
             for k in (0, 1):
                 derived = face_restriction(cm, k, i)
@@ -235,24 +232,18 @@ def _face_violations(f: ElementaryDimap) -> list[Violation]:
     return out
 
 
-def _label_violations(f: ElementaryDimap) -> list[Violation]:
+def _label_violations(
+    f: ElementaryDimap, accepted: list[tuple[Cube, int, CubeMap]]
+) -> list[Violation]:
     out: list[Violation] = []
-    for x, n, cm in _well_formed(f):
+    for x, n, cm in accepted:
         for i in range(1, n + 1):
             m = cm.axis_perm.index(i) + 1
+            # An accepted grid maps each of its edges to a target edge.
             word: list[str] = []
-            ok = True
             for j in range(cm.shape[m - 1]):
-                coord = tuple(
-                    (j, j + 1) if t == m else 0 for t in range(1, n + 1)
-                )
-                img = cm.flat.get(coord)
-                if img is None or img[0] != 1:
-                    ok = False
-                    break
-                word.extend(f.target.labels.get(img[1], ()))
-            if not ok:
-                continue
+                coord = tuple((j, j + 1) if t == m else 0 for t in range(1, n + 1))
+                word.extend(f.target.labels.get(cm.flat[coord][1], ()))
             want = f.source.direction_word(x, i)
             if tuple(word) != want:
                 out.append(
@@ -297,9 +288,9 @@ def _marking_violations(f: ElementaryDimap) -> list[Violation]:
 
 def validate_dimap(f: ElementaryDimap) -> list[Violation]:
     """All defects, grouped by family: structure, faces, labels, markings."""
-    out = _structural_violations(f)
-    out += _face_violations(f)
-    out += _label_violations(f)
+    out, accepted = _structural_violations(f)
+    out += _face_violations(f, accepted)
+    out += _label_violations(f, accepted)
     out += _marking_violations(f)
     return out
 

@@ -3,10 +3,11 @@
 Labels of n-cubes live in the degree-n part of the exterior algebra on the
 alphabet letters.  A basis element of degree n is a strictly increasing tuple
 of letter indices; an element is a finite coefficient dictionary over such
-tuples.  The wedge product is computed by merging index tuples and counting
-inversions for the sign; repeated letters kill a term, in every
-characteristic (the label calculus needs a*a = 0 over Z/2 as well, which is
-the alternating algebra rather than the plain quotient by squares).
+tuples.  One sign rule, ``perm_sign``, serves the wedge product and
+``retag``: a product of basis elements is the sorted concatenation of their
+index tuples, signed by that sort, and a repeated letter kills the term, in
+every characteristic (the label calculus needs a*a = 0 over Z/2 as well,
+which is the alternating algebra rather than the plain quotient by squares).
 
 Words (tuples of letters attached to edge paths) enter the algebra through
 ``word_to_vector``, the sum of the letters with multiplicity in degree 1.
@@ -23,41 +24,17 @@ if TYPE_CHECKING:
 
 
 def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a value sequence."""
+    """Sign of sorting a value sequence: (-1)^inversions, or 0 when a value
+    repeats, as for the Levi-Civita symbol."""
     sign = 1
-    vals = list(perm)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
+    vals = tuple(perm)
+    for i, a in enumerate(vals):
+        for b in vals[i + 1 :]:
+            if a == b:
+                return 0
+            if a > b:
                 sign = -sign
     return sign
-
-
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two strictly increasing index tuples.
-
-    Returns (merged, sign) where sign is (-1)^inversions, or (merged, 0) when
-    the tuples share an index (the wedge vanishes).
-    """
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return (), 0
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            merged.append(b)
-            j += 1
-            # b jumps over the remaining len(left) - i entries of left.
-            if (len(left) - i) % 2:
-                sign = -sign
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
 
 
 Terms = dict[tuple[int, ...], int]  # {strictly increasing index tuple: coefficient}
@@ -73,9 +50,11 @@ def wedge_terms(
     out: Terms = {}
     for li, lc in left.items():
         for ri, rc in right.items():
-            merged, sign = _merge_sign(li, ri)
+            idx = li + ri
+            sign = perm_sign(idx)
             if sign:
-                out[merged] = out.get(merged, 0) + sign * lc * rc
+                key = tuple(sorted(idx))
+                out[key] = out.get(key, 0) + sign * lc * rc
     return {k: x for k, x in ((k, ring.normalize(x)) for k, x in out.items()) if x}
 
 

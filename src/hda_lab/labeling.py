@@ -173,17 +173,13 @@ def labeled_homology(h: Hda, ring: CoefficientRing = ZZ) -> dict[int, DegreeLabe
 
 
 def _orient_by_label(chain: Chain, label: ExteriorElement) -> tuple[Chain, ExteriorElement]:
-    """Flip a free generator so its first label coefficient is positive.
+    """Flip a free generator so its leading label coefficient is positive.
 
     Generators arrive sign-normalized by their first chain coefficient; when
-    the label is nonzero the label's leading sign wins instead, which keeps
-    printed labels free of gratuitous minus signs.
+    the label is nonzero the sign of its first term in (degree, index) order
+    wins instead (no stored coefficient is zero), which keeps printed labels
+    free of gratuitous minus signs.
     """
-    for idx in sorted(label.terms, key=lambda t: (len(t), t)):
-        c = label.terms[idx]
-        if c > 0:
-            return chain, label
-        if c < 0:
-            return {k: -v for k, v in chain.items()}, label.scale(-1)
+    if label.terms and label.terms[min(label.terms, key=lambda t: (len(t), t))] < 0:
+        return {k: -v for k, v in chain.items()}, label.scale(-1)
     return chain, label
-

@@ -5,6 +5,8 @@ makes them the anchor points of the test suite: a circle whose cycle label is
 the letter sum, the unfilled square whose hole is invisible to labels, the
 two-square torus, the flipped variant with 2-torsion, and the doubly-cyclic
 "both processes loop" automaton whose top class carries a product label.
+Each is built by one checked builder: cells, faces, letters and edge words,
+one start and one final vertex, validated before it is returned.
 
 Program-derived models (mutual exclusion, dining philosophers, the lock
 examples) live at the bottom; they compile shared-variable programs from
@@ -13,13 +15,29 @@ examples) live at the bottom; they compile shared-variable programs from
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .hda import Alphabet, Hda, assert_valid_hda
 from .precubical import PrecubicalSet
 
 if TYPE_CHECKING:
     from .programs import SharedVariableProgram
+
+
+def _checked(
+    cells: dict, faces: dict, letters: Iterable[str], labels: dict, start: str, end: str
+) -> Hda:
+    """The automaton on PrecubicalSet(cells, faces) over Alphabet(letters),
+    with the given edge words, one start and one final vertex, validated."""
+    h = Hda(
+        complex=PrecubicalSet(cells, faces),
+        alphabet=Alphabet(letters),
+        labels=labels,
+        initial=frozenset({(0, start)}),
+        final=frozenset({(0, end)}),
+    )
+    assert_valid_hda(h)
+    return h
 
 
 def directed_circle(words: Sequence) -> Hda:
@@ -40,15 +58,8 @@ def directed_circle(words: Sequence) -> Hda:
     letters = [a for word in spelled for a in word]
     cells = {0: [f"v{i}" for i in range(k)], 1: [f"x{i}" for i in range(k)]}
     faces = {(1, f"x{i}"): ([f"v{i}"], [f"v{(i + 1) % k}"]) for i in range(k)}
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(dict.fromkeys(letters)),
-        labels={f"x{i}": spelled[i] for i in range(k)},
-        initial=frozenset({(0, "v0")}),
-        final=frozenset({(0, "v0")}),
-    )
-    assert_valid_hda(h)
-    return h
+    labels = {f"x{i}": spelled[i] for i in range(k)}
+    return _checked(cells, faces, dict.fromkeys(letters), labels, "v0", "v0")
 
 
 def labeled_circle(letters: Sequence[str]) -> Hda:
@@ -62,18 +73,11 @@ def labeled_interval(letters: Sequence[str]) -> Hda:
     k = len(letters)
     cells = {0: [f"v{i}" for i in range(k + 1)], 1: [f"x{i}" for i in range(k)]}
     faces = {(1, f"x{i}"): ([f"v{i}"], [f"v{i + 1}"]) for i in range(k)}
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(dict.fromkeys(letters)),
-        labels={f"x{i}": (letters[i],) for i in range(k)},
-        initial=frozenset({(0, "v0")}),
-        final=frozenset({(0, f"v{k}")}),
-    )
-    assert_valid_hda(h)
-    return h
+    labels = {f"x{i}": (letters[i],) for i in range(k)}
+    return _checked(cells, faces, dict.fromkeys(letters), labels, "v0", f"v{k}")
 
 
-def _square_complex(filled: bool) -> PrecubicalSet:
+def _square(a: str, b: str, filled: bool) -> Hda:
     cells = {0: ["00", "10", "01", "11"], 1: ["bottom", "top", "left", "right"]}
     faces = {
         (1, "bottom"): (["00"], ["10"]),
@@ -86,7 +90,8 @@ def _square_complex(filled: bool) -> PrecubicalSet:
         # face is the edge left over when that direction is frozen: "left".
         cells[2] = ["s"]
         faces[(2, "s")] = (["left", "bottom"], ["right", "top"])
-    return PrecubicalSet(cells, faces)
+    labels = {"bottom": (a,), "top": (a,), "left": (b,), "right": (b,)}
+    return _checked(cells, faces, [a, b], labels, "00", "11")
 
 
 def boundary_square(a: str = "a", b: str = "b") -> Hda:
@@ -95,28 +100,12 @@ def boundary_square(a: str = "a", b: str = "b") -> Hda:
     Its 1-homology is free of rank one but the cycle's label is a + b - a - b
     = 0; the hole is real yet invisible to letter counts.
     """
-    h = Hda(
-        complex=_square_complex(filled=False),
-        alphabet=Alphabet([a, b]),
-        labels={"bottom": (a,), "top": (a,), "left": (b,), "right": (b,)},
-        initial=frozenset({(0, "00")}),
-        final=frozenset({(0, "11")}),
-    )
-    assert_valid_hda(h)
-    return h
+    return _square(a, b, filled=False)
 
 
 def filled_square(a: str = "a", b: str = "b") -> Hda:
     """One 2-cube: the two actions run independently."""
-    h = Hda(
-        complex=_square_complex(filled=True),
-        alphabet=Alphabet([a, b]),
-        labels={"bottom": (a,), "top": (a,), "left": (b,), "right": (b,)},
-        initial=frozenset({(0, "00")}),
-        final=frozenset({(0, "11")}),
-    )
-    assert_valid_hda(h)
-    return h
+    return _square(a, b, filled=True)
 
 
 def torus_hda(a1: str = "a1", a2: str = "a2", b: str = "b") -> Hda:
@@ -135,15 +124,8 @@ def torus_hda(a1: str = "a1", a2: str = "a2", b: str = "b") -> Hda:
         (2, "s1"): (["cu", "h1"], ["cv", "h1"]),
         (2, "s2"): (["cu", "h2"], ["cv", "h2"]),
     }
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(dict.fromkeys([a1, a2, b])),
-        labels={"h1": (a1,), "h2": (a2,), "cu": (b,), "cv": (b,)},
-        initial=frozenset({(0, "u")}),
-        final=frozenset({(0, "u")}),
-    )
-    assert_valid_hda(h)
-    return h
+    labels = {"h1": (a1,), "h2": (a2,), "cu": (b,), "cv": (b,)}
+    return _checked(cells, faces, dict.fromkeys([a1, a2, b]), labels, "u", "u")
 
 
 def klein_hda(a: str = "a", b: str = "b") -> Hda:
@@ -163,15 +145,8 @@ def klein_hda(a: str = "a", b: str = "b") -> Hda:
         (2, "s1"): (["m", "e1"], ["cv", "e2"]),
         (2, "s2"): (["m", "e2"], ["cv", "e1"]),
     }
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(dict.fromkeys([a, b])),
-        labels={"e1": (a,), "e2": (a,), "m": (b,), "cv": (b,)},
-        initial=frozenset({(0, "u")}),
-        final=frozenset({(0, "u")}),
-    )
-    assert_valid_hda(h)
-    return h
+    labels = {"e1": (a,), "e2": (a,), "m": (b,), "cv": (b,)}
+    return _checked(cells, faces, dict.fromkeys([a, b]), labels, "u", "u")
 
 
 def directed_torus(words_a: Sequence, words_b: Sequence) -> Hda:
@@ -228,15 +203,7 @@ def two_phase_torus(
                 [f"{m1}1@{s0}", f"{m0}0@{s1}"],
                 [f"{m1}1@{e0}", f"{m0}0@{e1}"],
             )
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(dict.fromkeys([inc0, dec0, inc1, dec1])),
-        labels=labels,
-        initial=frozenset({(0, "00")}),
-        final=frozenset({(0, "00")}),
-    )
-    assert_valid_hda(h)
-    return h
+    return _checked(cells, faces, dict.fromkeys([inc0, dec0, inc1, dec1]), labels, "00", "00")
 
 
 # -- program-derived models -----------------------------------------------------
@@ -361,12 +328,4 @@ def lock_spec() -> Hda:
         (1, "x++_1"): (["v"], ["w1"]),
         (1, "x--_1"): (["w1"], ["v"]),
     }
-    h = Hda(
-        complex=PrecubicalSet(cells, faces),
-        alphabet=Alphabet(["x++_0", "x--_0", "x++_1", "x--_1"]),
-        labels={k: (k,) for k in cells[1]},
-        initial=frozenset({(0, "v")}),
-        final=frozenset({(0, "v")}),
-    )
-    assert_valid_hda(h)
-    return h
+    return _checked(cells, faces, cells[1], {k: (k,) for k in cells[1]}, "v", "v")

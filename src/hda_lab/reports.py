@@ -75,19 +75,6 @@ def _membership(
     return None, {"functional": phi, "modulus": modulus}
 
 
-def _candidate_classes(
-    part: Hda, ring: CoefficientRing
-) -> list[tuple[int, int, ExteriorElement]]:
-    """Positive-degree generator classes with nonzero label, in degree order."""
-    found = []
-    for n in range(1, part.complex.max_dim + 1):
-        rep = labeled_degree(part, n, ring)
-        for idx, cls in enumerate(rep.classes):
-            if cls.label.terms:
-                found.append((n, idx, cls.label))
-    return found
-
-
 def independence_report(
     main: Hda,
     parts: list[Hda],
@@ -124,7 +111,13 @@ def independence_report(
                 )
             candidate_lists.append([(n, idx, rep.classes[idx].label)])
     else:
-        candidate_lists = [_candidate_classes(part, ring) for part in parts]
+        # Each nonzero label of a positive-degree class, in degree order.
+        candidate_lists = []
+        for part in parts:
+            _, by_degree = realized_labels(part, ring)
+            candidate_lists.append(
+                [(n, i, x) for n, xs in by_degree.items() for i, x in enumerate(xs) if x.terms]
+            )
 
     checks = []
     skipped = 0

@@ -406,6 +406,25 @@ def test_dimap_check_does_not_pass_the_checks_a_broken_map_skips(dimap_dir, tmp_
     assert report["chain_map"] is None and report["naturality"] is None
 
 
+def test_dimap_check_reports_only_the_root_cause_of_a_broken_cube(tmp_path, capsys):
+    # The torus identity with one grid cell of a square unmapped: the square
+    # reports the missing cell, and no face or label defect derived from it.
+    from hda_lab.dimap import identity_dimap
+    from hda_lab.models import torus_hda
+
+    f = identity_dimap(torus_hda())
+    del f.cube_maps[(2, "s1")].flat[(0, 0)]
+    save_hda(f.source, str(tmp_path / "torus.json"))
+    save_dimap(f, str(tmp_path / "map.json"), "torus.json", "torus.json")
+    assert run(["dimap-check", str(tmp_path / "map.json")]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "structure: 1 violations",
+        "[flat-missing-cell] at (2, 's1'): grid cell (0, 0) unmapped",
+        "chain map: not checked",
+        "naturality: not checked",
+    ]
+
+
 def _damaged_map(dimap_dir, tmp_path, change):
     """Arguments naming the subdivision map of ``dimap_dir`` after ``change``
     of its bottom edge's grid data (``dimap.cubes[0]``), and a chain."""

@@ -1,5 +1,7 @@
 """Subdividing directed maps: validation and induced chain maps."""
 
+import pytest
+
 from hda_lab.dimap import (
     CubeMap,
     ElementaryDimap,
@@ -440,6 +442,44 @@ def test_validation_families_detect_defects():
         f.cube_maps,
     )
     assert "final-not-preserved" in kinds(f)
+
+
+def _orphan_grid_cell(cm):
+    # One step past the grid along the last axis: at a square it survives
+    # the restriction to a lower face.
+    n = len(cm.shape)
+    cm.flat[(0,) * (n - 1) + (5,)] = cm.flat[(0,) * n]
+
+
+# damage: (the cube it breaks, how, the one violation it must report there)
+BROKEN_GRIDS = {
+    "zero-length edge": ("edge", lambda cm: setattr(cm, "shape", (0,)), "bad-shape"),
+    "unmapped grid cell": (
+        "top", lambda cm: cm.flat.pop((0,) * len(cm.shape)), "flat-missing-cell"
+    ),
+    "orphan grid cell": ("top", _orphan_grid_cell, "flat-orphan-cell"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BROKEN_GRIDS))
+@pytest.mark.parametrize(
+    "model, cubes",
+    [
+        (lambda: labeled_circle("ab"), {"edge": (1, "x0"), "top": (1, "x1")}),
+        (torus_hda, {"edge": (1, "h1"), "top": (2, "s1")}),
+    ],
+    ids=["circle", "torus"],
+)
+def test_a_cube_with_broken_grid_data_reports_only_its_structural_violation(
+    model, cubes, damage
+):
+    # A cube the structural check refuses gets no face or label check, so
+    # nothing derived from its broken data is reported at it.
+    which, change, kind = BROKEN_GRIDS[damage]
+    f = identity_dimap(model())
+    assert validate_dimap(f) == []
+    change(f.cube_maps[cubes[which]])
+    assert [v.kind for v in validate_dimap(f) if v.cube == cubes[which]] == [kind]
 
 
 def test_a_table_its_grid_outgrows_builds_no_grid():

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from hda_lab.exterior import ExteriorElement, word_to_vector
+from hda_lab.exterior import ExteriorElement, perm_sign, wedge_terms, word_to_vector
 from hda_lab.hda import Alphabet
 from hda_lab.rings import GF2, ZZ, CoefficientRing
 
 AB = Alphabet(["a", "b", "c", "d"])
+GF3 = CoefficientRing(3)
 
 
 def elt(terms, ring=ZZ):
@@ -173,3 +174,70 @@ def test_exhaustive_small_alternation():
     for bits in itertools.product([0, 1], repeat=3):
         v = ExteriorElement(A3, GF2, {(i,): b for i, b in enumerate(bits)})
         assert (v ^ v).is_zero()
+
+
+def test_perm_sign_is_zero_on_a_repeated_value():
+    # The Levi-Civita symbol: a repeated value gives 0, not a sign.
+    assert perm_sign((1, 1)) == 0
+    assert perm_sign((2, 1, 2)) == 0
+    assert perm_sign((0, 3, 1, 3)) == 0
+    assert perm_sign(()) == 1
+    assert perm_sign((5,)) == 1
+
+
+def _merge_sign(left, right):
+    """Merge two strictly increasing index tuples, counting the inversions.
+
+    Returns (merged, sign) where sign is (-1)^inversions, or ((), 0) when
+    the tuples share an index (the wedge vanishes).
+    """
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a, b = left[i], right[j]
+        if a == b:
+            return (), 0
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            merged.append(b)
+            j += 1
+            # b jumps over the remaining len(left) - i entries of left.
+            if (len(left) - i) % 2:
+                sign = -sign
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return tuple(merged), sign
+
+
+def merge_wedge_terms(left, right, ring):
+    """The wedge by merging index tuples, keys in first-production order."""
+    out = {}
+    for li, lc in left.items():
+        for ri, rc in right.items():
+            merged, sign = _merge_sign(li, ri)
+            if sign:
+                out[merged] = out.get(merged, 0) + sign * lc * rc
+    return {k: x for k, x in ((k, ring.normalize(x)) for k, x in out.items()) if x}
+
+
+def test_wedge_terms_match_the_merge_oracle():
+    from conftest import suite_rng
+
+    rng = suite_rng("exterior-wedge-merge")
+    basis = [idx for n in range(4) for idx in itertools.combinations(range(6), n)]
+    for trial in range(600):
+        ring = (ZZ, GF2, GF3)[trial % 3]
+        left, right = (
+            {idx: rng.randint(-3, 3) for idx in rng.sample(basis, rng.randint(0, 4))}
+            for _ in range(2)
+        )
+        if left and right and rng.random() < 0.5:
+            # Make sure the two sides share a letter somewhere.
+            shared = rng.choice(sorted(left))
+            right[shared] = rng.randint(-3, 3)
+        got = wedge_terms(left, right, ring)
+        want = merge_wedge_terms(left, right, ring)
+        assert list(got.items()) == list(want.items())

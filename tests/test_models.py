@@ -6,7 +6,9 @@ from hda_lab.exterior import word_to_vector
 from hda_lab.hda import validate_hda
 from hda_lab.homology import _field_homology, all_homology, gf2_boundary_columns
 from hda_lab.labeling import labeled_degree, labeled_homology
+from hda_lab import models
 from hda_lab.models import (
+    boundary_square,
     dining_philosophers,
     directed_circle,
     directed_torus,
@@ -265,3 +267,41 @@ def test_directed_torus_of_words_matches_the_two_phase_build():
     skew = directed_torus(["ab"], [("c",)])
     rep = labeled_degree(skew, 2, ZZ)
     assert [str(c.label) for c in rep.classes] == ["a∧c + b∧c"]
+
+
+# sha256 of canonical_json(hda_to_json(...)) of each hand-built fixture, with
+# default and with chosen letters, computed before they shared one builder.
+HAND_BUILT_BYTES = {
+    "directed_circle(['ab', 'c'])": "94ebef77ffd85aaafe419164ec04c3614fa3fbb9147a1f0789fa416137aafa3b",
+    "directed_circle([('push', 'pop'), ('a',)])": "9b547a40a5a4d337a254f42679f82ff6c8260f1acd56ca1fefeacedcfea355bd",
+    "directed_circle(['a'])": "db73d3bbd779f57860ba0fe3ee9eeb539056f6bca9a782416426d3e9edd7a002",
+    "labeled_circle('abc')": "6d0f646f7215322667ac330ac179ede68c814a1437d3040340a357c96760a499",
+    "labeled_circle(['x', 'y'])": "9bad381fb8e2c12d5f70f5e49f8d9e8e7568ef002440d4199aa7897309bfd4cd",
+    "labeled_interval('aba')": "0de9af03f5e36da4d6343b23f44fa5caeada2bba89abab030a8521ee08fd7bb3",
+    "boundary_square()": "36c7192e7a24ecb515a70ac4bedb66620007a008ae177b21c325bfdbad7011b3",
+    "boundary_square('x', 'y')": "c3718899623a502314332ba507c6ca3a89b225cb7b47d43569718705a20f66e4",
+    "filled_square()": "c4dabd6468f57b8323f01730e0215b470e69bcf54d755c7ba584ab000c49ca60",
+    "filled_square('x', 'y')": "2a5ecc3a8a540ac61d348215b7aae57c020578f1543bde911c40dc2856a6e29f",
+    "torus_hda()": "55f7069050db330ae0632b94ad025c767c0b946007c471bbb3a35e932089b565",
+    "torus_hda('a', 'a', 'b')": "b0004eb5a7257931750e295682df40eec176ef8e21f2f4bb7520a758a87120ae",
+    "klein_hda()": "bac2170dc5ac917c8c01671dcdf1c978c1c6f8c7bd55885bd72e8c79895f8d0e",
+    "two_phase_torus()": "de8b3b479c7d876113e738a9c7791e5b3a85f39a1b54793e01d35da6208317cd",
+    "two_phase_torus('p', 'q', 'r', 's')": "77de1dc7f6a1d6cb18fbc490e96f2f723d572c1e5751e51688f6bd5efdd92469",
+    "lock_spec()": "f9362c3f4f0ff96bef697a789fac93b7b456b3323bd6c0bf732379374f75358a",
+}
+
+
+@pytest.mark.parametrize("call", sorted(HAND_BUILT_BYTES))
+def test_hand_built_fixture_bytes_are_pinned(call):
+    from hashlib import sha256
+
+    from hda_lab.fileformats import canonical_json, hda_to_json
+
+    h = eval(call, dict(vars(models)))
+    text = canonical_json(hda_to_json(h))
+    assert sha256(text.encode()).hexdigest() == HAND_BUILT_BYTES[call]
+
+
+def test_a_square_on_one_letter_is_refused():
+    with pytest.raises(ValueError):
+        boundary_square("a", "a")
